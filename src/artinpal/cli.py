@@ -3,8 +3,9 @@ program with shared text formats.
 
 Exit protocol: 0 for success / a true predicate, 1 for a false predicate
 or an absent value (extract, lcm), 2 for usage errors (argparse), 3 for
-domain errors, each with a one-line reason on stderr.  Predicates never
-exit 3 just because the answer is no.
+domain errors, 4 for an unexpected internal failure (any other exception,
+such as a RecursionError), each with a one-line reason on stderr.
+Predicates never exit 3 just because the answer is no.
 """
 
 from __future__ import annotations
@@ -336,6 +337,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # the process boundary: never a traceback
+        reason = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {reason}", file=sys.stderr)
+        return 4
     if args.as_json:
         record = {
             "command": args.command,

@@ -410,6 +410,8 @@ def involution_lift(matrix: CoxeterMatrix, target,
         raise PreconditionError("involution_lift needs an element of order <= 2")
 
     elements = weyl.enumerate_group(rep, cap)
+    # g d_I g^-1 = target  <=>  g d_I = target g; the right side per element
+    target_g = [weyl.compose(perm, g.perm) for g in elements]
     gens = matrix.generators
     subsets: list[tuple[int, ...]] = [()]
     for g in gens:
@@ -417,9 +419,8 @@ def involution_lift(matrix: CoxeterMatrix, target,
     subsets.sort(key=lambda s: (len(s), s))
     for subset in subsets:
         d_img = weyl.image(rep, _delta_word(matrix, subset).letters).perm
-        for g in elements:
-            g_inv = tuple(sorted(range(len(g.perm)), key=lambda idx: g.perm[idx]))
-            if weyl.compose(g.perm, weyl.compose(d_img, g_inv)) == perm:
+        for g, tg in zip(elements, target_g):
+            if weyl.compose(g.perm, d_img) == tg:
                 y = group.make(matrix, 0, g.word)
                 out = PalDecomposition(y=y, I=subset)
                 if group.w_image(reconstruct(out)).perm != perm:

@@ -4,13 +4,15 @@ Equality of group elements reduces to equality of permutations, which
 makes the quotient map from the Artin group exact: no rewriting, no
 floating point.  Crystallographic types use integer Cartan coefficients;
 types with a label 5 use the quadratic ring Z[phi]; dihedral types with
-any other label skip roots entirely and act on 2m symbolic points.
+any other label skip root coordinates and act on the 2m roots labelled by
+their angles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .coxeter import INF, CoxeterMatrix, is_finite_type
 from .errors import BudgetExceededError, InfiniteTypeError, InvalidWordError
@@ -118,8 +120,12 @@ class WElement:
 
 
 def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """(f o g)(x) = f(g(x)) on indices."""
-    return tuple(f[x] for x in g)
+    """(f o g)(x) = f(g(x)) on indices.
+
+    Every permutation here has degree at least 2 (A1 has two roots), so
+    itemgetter always returns a tuple.
+    """
+    return itemgetter(*g)(f)
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,20 @@ class RootSystemRep:
         return WElement(tuple(range(self.degree)), ())
 
 
+def _dihedral_angles(m: int) -> list[int]:
+    """Angles, in units of pi/m, of the roots of I2(m) by index: alpha_1 at
+    0 and alpha_2 at m - 1 come first, the positive roots fill indices
+    0..m-1, and index i + m holds the negative of index i."""
+    positive = [0, m - 1, *range(1, m - 1)]
+    return positive + [a + m for a in positive]
+
+
 def _dihedral_rep(matrix: CoxeterMatrix, m: int) -> RootSystemRep:
-    # points are Z/2m; s1 negates, s2 reflects about 1; <s1 s2> rotates by -2
-    pts = 2 * m
-    s1 = tuple((-k) % pts for k in range(pts))
-    s2 = tuple((2 - k) % pts for k in range(pts))
+    # s1 reflects the angle j to m - j, s2 to m - 2 - j; s1 s2 rotates by 2
+    angles = _dihedral_angles(m)
+    at = {a: i for i, a in enumerate(angles)}
+    s1 = tuple(at[(m - a) % (2 * m)] for a in angles)
+    s2 = tuple(at[(m - 2 - a) % (2 * m)] for a in angles)
     return RootSystemRep(matrix, (), (s1, s2))
 
 
@@ -206,6 +221,20 @@ def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
     for i in range(n):
         refl.append(tuple(index[_vec_key(reflect(i, v))] for v in roots))
     return RootSystemRep(matrix, tuple(roots), tuple(refl))
+
+
+def _negative_roots(rep: RootSystemRep) -> tuple[bool, ...]:
+    """Per root index, whether the root is negative; simple roots have the
+    indices 0..rank-1.  The coefficients of a root share one sign, so their
+    sum decides it.  For Z[phi] the sum a + b*phi is taken as a float: a
+    and b are small integers, so it stays far from 0 next to rounding."""
+    if not rep.roots:
+        return tuple(i >= rep.degree // 2 for i in range(rep.degree))
+    phi = (1 + 5 ** 0.5) / 2
+    return tuple(
+        sum(c.a + c.b * phi if isinstance(c, ZPhi) else c for c in root) < 0
+        for root in rep.roots
+    )
 
 
 def image(rep: RootSystemRep, word) -> WElement:

@@ -220,3 +220,14 @@ def test_transcript_battery_runs():
     text = run_transcript()
     assert "exit 0" in text and "$ artinpal" in text
     assert "error:" in text  # the battery includes failure cases on purpose
+
+
+@pytest.mark.parametrize("exc_type", [RuntimeError, RecursionError])
+def test_internal_errors_exit_4(capsys, monkeypatch, exc_type):
+    def broken(x):
+        raise exc_type("deep\ntrouble")
+
+    monkeypatch.setattr(group, "rev", broken)
+    code, out, err = run(capsys, "--type", "A3", "rev", "1 2")
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {exc_type.__name__}: deep trouble\n"

@@ -157,3 +157,66 @@ def test_normalization_invariant():
         if x.k > 0:
             d2 = monoid.PositiveWord(A3, delta_element(A3).p * 2)
             assert monoid.divides_left(d2, monoid.PositiveWord(A3, x.p)) is None
+
+
+NF_TYPES = ["A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)"]
+
+
+def _seeded_pairs(mat, rng, count, max_len):
+    """Signed word pairs: half equal by construction (an inserted g g^-1
+    and an inserted defining relator), half drawn independently."""
+    pairs = []
+    for i in range(count):
+        w1 = [rng.choice((1, -1)) * rng.randint(1, mat.rank)
+              for _ in range(rng.randint(0, max_len))]
+        if i % 2:
+            w2 = [rng.choice((1, -1)) * rng.randint(1, mat.rank)
+                  for _ in range(rng.randint(0, max_len))]
+        else:
+            w2 = list(w1)
+            g = rng.randint(1, mat.rank) * rng.choice((1, -1))
+            pos = rng.randint(0, len(w2))
+            w2[pos:pos] = [g, -g]
+            lhs, rhs = rng.choice(mat.relations())
+            pos = rng.randint(0, len(w2))
+            w2[pos:pos] = list(lhs) + [-x for x in reversed(rhs)]
+        pairs.append((tuple(w1), tuple(w2)))
+    return pairs
+
+
+@pytest.mark.parametrize("name", NF_TYPES)
+def test_normal_form_eq_matches_extraction(name, rng):
+    mat = coxeter.named_matrix(name)
+    d = monoid.ambient_delta(mat).letters
+    for w1, w2 in _seeded_pairs(mat, rng, 40, 8):
+        x, y = from_word(mat, w1), from_word(mat, w2)
+        # Delta^(-2k) p = Delta^(-2k') p'  <=>  Delta^(2k') p = Delta^(2k) p'
+        referee = monoid.equals(monoid.PositiveWord(mat, d * (2 * y.k) + x.p),
+                                monoid.PositiveWord(mat, d * (2 * x.k) + y.p))
+        assert eq(x, y) == referee, (w1, w2)
+
+
+@pytest.mark.parametrize("name", NF_TYPES)
+def test_normal_form_invariant_all_types(name, rng):
+    mat = coxeter.named_matrix(name)
+    d2 = monoid.PositiveWord(mat, monoid.ambient_delta(mat).letters * 2)
+    for w, _ in _seeded_pairs(mat, rng, 30, 10):
+        for x in (from_word(mat, w), inv(from_word(mat, w))):
+            assert x.k >= 0
+            if x.k > 0:
+                assert monoid.divides_left(d2, monoid.PositiveWord(mat, x.p)) is None
+            assert eq(make(mat, x.k, x.p), x)
+
+
+@pytest.mark.parametrize("name", ["E8", "H4"])
+def test_long_words_invert(name, rng):
+    mat = coxeter.named_matrix(name)
+    e = identity(mat)
+    for _ in range(3):
+        letters = [rng.randint(1, mat.rank) for _ in range(50)]
+        for i in rng.sample(range(50), 25):
+            letters[i] = -letters[i]
+        x = from_word(mat, letters)
+        assert eq(mult(x, inv(x)), e)
+        assert eq(mult(inv(x), x), e)
+        assert eq(inv(inv(x)), x)
