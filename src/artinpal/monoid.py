@@ -2,15 +2,16 @@
 
 Everything here works for an arbitrary Coxeter matrix (finite labels or
 not); only the fundamental elements need finite-type parabolics.  The
-basic decision procedure is generator left-extraction: a recursive
-rewriting scheme that either exhibits w = s * w'' or certifies that the
-generator s is not a left divisor of w.  Equality, divisibility, starting
-sets, least common multiples and the normal form are all built on it.
+basic decision procedure is generator left-extraction: a rewriting scheme,
+run over an explicit stack of nested extractions, that either exhibits
+w = s * w'' or certifies that the generator s is not a left divisor of w.
+Equality, divisibility, starting sets, least common multiples and the
+normal form are all built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import INF, CoxeterMatrix, _alt, is_finite_type
@@ -71,94 +72,61 @@ def blocking_left_index(w: PositiveWord, position: int) -> int:
     return sum(1 for t in w.letters[: position - 1] if w.matrix.m(t, s) >= 3)
 
 
-@dataclass
-class TraceFrame:
-    """One recursive extraction call: suffix length and pivot measures."""
-
-    parent: int | None
-    length: int
-    pivot_blis: list[int] = field(default_factory=list)
-
-
-@dataclass
-class ExtractionTrace:
-    """Instrumentation for extraction runs.
-
-    rewrites holds (kind, start, end) with absolute half-open offsets into
-    the original word; frames record the recursion tree with the blocking
-    left-index measured at each braid pivot.
-    """
-
-    steps: int = 0
-    rewrites: list[tuple[str, int, int]] = field(default_factory=list)
-    frames: list[TraceFrame] = field(default_factory=list)
-
-    def open_frame(self, parent: int | None, length: int) -> int:
-        self.frames.append(TraceFrame(parent, length))
-        return len(self.frames) - 1
-
-    def record(self, kind: str, start: int, end: int):
-        self.steps += 1
-        self.rewrites.append((kind, start, end))
-
-
-def _bli_raw(mat: CoxeterMatrix, w: list[int], i: int) -> int:
-    s = w[i]
-    return sum(1 for t in w[:i] if mat.m(t, s) >= 3)
-
-
-def _extract(mat: CoxeterMatrix, source: list[int], s: int,
-             trace: ExtractionTrace | None = None, offset: int = 0,
-             parent: int | None = None) -> list[int] | None:
+def _extract(mat: CoxeterMatrix, source: list[int], s: int) -> list[int] | None:
     """Left-extraction core: return w'' with source = s * w'', or None.
 
     Deterministic strategy: track the leftmost occurrence of s (relations
     never create or destroy occurrences of a letter, so absence is final).
     Commute it past label-2 neighbors; at a label-m >= 3 blocker t, first
-    recursively extract the alternating continuation t, s, t, ... (m - 2
-    letters) from the suffix, then fire the full relation w_m(t,s) ->
-    w_m(s,t), which moves the tracked occurrence one step left.  A label
-    inf blocker is a dead end: no relation can ever move s past it, and
-    the tracked occurrence is the leftmost, so s cannot surface.
+    extract the alternating continuation t, s, t, ... (m - 2 letters) from
+    the suffix, then fire the full relation w_m(t,s) -> w_m(s,t), which
+    moves the tracked occurrence one step left.  A label inf blocker is a
+    dead end: no relation can ever move s past it, and the tracked
+    occurrence is the leftmost, so s cannot surface.
+
+    The continuations nest, so the work is an explicit stack of frames on
+    one list w.  A frame [base, letter, i, j] moves its letter from w[i] to
+    w[base] and rewrites only w[base:]; j counts the continuation letters
+    it has placed at the current blocker.  Any failing frame fails the
+    whole call.
     """
     if s not in source:
         return None
     w = list(source)
-    frame = trace.open_frame(parent, len(w)) if trace is not None else None
-    i = w.index(s)
-    while i > 0:
+    stack = [[0, s, w.index(s), 0]]
+    while stack:
+        frame = stack[-1]
+        base, x, i, j = frame
+        if i == base:
+            stack.pop()
+            continue
         t = w[i - 1]
-        m = mat.m(s, t)
+        m = mat.m(x, t)
         if m == 2:
-            w[i - 1], w[i] = s, t
-            i -= 1
-            if trace is not None:
-                trace.record("swap", offset + i, offset + i + 2)
+            w[i - 1], w[i] = x, t
+            frame[2] = i - 1
         elif m == INF:
             return None
+        elif j < m - 2:
+            c = t if j % 2 == 0 else x
+            pos = i + 1 + j
+            try:
+                k = w.index(c, pos)
+            except ValueError:
+                return None
+            frame[3] = j + 1
+            stack.append([pos, c, k, 0])
         else:
-            if trace is not None:
-                trace.frames[frame].pivot_blis.append(_bli_raw(mat, w, i))
-            for j in range(m - 2):
-                c = t if j % 2 == 0 else s
-                pos = i + 1 + j
-                tail = _extract(mat, w[pos:], c, trace, offset + pos, frame)
-                if tail is None:
-                    return None
-                w[pos:] = [c] + tail
-            w[i - 1 : i - 1 + m] = list(_alt(s, t, m))
-            i -= 1
-            if trace is not None:
-                trace.record("braid", offset + i, offset + i + m)
+            w[i - 1 : i - 1 + m] = _alt(x, t, m)
+            frame[2], frame[3] = i - 1, 0
     return w[1:]
 
 
-def left_extract(w: PositiveWord, s: int,
-                 trace: ExtractionTrace | None = None) -> PositiveWord | None:
+def left_extract(w: PositiveWord, s: int) -> PositiveWord | None:
     """If s left-divides w, return some w'' with w = s * w''; else None."""
     if not 1 <= s <= w.matrix.rank:
         raise InvalidWordError(f"generator {s} out of range")
-    out = _extract(w.matrix, list(w.letters), s, trace)
+    out = _extract(w.matrix, list(w.letters), s)
     return None if out is None else PositiveWord(w.matrix, tuple(out))
 
 

@@ -72,14 +72,17 @@ def _lift(mat: CoxeterMatrix, half: int, letters) -> GroupElement:
     return group.make(mat, half, tuple(letters))
 
 
-def _peel_positive(w: PositiveWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic decomposition of a positive palindromic word.
 
     Loop: if w equals Delta_{S(w)} stop with I = S(w); otherwise take the
-    smallest s finishing the tail Delta_S \\ w, peel w = s * a * s with
-    a = (s \\ Delta_S) * (tail minus its final s), and continue on a.
-    Each turn shortens w by 2, and a inherits palindromicity by two-sided
-    cancellation.
+    smallest s finishing the tail Delta_S \\ w and J = block(s), peel
+    w = Delta_J * a * Delta_J with a = (Delta_J \\ Delta_S) * (tail / Delta_J),
+    and continue on a.  Valid because J lies in S and Delta_J finishes the
+    tail: s finishes w = rev(w), so it starts w; when J = {s, tau(s)}, w,
+    S and the tail are tau-stable, so tau(s) does both too.  a inherits
+    palindromicity (and tau-stability) by two-sided cancellation.  Returns
+    the concatenated Delta_J words and I.
     """
     mat = w.matrix
     prefix: list[int] = []
@@ -94,14 +97,12 @@ def _peel_positive(w: PositiveWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
         fin = monoid.finishing_set(tail)
         if not fin:
             raise ArtinError("internal: nonempty tail has a finishing letter")
-        s = min(fin)
-        if s not in s_set:
-            raise ArtinError("internal: finishing letters of the tail start w")
-        head = monoid.divides_left(PositiveWord(mat, (s,)), d)
-        stripped = monoid.left_extract(monoid.rev(tail), s)
-        if stripped is None:
-            raise ArtinError("internal: s finishes the tail")
-        prefix.append(s)
+        dj = _delta_word(mat, block(min(fin)))
+        head = monoid.divides_left(dj, d)
+        stripped = monoid.divides_left(dj, monoid.rev(tail))
+        if head is None or stripped is None:
+            raise ArtinError("internal: Delta_J starts Delta_S and finishes the tail")
+        prefix.extend(dj.letters)
         w = head * monoid.rev(stripped)
 
 
@@ -110,7 +111,7 @@ def decompose(x: GroupElement) -> PalDecomposition:
     if not group.is_palindrome(x):
         raise NotPalindromeError("decompose needs rev(x) = x")
     core, half = _positive_core(x)
-    letters, subset = _peel_positive(core)
+    letters, subset = _peel(core, lambda s: (s,))
     d = PalDecomposition(y=_lift(x.matrix, half, letters), I=subset)
     if not group.eq(reconstruct(d), x):
         raise ArtinError("internal: decomposition failed to reconstruct")
@@ -137,7 +138,7 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
 
     Returns a deterministically ordered tuple of PalDecomposition.  The
     search peels one generator from both ends at a time; memoization is by
-    monoid normal form, so equal cores are explored once.
+    group element, so equal cores are explored once.
     """
     if not group.is_palindrome(x):
         raise NotPalindromeError("decomposition search needs rev(x) = x")
@@ -149,7 +150,7 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
 
     def search(w: PositiveWord):
         nonlocal spent
-        key = monoid.normal_form(w)
+        key = group.from_positive(w)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -163,7 +164,7 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
         if len(d) == len(w):
             entry = ((), tuple(sorted(s_set)))
             found.append(entry)
-            seen.add((monoid.normal_form(PositiveWord(mat, ())), entry[1]))
+            seen.add((group.identity(mat), entry[1]))
         fin = set(monoid.finishing_set(w))
         for s in sorted(set(s_set) & fin):
             left = monoid.left_extract(w, s)
@@ -174,7 +175,7 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
             a = monoid.rev(inner)
             for ys, subset in search(a):
                 yw = (s,) + ys
-                mark = (monoid.normal_form(PositiveWord(mat, yw)), subset)
+                mark = (group.make(mat, 0, yw), subset)
                 if mark in seen:
                     continue
                 seen.add(mark)
@@ -239,27 +240,7 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
     perm = monoid.compute_tau_perm(mat)
     core, half = _positive_core(x)
 
-    prefix: list[int] = []
-    w = core
-    while True:
-        s_set = monoid.starting_set(w)
-        d = _delta_word(mat, s_set)
-        if len(d) == len(w):
-            subset = tuple(sorted(s_set))
-            break
-        tail = monoid.divides_left(d, w)
-        s = min(monoid.finishing_set(tail))
-        j = tuple(sorted({s, perm[s - 1]}))
-        dj = _delta_word(mat, j)
-        w1 = monoid.divides_left(dj, w)
-        if w1 is None:
-            raise ArtinError("internal: Delta_{s,tau(s)} starts a tau-fixed w")
-        inner = monoid.divides_left(dj, monoid.rev(w1))
-        if inner is None:
-            raise ArtinError("internal: Delta_{s,tau(s)} also finishes it")
-        prefix.extend(dj.letters)
-        w = monoid.rev(inner)
-
+    prefix, subset = _peel(core, lambda s: (s, perm[s - 1]))
     d = PalDecomposition(y=_lift(mat, half, prefix), I=subset)
     if not group.eq(reconstruct(d), x):
         raise ArtinError("internal: rev-tau decomposition reconstruction")

@@ -102,6 +102,13 @@ def test_extract_and_lcm(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_deeply_nested_extraction(capsys):
+    w = " ".join(["1 1 2 2"] * 600)
+    assert run(capsys, "--type", "A2", "sset", w) == (0, "{1}\n", "")
+    assert run(capsys, "--type", "A2", "fset", w) == (0, "{2}\n", "")
+    assert run(capsys, "--type", "A2", "extract", "2", w) == (1, "none\n", "")
+
+
 def test_delta_set_syntax(capsys):
     code1, out1, _ = run(capsys, "--type", "A3", "delta", "1 3")
     code2, out2, _ = run(capsys, "--type", "A3", "delta", "{1,3}")

@@ -24,6 +24,9 @@ from artinpal.oracle import (
 A2 = coxeter.builtin("A", 2)
 A3 = coxeter.builtin("A", 3)
 B2 = coxeter.builtin("B", 2)
+B3 = coxeter.builtin("B", 3)
+H3 = coxeter.builtin("H3")
+MIXED = coxeter.parse_matrix("rank 3\nm 1 2 3\nm 2 3 4\nm 1 3 inf\n")
 P_A2 = presentation_from_matrix(A2)
 P_A3 = presentation_from_matrix(A3)
 # the one-relator monoid with x^2 = y^2
@@ -182,14 +185,19 @@ def test_parse_serialize_presentation():
             parse_presentation(bad)
 
 
+# B3 and H3 have labels m with m - 2 >= 2 continuation letters per braid
+# pivot; the (3,4,inf) matrix has the inf dead end
+@pytest.mark.parametrize("mat", [A3, B3, H3, MIXED],
+                         ids=["A3", "B3", "H3", "MIXED"])
 @given(
     st.lists(st.integers(1, 3), max_size=5),
     st.lists(st.integers(1, 3), max_size=5),
 )
-def test_oracle_agrees_with_monoid(u, v):
-    uw = monoid.word(A3, u)
-    vw = monoid.word(A3, v)
-    assert equals_oracle(P_A3, tuple(u), tuple(v)) == monoid.equals(uw, vw)
-    assert divides_left_oracle(P_A3, tuple(u), tuple(v)) == (
+def test_oracle_agrees_with_monoid(mat, u, v):
+    pres = presentation_from_matrix(mat)
+    uw = monoid.word(mat, u)
+    vw = monoid.word(mat, v)
+    assert equals_oracle(pres, tuple(u), tuple(v)) == monoid.equals(uw, vw)
+    assert divides_left_oracle(pres, tuple(u), tuple(v)) == (
         monoid.divides_left(uw, vw) is not None
     )

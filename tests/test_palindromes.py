@@ -160,6 +160,101 @@ def test_decompose_rev_tau_random():
         assert tuple(sorted(perm[i - 1] for i in d.I)) == d.I
 
 
+# Inputs x = y Delta_J rev(y) with tau(y) = y and tau(J) = J, and the exact
+# (to_signed_word(y), I) that decompose and decompose_rev_tau return on
+# them.  The peel loop is deterministic, so any change of its choices shows
+# here; each positive core is 60 to 150 letters long, so it takes many turns.
+PINNED_DECOMPOSITIONS = [
+    ("A5", "2 4 2 4 1 5 -4 -2 1 5 1 5", (2, 4),
+     ("-1 -2 -3 -4 -5 -1 -2 -3 -4 -1 -2 -3 -1 -2 -1 -1 -2 -3 -4 -5 -1 "
+      "-2 -3 -4 -1 -2 -3 -1 -2 -1 1 2 1 3 2 1 4 3 2 1 5 4 3 2 1 2 4 2 1 "
+      "4 3 2 1 5 2 3 5 4 3 2 1 1 4 1 2 3 4",
+      (2, 3, 5)),
+     ("-1 -2 -3 -4 -5 -1 -2 -3 -4 -1 -2 -3 -1 -2 -1 -1 -2 -3 -4 -5 -1 "
+      "-2 -3 -4 -1 -2 -3 -1 -2 -1 1 2 1 3 2 1 4 3 2 1 5 4 3 2 1 2 3 2 1 "
+      "4 3 2 1 5 4 3 1 2 5 4 2 1 4 5 1 2 5 4",
+      (1, 5))),
+    ("A5", "-4 -2 3 1 5 -4 -2 1 5 -5 -1", (2, 4),
+     ("-1 -2 -3 -4 -5 -1 -2 -3 -4 -1 -2 -3 -1 -2 -1 -1 -2 -3 -4 -5 -1 "
+      "-2 -3 -4 -1 -2 -3 -1 -2 -1 1 2 3 2 1 4 3 2 5 4 3 2 1 1 3 5 1 3 2 "
+      "1 5 4 3 2 1",
+      (2, 3, 4, 5)),
+     ("-1 -2 -3 -4 -5 -1 -2 -3 -4 -1 -2 -3 -1 -2 -1 -1 -2 -3 -4 -5 -1 "
+      "-2 -3 -4 -1 -2 -3 -1 -2 -1 1 2 3 2 1 4 3 2 5 4 3 2 1 1 3 5 1 3 2 "
+      "1 4 3 2 5 4 3 2 2 4",
+      (1, 5))),
+    ("D4", "4 -1 -1 -1 -1 4", (2,),
+     ("-4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 "
+      "-1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 "
+      "-1 -2 -3 -1 -2 -1 2 1 3 2 1 4 2 1 3 2 4 2 1 3 2 1 4 2 1 3 2 4 2 "
+      "1 3 2 1 4 2 1 3 2 4 2 1 3 2 1 4 2 1 3 2 4 4",
+      (2, 4)),
+     ("-4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 "
+      "-1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 "
+      "-1 -2 -3 -1 -2 -1 2 1 3 2 1 4 2 1 3 2 4 2 1 3 2 1 4 2 1 3 2 4 2 "
+      "1 3 2 1 4 2 1 3 2 4 2 1 3 2 1 4 2 1 3 2 4 4",
+      (2, 4))),
+    ("D4", "-4 1 -3 -1 -3 -3", (3,),
+     ("-4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 "
+      "-1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 "
+      "-1 -2 -3 -1 -2 -1 1 2 1 3 2 1 4 2 1 3 2 4 1 2 1 3 2 4 2 1 3 2 4 "
+      "1 2 1 3 2 4 2 1 3 2 4 1 2 1 3 2 4 2 1 3",
+      (2, 3)),
+     ("-4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 "
+      "-1 -2 -1 -4 -2 -3 -1 -2 -4 -1 -2 -3 -1 -2 -1 -4 -2 -3 -1 -2 -4 "
+      "-1 -2 -3 -1 -2 -1 1 2 1 3 2 1 4 2 1 3 2 4 1 2 1 3 2 4 2 1 3 2 4 "
+      "1 2 1 3 2 4 2 1 3 2 4 1 2 1 3 2 4 2 1 3",
+      (2, 3))),
+    ("E6", "2 1 6 -2 -2 3 5 -2", (1, 6),
+     ("-1 -3 -4 -5 -6 -2 -4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 "
+      "-4 -2 -3 -4 -5 -3 -4 -2 -1 -3 -4 -1 -3 -2 -1 -1 -3 -4 -5 -6 -2 "
+      "-4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 -4 -2 -3 -4 -5 -3 "
+      "-4 -2 -1 -3 -4 -1 -3 -2 -1 1 3 1 4 2 3 1 4 3 5 4 2 3 1 4 3 5 4 2 "
+      "6 5 4 2 3 1 4 3 5 4 2 6 5 4 3 1 1 3 1 4 3 1 5 4 2 3 1 4 3 5 4 2 "
+      "6 5 4 2 3 1 4 3 5 4 2 6 5 4 3 1 1 5 1 3 4 5",
+      (3, 4, 6)),
+     ("-1 -3 -4 -5 -6 -2 -4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 "
+      "-4 -2 -3 -4 -5 -3 -4 -2 -1 -3 -4 -1 -3 -2 -1 -1 -3 -4 -5 -6 -2 "
+      "-4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 -4 -2 -3 -4 -5 -3 "
+      "-4 -2 -1 -3 -4 -1 -3 -2 -1 1 3 1 4 2 3 1 4 3 5 4 2 3 1 4 3 5 4 2 "
+      "6 5 4 2 3 1 4 3 5 4 2 6 5 4 3 1 1 3 1 4 2 3 1 4 3 5 4 2 3 1 4 3 "
+      "5 4 2 6 5 4 2 3 1 4 3 5 4 2 6 5 4 3 1 1 6 1 6",
+      (3, 5))),
+    ("E6", "-4 -6 -1 2 -5 -3 2 3 5", (4,),
+     ("-1 -3 -4 -5 -6 -2 -4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 "
+      "-4 -2 -3 -4 -5 -3 -4 -2 -1 -3 -4 -1 -3 -2 -1 -1 -3 -4 -5 -6 -2 "
+      "-4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 -4 -2 -3 -4 -5 -3 "
+      "-4 -2 -1 -3 -4 -1 -3 -2 -1 1 2 3 1 4 3 1 2 4 3 5 4 3 2 4 5 1 3 4 "
+      "2 6 5 4 2 3 4 5 1 3 4 2 6 5 4 3 1 2 3 1 4 2 3 1 5 4 2 3 1 4 3 5 "
+      "4 2 6 5 4 2 3 1 4 3 5 4 2 6 5 4 3 2 2",
+      (4, 5)),
+     ("-1 -3 -4 -5 -6 -2 -4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 "
+      "-4 -2 -3 -4 -5 -3 -4 -2 -1 -3 -4 -1 -3 -2 -1 -1 -3 -4 -5 -6 -2 "
+      "-4 -3 -1 -5 -4 -3 -2 -4 -5 -6 -2 -4 -3 -1 -5 -4 -2 -3 -4 -5 -3 "
+      "-4 -2 -1 -3 -4 -1 -3 -2 -1 1 2 3 1 4 3 1 2 4 3 5 4 3 2 4 5 1 3 4 "
+      "2 6 5 4 2 3 4 5 1 3 4 2 6 5 4 3 1 2 3 1 4 2 3 1 4 5 4 2 3 1 4 3 "
+      "5 4 2 6 5 4 2 3 1 4 3 5 4 2 6 5 4 3 2 2",
+      (4,))),
+]
+
+
+@pytest.mark.parametrize("name, yw, J, dec, rev_tau", PINNED_DECOMPOSITIONS)
+def test_decompositions_pinned(name, yw, J, dec, rev_tau):
+    mat = coxeter.named_matrix(name)
+    y = group.from_word(mat, monoid.parse_word(yw))
+    x = reconstruct(PalDecomposition(y=y, I=J))
+    for fn, (want_y, want_i) in ((decompose, dec), (decompose_rev_tau, rev_tau)):
+        d = fn(x)
+        assert (monoid.format_word(group.to_signed_word(d.y)), d.I) == (
+            want_y, want_i)
+
+
+def test_core_decompositions_delta_a3_order():
+    out = core_decompositions(group.delta_element(A3))
+    got = [(monoid.format_word(group.to_signed_word(d.y)), d.I) for d in out]
+    assert got == [("e", (1, 2, 3)), ("1 2", (1, 3)), ("3 2", (1, 3))]
+
+
 def test_check_singleton():
     e = group.identity(A3)
     assert check_singleton(PalDecomposition(y=e, I=()))
