@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--opp", action="store_true",
                     help="flip the Delta_I comparison in decompose-canonical")
     ap.add_argument("--budget", type=int, default=None, metavar="N",
-                    help="search budget override (lcm, decompositions, oracle caps)")
+                    help="search budget override (lcm, decompositions, oracle caps, "
+                         "handle steps of sign/cmp)")
     ap.add_argument("--json", action="store_true", dest="as_json",
                     help="emit one machine-readable record")
     ap.add_argument("--presentation", metavar="FILE",
@@ -262,13 +263,12 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[object, int, dict]:
         return text, 0, {"result": {"y": y_out, "I": sorted(d.I),
                                     "reconstruction": recon}}
 
-    if cmd == "sign":
-        handle = orderings.order_for_matrix(matrix, args.order)
-        s = handle.sign(_element(matrix, args.word))
-        return s.name, 0, {"result": s.name}
-
-    if cmd == "cmp":
-        handle = orderings.order_for_matrix(matrix, args.order)
+    if cmd in ("sign", "cmp"):
+        cap = orderings.DEFAULT_HANDLE_CAP if args.budget is None else args.budget
+        handle = orderings.order_for_matrix(matrix, args.order, cap)
+        if cmd == "sign":
+            s = handle.sign(_element(matrix, args.word))
+            return s.name, 0, {"result": s.name}
         c = handle.compare(_element(matrix, args.word1),
                            _element(matrix, args.word2))
         return c.value, 0, {"result": c.value}

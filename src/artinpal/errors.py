@@ -41,12 +41,13 @@ class HandleReductionOverflow(BudgetExceededError):
     An overflow never certifies anything about the sign of the input word.
     """
 
-    def __init__(self, word, steps):
+    def __init__(self, word, steps, cap):
         self.word = tuple(word)
         self.steps = steps
+        self.cap = cap
         super().__init__(
-            f"handle reduction exceeded {steps} steps on a word of "
-            f"length {len(self.word)}"
+            f"handle reduction spent {steps} steps against a cap of {cap} "
+            f"on a word of length {len(self.word)}"
         )
 
 

@@ -69,63 +69,42 @@ def _group_difference(x: GroupElement, y: GroupElement) -> GroupElement:
 # Dehornoy order: handle reduction
 
 
-def _closings(w: list[int]) -> list[tuple[int, int]]:
-    """All pairs (i, j) where w[i] .. w[j] is a handle: equal index g at the
-    ends with opposite signs, strictly larger indices between."""
-    out = []
-    for j, x in enumerate(w):
-        g = abs(x)
-        k = j - 1
-        while k >= 0 and abs(w[k]) > g:
-            k -= 1
-        if k >= 0 and w[k] == -x:
-            out.append((k, j))
-    return out
-
-
-def _select_handle(w: list[int]) -> tuple[int, int] | None:
-    """The permitted handle with the smallest (index, closing position).
-
-    A handle is permitted when no other handle closes strictly inside it;
-    reducing only permitted handles is what makes the procedure terminate.
-    The handle with the smallest closing position is always permitted, so
-    the choice below is well defined whenever any handle exists.
-    """
-    handles = _closings(w)
-    if not handles:
-        return None
-    closing_positions = {j for _, j in handles}
-    best = None
-    for i, j in handles:
-        if any(i < c < j for c in closing_positions if c != j):
-            continue
-        key = (abs(w[i]), j)
-        if best is None or key < best[0]:
-            best = (key, (i, j))
-    if best is None:
-        raise HandleReductionOverflow(w, 0)  # unreachable; minimal j is permitted
-    return best[1]
-
-
 def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...], int]:
     """Reduce to a handle-free word; returns (word, reduction step count).
 
-    One step removes the two ends of the selected handle and conjugates
-    the interior: letters of index g+1 and sign d become the triple
-    (g+1)^-e, g^d, (g+1)^e where e is the sign of the opening letter;
-    letters of index >= g+2 commute past and are kept as they are.
+    A handle is a subword g^e ... g^-e whose interior letters all have
+    index > g.  A left-to-right scan keeps a stack of open positions (each
+    position's nearest earlier letter of index <= its own) and stops at the
+    first letter that closes a handle.  No other handle closes inside that
+    one, so it is permitted, and reducing permitted handles terminates.
+
+    One step removes the two ends and conjugates the interior: letters of
+    index g+1 and sign d become the triple (g+1)^-e, g^d, (g+1)^e where e
+    is the sign of the opening letter; letters of index >= g+2 commute past
+    and are kept as they are.  Nothing closes before the opening position
+    i, so the next scan resumes, with an empty stack, at the last index-1
+    letter before i: no letter pops it, so no earlier position could ever
+    be on top of the stack again.
     """
     w = list(word)
     steps = 0
+    start = 0
     while True:
-        h = _select_handle(w)
-        if h is None:
+        opened: list[int] = []
+        for j in range(start, len(w)):
+            x = w[j]
+            g = abs(x)
+            while opened and abs(w[opened[-1]]) > g:
+                opened.pop()
+            if opened and w[opened[-1]] == -x:
+                break
+            opened.append(j)
+        else:
             return tuple(w), steps
         steps += 1
         if steps > cap:
-            raise HandleReductionOverflow(word, steps)
-        i, j = h
-        g = abs(w[i])
+            raise HandleReductionOverflow(word, steps, cap)
+        i = opened[-1]
         e = 1 if w[i] > 0 else -1
         mid: list[int] = []
         for x in w[i + 1:j]:
@@ -135,6 +114,9 @@ def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...]
                 d = 1 if x > 0 else -1
                 mid.extend((-e * (g + 1), d * g, e * (g + 1)))
         w[i:j + 1] = mid
+        start = max(i - 1, 0)
+        while start > 0 and abs(w[start]) > 1:
+            start -= 1
 
 
 def dehornoy_sign(word, n: int, cap: int = DEFAULT_HANDLE_CAP) -> Sign:
@@ -301,9 +283,12 @@ def magnus_sign(word, n: int | None = None) -> Sign:
     some exponent sum is nonzero the verdict is already visible in degree
     one: the degree-one coefficient of X_j is the exponent sum of x_j, and
     degree one is scanned before anything else.  Otherwise the series is
-    expanded at the reduced length and the truncation degree doubled until
-    a nonzero coefficient appears; the image determines the element, so
-    this terminates on every nontrivial word.
+    expanded degree by degree from 2, stopping at the first degree with a
+    nonzero nonconstant coefficient; truncating at degree d leaves every
+    coefficient of degree <= d exact, so that is the leading term.  For
+    the reduced word x_{i1}^{e1} ... x_{ik}^{ek} the monomial
+    X_{i1} ... X_{ik} has coefficient e1 ... ek != 0, so the search stops
+    by degree k <= len(word).
     """
     if n is not None:
         for x in word:
@@ -316,16 +301,11 @@ def magnus_sign(word, n: int | None = None) -> Sign:
     for j in sorted(sums):
         if sums[j]:
             return Sign.POSITIVE if sums[j] > 0 else Sign.NEGATIVE
-    degree = len(w)
-    while True:
+    for degree in range(2, len(w) + 1):
         lead = magnus_image(w, degree).first_nonconstant()
         if lead is not None:
             return Sign.POSITIVE if lead[1] > 0 else Sign.NEGATIVE
-        if degree > 4 * len(w):
-            raise InvalidWordError(
-                "internal: nontrivial reduced word with trivial image"
-            )
-        degree *= 2
+    raise InvalidWordError("internal: nontrivial reduced word with trivial image")
 
 
 def _free_difference(x, y) -> tuple[int, ...]:

@@ -138,7 +138,10 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
 
     Returns a deterministically ordered tuple of PalDecomposition.  The
     search peels one generator from both ends at a time; memoization is by
-    group element, so equal cores are explored once.
+    group element, so equal cores are explored once.  Each core's search
+    is a generator that yields the inner cores it needs and is sent their
+    results, driven depth first over an explicit stack, so the depth of
+    the peel is not bounded by the Python stack.
     """
     if not group.is_palindrome(x):
         raise NotPalindromeError("decomposition search needs rev(x) = x")
@@ -148,12 +151,8 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
     memo: dict = {}
     spent = 0
 
-    def search(w: PositiveWord):
+    def search(w: PositiveWord, key):
         nonlocal spent
-        key = group.from_positive(w)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         spent += 1
         if spent > cap:
             raise BudgetExceededError("decomposition search budget exhausted")
@@ -173,7 +172,7 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
                 # both-end occurrences of s can collide; no s.a.s form then
                 continue
             a = monoid.rev(inner)
-            for ys, subset in search(a):
+            for ys, subset in (yield a):
                 yw = (s,) + ys
                 mark = (group.make(mat, 0, yw), subset)
                 if mark in seen:
@@ -183,9 +182,23 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
         memo[key] = tuple(found)
         return memo[key]
 
+    stack = [search(core, group.from_positive(core))]
+    result = None
+    while stack:
+        try:
+            a = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+            continue
+        key = group.from_positive(a)
+        result = memo.get(key)
+        if result is None:
+            stack.append(search(a, key))
+
     return tuple(
         PalDecomposition(y=_lift(mat, half, yw), I=subset)
-        for yw, subset in search(core)
+        for yw, subset in result
     )
 
 

@@ -109,6 +109,26 @@ def test_deeply_nested_extraction(capsys):
     assert run(capsys, "--type", "A2", "extract", "2", w) == (1, "none\n", "")
 
 
+def test_long_palindrome_canonical_search(capsys):
+    code, out, err = run(capsys, "--type", "A2", "decompose-canonical",
+                         " ".join(["1"] * 2400))
+    assert (code, err) == (0, "")
+    assert out.startswith("y = ")
+
+
+def test_order_budget_caps_handle_reduction(capsys):
+    assert run(capsys, "--type", "A3", "sign", "1 -2") == (0, "POSITIVE\n", "")
+    code, out, err = run(capsys, "--type", "A3", "--budget", "0", "sign", "1 -2")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "cap of 0" in err
+    code, out, err = run(capsys, "--type", "A3", "--budget", "1", "cmp", "1 2", "2 1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert run(capsys, "--type", "A3", "--budget", "100", "cmp",
+               "1 2", "2 1") == (0, "LESS\n", "")
+
+
 def test_delta_set_syntax(capsys):
     code1, out1, _ = run(capsys, "--type", "A3", "delta", "1 3")
     code2, out2, _ = run(capsys, "--type", "A3", "delta", "{1,3}")

@@ -93,6 +93,17 @@ def test_handle_reduction_overflow():
     assert exc.value.steps == 1
 
 
+def test_handle_reduction_overflow_reports_cap():
+    word = (1, 2, -1, 2, 1, -2, -1, -2)
+    with pytest.raises(HandleReductionOverflow) as exc:
+        reduce_handles(word, cap=2)
+    assert exc.value.cap == 2
+    assert exc.value.steps == 3
+    assert "3 steps against a cap of 2" in str(exc.value)
+    _, steps = reduce_handles(word)
+    assert reduce_handles(word, cap=steps)[1] == steps
+
+
 def test_dehornoy_trichotomy_exhaustive():
     """All signed words of length <= 5 on 3 strands: the sign is ZERO
     exactly on group-trivial words, and inversion flips it."""
@@ -138,6 +149,63 @@ def test_dehornoy_sign_is_rev_invariant_sampled():
     report = sppc_check(order, group.rev, samples)
     assert report.total == 300
     assert report.violations == 0 and report.ok
+
+
+def _braid_delta(strands):
+    return tuple(j for i in range(1, strands) for j in range(i, 0, -1))
+
+
+def _pinned_dehornoy_words():
+    """Delta^-2k p on 6 and 8 strands (two of them trivial, Delta^-2 times
+    the reversed word of Delta^2) and random signed words of length
+    100-200 on 4 to 8 strands."""
+    rng = random.Random(20261018)
+    cases = []
+    for strands in (6, 8):
+        inv_delta = tuple(-x for x in reversed(_braid_delta(strands)))
+        for k in (1, 2):
+            for _ in range(3):
+                p = tuple(rng.randint(1, strands - 1) for _ in range(
+                    rng.randint(2 * k * len(inv_delta), 4 * k * len(inv_delta))))
+                cases.append((strands, inv_delta * (2 * k) + p))
+        cases.append((strands, inv_delta * 2 + _braid_delta(strands)[::-1] * 2))
+    for _ in range(12):
+        strands = rng.randint(4, 8)
+        cases.append((strands, tuple(
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(100, 200)))))
+    return cases
+
+
+def test_dehornoy_signs_pinned():
+    """Signs recorded with the earlier handle selection (smallest index
+    among permitted handles, full rescan per step); the sign does not
+    depend on which handle-free form the reduction reaches."""
+    P, N, Z = "POSITIVE", "NEGATIVE", "ZERO"
+    expected = [
+        N, N, P, N, P, N, Z,
+        P, N, P, N, N, N, Z,
+        N, P, P, N, N, P, P, N, P, N, N, N,
+    ]
+    cases = _pinned_dehornoy_words()
+    assert [dehornoy_sign(w, strands).name for strands, w in cases] == expected
+    for strands, w in cases:
+        reduced, _ = reduce_handles(w)
+        assert reduce_handles(reduced)[1] == 0
+
+
+def test_typeB_compare_pinned():
+    """Type-B comparisons through the embedding, recorded with the earlier
+    handle selection."""
+    rng = random.Random(20261019)
+    got = []
+    for n in (3, 3, 3, 4, 4, 4):
+        mat = coxeter.builtin("B", n)
+        wx, wy = (tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                        for _ in range(rng.randint(20, 30))) for _ in range(2))
+        got.append(typeB_order(n).compare(group.from_word(mat, wx),
+                                          group.from_word(mat, wy)).name)
+    assert got == ["LESS", "GREATER", "LESS", "GREATER", "GREATER", "LESS"]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +287,49 @@ def test_magnus_fast_path_matches_series(word):
     assert m == (nonzero[0],) and c == sums[nonzero[0]]
     expect = Sign.POSITIVE if c > 0 else Sign.NEGATIVE
     assert magnus_sign(w) == expect
+
+
+def _balanced_free_word(rng, length):
+    while True:
+        half = [rng.randint(1, 3) for _ in range(length // 2)]
+        w = half + [-g for g in half]
+        rng.shuffle(w)
+        if free_reduce(w) == tuple(w):
+            return tuple(w)
+
+
+def _series_sign(w):
+    """The sign read off the series expanded at degree len(w)."""
+    lead = magnus_image(w, len(w)).first_nonconstant()
+    if lead is None:
+        return Sign.ZERO
+    return Sign.POSITIVE if lead[1] > 0 else Sign.NEGATIVE
+
+
+def test_magnus_sign_matches_full_expansion_on_short_balanced_words():
+    words = [
+        w for length in range(1, 7)
+        for w in itertools.product((1, -1, 2, -2, 3, -3), repeat=length)
+        if free_reduce(w) == w and not any(exponent_sums(w).values())
+    ]
+    assert len(words) == 384
+    for w in words:
+        assert magnus_sign(w, 3) == _series_sign(w), w
+
+
+def test_magnus_sign_matches_full_expansion_at_length_8():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        w = _balanced_free_word(rng, 8)
+        assert magnus_sign(w, 3) == _series_sign(w), w
+
+
+def test_magnus_sign_of_a_long_balanced_word():
+    """Length 40: far past what a full expansion at degree len(w) can do."""
+    w = _balanced_free_word(random.Random(40), 40)
+    s = magnus_sign(w, 3)
+    assert s is not Sign.ZERO
+    assert magnus_sign(tuple(-x for x in reversed(w)), 3) == Sign(-s)
 
 
 @given(
