@@ -19,6 +19,7 @@ from .errors import (
     DeltaUndefinedError,
     HandleReductionOverflow,
     InfiniteTypeError,
+    InvalidBudgetError,
     InvalidMatrixError,
     InvalidWordError,
     NotPalindromeError,
@@ -46,6 +47,7 @@ __all__ = [
     "DeltaUndefinedError",
     "HandleReductionOverflow",
     "InfiniteTypeError",
+    "InvalidBudgetError",
     "InvalidMatrixError",
     "InvalidWordError",
     "NotPalindromeError",

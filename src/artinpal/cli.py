@@ -19,9 +19,6 @@ from .coxeter import CoxeterMatrix, named_matrix, parse_matrix
 from .errors import ArtinError
 from .monoid import PositiveWord, format_word, parse_word
 
-_PREDICATES = {"eq", "is-pal", "is-pure", "oracle-eq", "oracle-squarefree"}
-
-
 def _parse_set(text: str) -> tuple[int, ...]:
     """Generator subsets: `1 3`, `{1,3}`, or `{}` for the empty set."""
     cleaned = text.replace("{", " ").replace("}", " ").replace(",", " ")
@@ -34,6 +31,16 @@ def _parse_set(text: str) -> tuple[int, ...]:
 
 def _format_set(items) -> str:
     return "{" + ",".join(str(x) for x in sorted(items)) + "}"
+
+
+def _budget(text: str) -> int:
+    """--budget values: a count, so an integer >= 0."""
+    try:
+        if (n := int(text)) >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text!r}")
 
 
 def _element(matrix: CoxeterMatrix, text: str) -> group.GroupElement:
@@ -64,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(dehornoy on a type B matrix means the embedding order)")
     ap.add_argument("--opp", action="store_true",
                     help="flip the Delta_I comparison in decompose-canonical")
-    ap.add_argument("--budget", type=int, default=None, metavar="N",
-                    help="search budget override (lcm, decompositions, oracle caps, "
-                         "handle steps of sign/cmp)")
+    ap.add_argument("--budget", type=_budget, default=None, metavar="N",
+                    help="search budget override, >= 0 (lcm, decompositions, oracle "
+                         "caps, handle steps of sign/cmp, weyl group size)")
     ap.add_argument("--json", action="store_true", dest="as_json",
                     help="emit one machine-readable record")
     ap.add_argument("--presentation", metavar="FILE",
@@ -86,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         g.add_argument("--opp", action="store_true", default=argparse.SUPPRESS,
                        help=argparse.SUPPRESS)
-        g.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+        g.add_argument("--budget", type=_budget, default=argparse.SUPPRESS,
                        metavar="N", help=argparse.SUPPRESS)
         g.add_argument("--json", action="store_true", dest="as_json",
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
@@ -199,7 +206,7 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[object, int, dict]:
     if cmd == "delta":
         subset = _parse_set(args.generators)
         matrix.check_word(subset, positive=True)
-        d = monoid.delta(matrix, subset, budget=args.budget)
+        d = monoid.delta(matrix, subset)
         if d is None:
             raise ArtinError(
                 f"Delta is undefined for {_format_set(subset)}: "

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import InvalidMatrixError, InvalidWordError
 
@@ -336,17 +335,9 @@ def classify(matrix: CoxeterMatrix, subset=None) -> list[str] | None:
 
 
 def is_finite_type(matrix: CoxeterMatrix, subset=None) -> bool:
+    """Whether the (parabolic sub)group W_I is finite; the one test of
+    finite type that every module uses."""
     return classify(matrix, subset) is not None
-
-
-@lru_cache(maxsize=None)
-def _finite_cached(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> bool:
-    return is_finite_type(matrix, subset)
-
-
-def is_finite_parabolic(matrix: CoxeterMatrix, subset) -> bool:
-    """Cached finite-type test for parabolic subsets (hot path)."""
-    return _finite_cached(matrix, tuple(sorted(set(subset))))
 
 
 def parse_matrix(text: str) -> CoxeterMatrix:

@@ -55,6 +55,10 @@ class PreconditionError(ArtinError):
     """A documented operation precondition was violated by the caller."""
 
 
+class InvalidBudgetError(PreconditionError, ValueError):
+    """A budget below any answer's length, e.g. an lcm budget under an operand's."""
+
+
 class NotPalindromeError(PreconditionError):
     """Operation requires a palindromic element and the input is not one."""
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coxeter import INF, CoxeterMatrix, _alt, is_finite_type
+from . import weyl
+from .coxeter import INF, CoxeterMatrix, _alt, is_finite_type, sub_matrix
 from .errors import (
     BudgetExceededError,
     DeltaUndefinedError,
-    InfiniteTypeError,
+    InvalidBudgetError,
     InvalidWordError,
 )
 
@@ -183,14 +184,15 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
     pair until the sequence is positives-then-negatives.  Hitting a pair
     with label inf proves no common multiple exists (None).  budget bounds
     the length of the returned multiple; blowing past it (or the internal
-    step cap) raises BudgetExceededError, which proves nothing.
+    step cap) raises BudgetExceededError, which proves nothing.  A budget
+    below max(len(u), len(v)) raises InvalidBudgetError.
     """
     _check_same_matrix(u, v)
     if budget is None:
         budget = 2 * (len(u.letters) + len(v.letters)) * u.matrix.rank
         budget = max(budget, len(u.letters), len(v.letters), 4)
     elif budget < max(len(u.letters), len(v.letters)):
-        raise ValueError("budget must be at least max(len(u), len(v))")
+        raise InvalidBudgetError("budget must be at least max(len(u), len(v))")
     mat = u.matrix
     seq: list[int] = [-x for x in reversed(u.letters)] + list(v.letters)
     max_letters = 4 * budget + len(seq) + 16
@@ -229,29 +231,27 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
 
 
 @lru_cache(maxsize=None)
-def _delta_cached(matrix: CoxeterMatrix, subset: tuple[int, ...]):
-    return _delta_compute(matrix, subset, None)
-
-
-def _delta_compute(matrix, subset, budget):
+def _delta_cached(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> PositiveWord | None:
+    if not is_finite_type(matrix, subset):
+        return None
+    # partial lcms are Deltas of parabolics, none longer than Delta_I
+    top = weyl.build_root_system(sub_matrix(matrix, subset)).degree // 2
     d = PositiveWord(matrix, (subset[0],))
     for s in subset[1:]:
-        try:
-            d = right_lcm(d, PositiveWord(matrix, (s,)), budget=budget)
-        except BudgetExceededError:
-            return None
-        if d is None:
-            return None
+        d = right_lcm(d, PositiveWord(matrix, (s,)), budget=top)
     return d
 
 
-def delta(matrix: CoxeterMatrix, subset, budget: int | None = None) -> PositiveWord | None:
+def delta(matrix: CoxeterMatrix, subset) -> PositiveWord | None:
     """Fundamental element Delta_I: iterated right lcm of the generators.
 
-    Returns None when the parabolic admits no fundamental element (a pair
-    with label inf, or lcm growth past the budget; both mean the parabolic
-    is not of finite type).  The empty subset yields the empty word.
-    Results for the default budget are memoized per (matrix, subset).
+    Returns None exactly when the parabolic W_I is infinite, as decided by
+    `coxeter.is_finite_type`: Delta_I exists iff W_I is finite
+    (Brieskorn-Saito, Invent. Math. 17 (1972)).  Otherwise the reversing
+    runs with the length of Delta_I as its budget, which no partial lcm
+    exceeds, so a BudgetExceededError would be an internal fault; it is
+    raised, never read as "no Delta".
+    The empty subset yields the empty word.  Memoized per (matrix, subset).
     """
     idx = tuple(sorted(set(subset)))
     for s in idx:
@@ -259,15 +259,13 @@ def delta(matrix: CoxeterMatrix, subset, budget: int | None = None) -> PositiveW
             raise InvalidWordError(f"generator {s} out of range")
     if not idx:
         return PositiveWord(matrix, ())
-    if budget is None:
-        return _delta_cached(matrix, idx)
-    return _delta_compute(matrix, idx, budget)
+    return _delta_cached(matrix, idx)
 
 
 def ambient_delta(matrix: CoxeterMatrix) -> PositiveWord:
     """Delta over all generators; raises for infinite type."""
     d = delta(matrix, matrix.generators)
-    if d is None or not is_finite_type(matrix):
+    if d is None:
         raise DeltaUndefinedError(
             "the full generator set has no fundamental element (not finite type)"
         )
@@ -306,19 +304,15 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
 def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
     """The permutation tau with s * Delta = Delta * tau(s); finite type only.
 
-    Entry i-1 holds tau(i).  Found by dividing Delta out of s * Delta; the
-    quotient has length 1 by centrality of Delta squared.
+    Entry i-1 holds tau(i): the generator whose reflection is w0 s_i w0,
+    where w0, the longest element of W, is the image of Delta.  Raises
+    InfiniteTypeError for an infinite-type matrix.
     """
-    if not is_finite_type(matrix):
-        raise InfiniteTypeError("tau needs a finite-type matrix")
-    d = ambient_delta(matrix)
-    perm = []
-    for s in matrix.generators:
-        q = divides_left(d, PositiveWord(matrix, (s,) + d.letters))
-        if q is None or len(q.letters) != 1:
-            raise DeltaUndefinedError("internal: s * Delta / Delta must be a letter")
-        perm.append(q.letters[0])
-    return tuple(perm)
+    rep = weyl.build_root_system(matrix)
+    w0 = weyl.image(rep, ambient_delta(matrix).letters).perm
+    refl = rep.simple_reflections
+    return tuple(refl.index(weyl.compose(w0, weyl.compose(r, w0))) + 1
+                 for r in refl)
 
 
 def apply_tau(w: PositiveWord) -> PositiveWord:

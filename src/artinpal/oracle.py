@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import monoid
-from .coxeter import INF, CoxeterMatrix
+from .coxeter import CoxeterMatrix, is_finite_type
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_CLASS_CAP = 1_000_000
@@ -250,8 +250,7 @@ def coxeter_order_oracle(matrix: CoxeterMatrix,
     word is reduced iff its braid class contains no square s*s.  The
     quotient relation s^2 = e never has to be written down.
     """
-    if any(matrix.m(i, j) == INF
-           for i in matrix.generators for j in matrix.generators if i < j):
+    if not is_finite_type(matrix):
         raise PreconditionError("order counting needs a finite-type matrix")
     P = presentation_from_matrix(matrix)
     total = 0

@@ -1,9 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinpal import coxeter, group, monoid
-from artinpal.cli import main
+from artinpal.cli import build_parser, main
 from artinpal.monoid import parse_word
 from artinpal.palindromes import PalDecomposition, reconstruct
 
@@ -127,6 +132,42 @@ def test_order_budget_caps_handle_reduction(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert run(capsys, "--type", "A3", "--budget", "100", "cmp",
                "1 2", "2 1") == (0, "LESS\n", "")
+
+
+def test_budget_errors(capsys):
+    # an lcm budget below the longer operand is a domain error, not a crash
+    code, out, err = run(capsys, "--type", "A2", "--budget", "0", "lcm", "1 2", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    # a negative budget is a usage error, before the subcommand runs
+    for argv in (["--budget", "-5", "--type", "A3", "weyl-order"],
+                 ["--type", "A3", "decompose-canonical", "--budget", "-1", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "budget" in capsys.readouterr().err
+    assert run(capsys, "--type", "A3", "--budget", "0", "is-pure", "e") == (
+        0, "true\n", "")
+    # any other spelling that int() reads as >= 0 stays valid
+    for text in ("+5", "1_000"):
+        assert run(capsys, "--type", "A2", "--budget", text, "lcm", "1 2", "2") == (
+            0, "1 2 1\n", "")
+
+
+def test_delta_is_not_budgeted(capsys):
+    # finite type is decided by the classification, not by a search
+    assert run(capsys, "--type", "A3", "--budget", "3", "delta", "1 2 3") == (
+        0, "1 2 1 3 2 1\n", "")
+
+
+def test_dihedral_delta_past_the_default_lcm_budget(capsys):
+    # Delta of I2(m) has m letters, more than right_lcm's default budget
+    # 2 * (1 + 1) * 2 = 8 for two letters, so delta must not rely on it
+    assert run(capsys, "--type", "I2(9)", "delta", "1 2") == (
+        0, "1 2 1 2 1 2 1 2 1\n", "")
+    assert run(capsys, "--type", "I2(9)", "eq", "1 2", "2 1") == (1, "false\n", "")
+    assert run(capsys, "--type", "I2(9)", "eq", "1 2 1 2 1 2 1 2 1",
+               "2 1 2 1 2 1 2 1 2") == (0, "true\n", "")
 
 
 def test_delta_set_syntax(capsys):
@@ -258,3 +299,86 @@ def test_internal_errors_exit_4(capsys, monkeypatch, exc_type):
     code, out, err = run(capsys, "--type", "A3", "rev", "1 2")
     assert (code, out) == (4, "")
     assert err == f"internal error: {exc_type.__name__}: deep trouble\n"
+
+
+# every subcommand with the kinds of its positional arguments:
+# w a word, g a generator, s a generator set
+SUBCOMMAND_ARGS = {
+    "eq": "ww", "nf": "w", "extract": "gw", "lcm": "ww", "delta": "s",
+    "sset": "w", "fset": "w", "rev": "w", "tau": "w", "pal": "w",
+    "unpal": "w", "is-pal": "w", "is-pure": "w", "decompose": "w",
+    "decompose-canonical": "w", "decompose-tau": "w", "symmetrize": "ws",
+    "delta-assoc": "w", "sign": "w", "cmp": "ww", "oracle-eq": "ww",
+    "oracle-decomps": "w", "oracle-squarefree": "w", "weyl-order": "",
+    "weyl-involutions": "",
+}
+# the subcommands that accept an infinite-type matrix
+ANY_MATRIX = ("nf", "extract", "lcm", "delta", "sset", "fset", "oracle-eq",
+              "oracle-decomps", "oracle-squarefree")
+FUZZ_TYPES = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "B3": 3, "H3": 3, "I2(5)": 2}
+MALFORMED = ("x", "0", "1.5", "{", "e e", "--", "-x", "99", "")
+
+
+@pytest.fixture(scope="module")
+def mixed_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "mixed.txt"
+    path.write_text(MIXED_MATRIX)
+    return str(path)
+
+
+def test_fuzz_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_ARGS)
+
+
+@st.composite
+def invocations(draw, cmd, mixed_path):
+    names = sorted(FUZZ_TYPES) + (["mixed"] if cmd in ANY_MATRIX else [])
+    name = draw(st.sampled_from(names))
+    if name == "mixed":
+        argv, rank = ["--matrix", mixed_path], 3
+    else:
+        argv, rank = ["--type", name], FUZZ_TYPES[name]
+    bad = st.sampled_from(MALFORMED)
+    positive = st.integers(1, rank).map(str)
+    signed = st.integers(-rank, rank).filter(bool).map(str)
+    junk = st.one_of(signed, bad, st.sampled_from((str(-rank - 1), str(rank + 1))))
+    # half the words are positive, so that both operands of the monoid
+    # commands often get past parsing
+    positive_word = st.lists(positive, max_size=6)
+    kinds = {
+        "w": st.one_of(positive_word, positive_word,
+                       st.lists(signed, max_size=6),
+                       st.lists(junk, min_size=1, max_size=6)).map(" ".join),
+        "g": st.one_of(st.integers(-1, rank + 1).map(str), bad),
+        "s": st.one_of(st.lists(st.integers(1, rank + 1), max_size=rank).map(
+            lambda xs: "{" + ",".join(map(str, xs)) + "}"), bad),
+    }
+    argv += ["--budget", draw(st.sampled_from(("-1", "0", "1", "2", "100")))]
+    order = draw(st.sampled_from((None, "dehornoy", "magnus")))
+    if order is not None:
+        argv += ["--order", order]
+    argv += draw(st.sampled_from(([], ["--json"], ["--opp"])))
+    return argv + [cmd] + [draw(kinds[k]) for k in SUBCOMMAND_ARGS[cmd]]
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("cmd", sorted(SUBCOMMAND_ARGS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_fuzz_subcommand(mixed_file, cmd, data):
+    argv = data.draw(invocations(cmd, mixed_file), label="argv")
+    code, err = _exit_and_stderr(argv)
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code == 3:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)

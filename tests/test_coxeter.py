@@ -5,7 +5,6 @@ from artinpal.coxeter import (
     CoxeterMatrix,
     builtin,
     classify,
-    is_finite_parabolic,
     is_finite_type,
     named_matrix,
     parse_matrix,
@@ -83,10 +82,10 @@ def test_classify_subsets_and_infinite():
 def test_is_finite_parabolic():
     x = parse_matrix("rank 3\nm 1 2 3\nm 2 3 4\nm 1 3 inf\n")
     assert not is_finite_type(x)
-    assert is_finite_parabolic(x, (1, 2))
-    assert is_finite_parabolic(x, (2, 3))
-    assert not is_finite_parabolic(x, (1, 3))
-    assert is_finite_parabolic(x, ())
+    assert is_finite_type(x, (1, 2))
+    assert is_finite_type(x, (2, 3))
+    assert not is_finite_type(x, (1, 3))
+    assert is_finite_type(x, ())
 
 
 def test_named_matrix_forms():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -161,10 +162,17 @@ def test_coxeter_order_oracle(name, order):
     assert coxeter_order_oracle(coxeter.named_matrix(name)) == order
 
 
-def test_coxeter_order_oracle_rejects_inf():
-    mixed = coxeter.parse_matrix("rank 3\nm 1 2 3\nm 2 3 4\nm 1 3 inf\n")
+AFFINE_A2 = coxeter.CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+
+
+@pytest.mark.parametrize("mat", [MIXED, AFFINE_A2], ids=["MIXED", "affine_A2"])
+def test_coxeter_order_oracle_rejects_inf(mat):
+    # affine A2 has no inf label but an infinite group; the BFS over its
+    # reduced words would never end, so the precondition must catch it
+    start = time.perf_counter()
     with pytest.raises(PreconditionError):
-        coxeter_order_oracle(mixed)
+        coxeter_order_oracle(mat)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_serialize_presentation():
