@@ -188,12 +188,14 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
     below max(len(u), len(v)) raises InvalidBudgetError.
     """
     _check_same_matrix(u, v)
+    mat = u.matrix
     if budget is None:
-        budget = 2 * (len(u.letters) + len(v.letters)) * u.matrix.rank
+        # lcm(1, 2) in I2(m) has m letters, so the largest finite label counts
+        top = max(m for row in mat.entries for m in row if m != INF)
+        budget = 2 * (len(u.letters) + len(v.letters)) * max(mat.rank, top)
         budget = max(budget, len(u.letters), len(v.letters), 4)
     elif budget < max(len(u.letters), len(v.letters)):
         raise InvalidBudgetError("budget must be at least max(len(u), len(v))")
-    mat = u.matrix
     seq: list[int] = [-x for x in reversed(u.letters)] + list(v.letters)
     max_letters = 4 * budget + len(seq) + 16
     step_cap = 64 * budget + 4096

@@ -76,13 +76,13 @@ def _peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Deterministic decomposition of a positive palindromic word.
 
     Loop: if w equals Delta_{S(w)} stop with I = S(w); otherwise take the
-    smallest s finishing the tail Delta_S \\ w and J = block(s), peel
-    w = Delta_J * a * Delta_J with a = (Delta_J \\ Delta_S) * (tail / Delta_J),
-    and continue on a.  Valid because J lies in S and Delta_J finishes the
-    tail: s finishes w = rev(w), so it starts w; when J = {s, tau(s)}, w,
-    S and the tail are tau-stable, so tau(s) does both too.  a inherits
-    palindromicity (and tau-stability) by two-sided cancellation.  Returns
-    the concatenated Delta_J words and I.
+    smallest s finishing the tail Delta_S \\ w, J = block(s), and continue
+    on a = Delta_J \\ w / Delta_J.  A letter finishing the tail finishes
+    w = rev(w), so lies in S; s in S finishes it iff every t in S, hence
+    Delta_S, left-divides w / s = rev(s \\ w).  When J = {s, tau(s)}, w, S
+    and the tail are tau-stable, so Delta_J finishes the tail and starts w.
+    a inherits palindromicity (and tau-stability) by two-sided
+    cancellation.  Returns the concatenated Delta_J words and I.
     """
     mat = w.matrix
     prefix: list[int] = []
@@ -91,19 +91,18 @@ def _peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
         d = _delta_word(mat, s_set)
         if len(d) == len(w):
             return tuple(prefix), tuple(sorted(s_set))
-        tail = monoid.divides_left(d, w)
-        if tail is None:
-            raise ArtinError("internal: Delta over the starting set divides w")
-        fin = monoid.finishing_set(tail)
-        if not fin:
+        cuts = ((s, monoid.rev(monoid.left_extract(w, s))) for s in s_set)
+        s = next((s for s, cut in cuts if all(
+            monoid.left_extract(cut, t) is not None for t in s_set)), None)
+        if s is None:
             raise ArtinError("internal: nonempty tail has a finishing letter")
-        dj = _delta_word(mat, block(min(fin)))
-        head = monoid.divides_left(dj, d)
-        stripped = monoid.divides_left(dj, monoid.rev(tail))
-        if head is None or stripped is None:
-            raise ArtinError("internal: Delta_J starts Delta_S and finishes the tail")
+        dj = _delta_word(mat, block(s))
+        q = monoid.divides_left(dj, w)
+        a = None if q is None else monoid.divides_left(dj, monoid.rev(q))
+        if a is None:
+            raise ArtinError("internal: Delta_J starts and finishes w")
         prefix.extend(dj.letters)
-        w = head * monoid.rev(stripped)
+        w = monoid.rev(a)
 
 
 def decompose(x: GroupElement) -> PalDecomposition:
@@ -391,33 +390,32 @@ def pure_rev_tau_root(x: GroupElement) -> GroupElement:
     return root
 
 
-def involution_lift(matrix: CoxeterMatrix, target,
-                    cap: int = 1_000_000) -> PalDecomposition:
+def involution_lift(matrix: CoxeterMatrix, target) -> PalDecomposition:
     """A decomposition y Delta_I rev(y) whose Coxeter image is the given
-    involution (or identity); searched over conjugates of parabolic
-    longest elements."""
+    involution (or the identity), found by descent: while some simple s,
+    lowest first, has w(alpha_s) < 0 and s w s != w, set w = s w s and
+    record s.  For an involution a right descent is a left descent, so each
+    step shortens w by 2; the loop ends at w0(I) for
+    I = {s : w(alpha_s) = -alpha_s}, and y is the recorded word (Richardson,
+    Bull. Austral. Math. Soc. 26 (1982); Geck-Pfeiffer (2000), Thm 3.2.9)."""
     rep = weyl.build_root_system(matrix)
     perm = target.perm if isinstance(target, weyl.WElement) else tuple(target)
-    ident = rep.identity().perm
-    square = weyl.compose(perm, perm)
-    if square != ident:
+    if weyl.compose(perm, perm) != rep.identity().perm:
         raise PreconditionError("involution_lift needs an element of order <= 2")
 
-    elements = weyl.enumerate_group(rep, cap)
-    # g d_I g^-1 = target  <=>  g d_I = target g; the right side per element
-    target_g = [weyl.compose(perm, g.perm) for g in elements]
-    gens = matrix.generators
-    subsets: list[tuple[int, ...]] = [()]
-    for g in gens:
-        subsets.extend(prev + (g,) for prev in list(subsets))
-    subsets.sort(key=lambda s: (len(s), s))
-    for subset in subsets:
-        d_img = weyl.image(rep, _delta_word(matrix, subset).letters).perm
-        for g, tg in zip(elements, target_g):
-            if weyl.compose(g.perm, d_img) == tg:
-                y = group.make(matrix, 0, g.word)
-                out = PalDecomposition(y=y, I=subset)
-                if group.w_image(reconstruct(out)).perm != perm:
-                    raise ArtinError("internal: lift image mismatch")
-                return out
-    raise SearchExhaustedError("no palindromic lift found")
+    negative = weyl._negative_roots(rep)
+    refl = rep.simple_reflections
+    minus = [r[i] for i, r in enumerate(refl)]  # the index of -alpha_(i+1)
+    # s w s = w iff w(alpha_s) = +-alpha_s: a step needs w(alpha_s) < 0, not -alpha_s
+    w, letters = perm, []
+    while (i := next((i for i, m in enumerate(minus)
+                      if negative[w[i]] and w[i] != m), None)) is not None:
+        w = weyl.compose(refl[i], weyl.compose(w, refl[i]))
+        letters.append(i + 1)
+    subset = tuple(i + 1 for i, m in enumerate(minus) if w[i] == m)
+    if weyl.image(rep, _delta_word(matrix, subset).letters).perm != w:
+        raise ArtinError("internal: descent must end at a parabolic longest element")
+    out = PalDecomposition(y=group.make(matrix, 0, letters), I=subset)
+    if group.w_image(reconstruct(out)).perm != perm:
+        raise ArtinError("internal: lift image mismatch")
+    return out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinpal import coxeter, group, monoid
+from artinpal import coxeter, group, monoid, weyl
 from artinpal.cli import build_parser, main
 from artinpal.monoid import parse_word
 from artinpal.palindromes import PalDecomposition, reconstruct
@@ -105,6 +105,13 @@ def test_extract_and_lcm(capsys):
     assert (code, out) == (0, "1 2 1\n")
     code, _, err = run(capsys, "--type", "A2", "lcm", "--budget", "2", "1", "2")
     assert code == 3 and "budget" in err
+
+
+def test_lcm_default_budget_grows_with_the_label(capsys):
+    # lcm(1, 2) in I2(m) is the m-letter Delta, longer than 2 * rank * 2 = 8
+    for m in (9, 12):
+        want = " ".join("1" if i % 2 == 0 else "2" for i in range(m)) + "\n"
+        assert run(capsys, "--type", f"I2({m})", "lcm", "1", "2") == (0, want, "")
 
 
 def test_deeply_nested_extraction(capsys):
@@ -280,6 +287,21 @@ def test_weyl_commands(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "involutions 5" and len(lines) == 6
+
+
+def test_weyl_involutions_d5_reconstruct(capsys):
+    code, out, _ = run(capsys, "--type", "D5", "weyl-involutions")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 156 and lines[0] == "involutions 155"
+    mat = coxeter.named_matrix("D5")
+    rep = weyl.build_root_system(mat)
+    for line in lines[1:]:
+        w_text, rest = line.removeprefix("w = ").split(" : y = ")
+        y_text, i_text = rest.split(" ; I = ")
+        subset = tuple(int(t) for t in i_text.strip("{}").split(",") if t)
+        d = PalDecomposition(y=group.from_word(mat, parse_word(y_text)), I=subset)
+        assert group.w_image(reconstruct(d)).perm == weyl.image(
+            rep, parse_word(w_text)).perm
 
 
 def test_transcript_battery_runs():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -345,3 +346,86 @@ def test_involution_lift_identity_and_errors():
     s1 = weyl.image(rep, (1,))
     d = involution_lift(A2, s1.perm)
     assert group.w_image(reconstruct(d)).perm == s1.perm
+
+
+def _enumeration_lifts(mat, rep):
+    """The search involution_lift used to run, as the small-rank referee:
+    subsets by (size, letters), then W in breadth-first order, taking the
+    first g with g w0(I) g^-1 = target.  Returns {target perm: (g word, I)}."""
+    elements = weyl.enumerate_group(rep, 100_000)
+    inverses = []
+    for g in elements:
+        inv = [0] * len(g.perm)
+        for i, j in enumerate(g.perm):
+            inv[j] = i
+        inverses.append(tuple(inv))
+    subsets = [()]
+    for s in mat.generators:
+        subsets.extend(prev + (s,) for prev in list(subsets))
+    subsets.sort(key=lambda s: (len(s), s))
+    found = {}
+    for subset in subsets:
+        d_img = weyl.image(rep, monoid.delta(mat, subset).letters).perm
+        for g, g_inv in zip(elements, inverses):
+            conj = weyl.compose(weyl.compose(g.perm, d_img), g_inv)
+            found.setdefault(conj, (g.word, subset))
+    return found
+
+
+def _acts_as_minus_one(mat, rep, subset) -> bool:
+    """w0(I) sends every simple root of I, hence every root of I, to its
+    negative; the index of -alpha_s is that of s(alpha_s)."""
+    d_img = weyl.image(rep, monoid.delta(mat, subset).letters).perm
+    refl = rep.simple_reflections
+    return all(d_img[s - 1] == refl[s - 1][s - 1] for s in subset)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "D5", "F4", "H3", "I2(5)",
+                                  "I2(8)"])
+def test_involution_lift_descent_against_enumeration(name):
+    mat = coxeter.named_matrix(name)
+    rep = weyl.build_root_system(mat)
+    old = _enumeration_lifts(mat, rep)
+    targets = [g for g in weyl.enumerate_group(rep, 100_000) if weyl.is_involution(g)]
+    assert targets
+    for t in targets:
+        d = involution_lift(mat, t)
+        yw, subset = old[t.perm]
+        ref = PalDecomposition(y=group.make(mat, 0, yw), I=subset)
+        assert group.w_image(reconstruct(d)).perm == t.perm
+        assert group.w_image(reconstruct(ref)).perm == t.perm
+        assert _acts_as_minus_one(mat, rep, d.I)
+        # the -1 eigenspace of a conjugate of w0(I) has dimension |I|
+        assert len(d.I) == len(subset)
+
+
+@pytest.mark.parametrize("name", ["E7", "E8", "H4"])
+def test_involution_lift_large_types(name):
+    mat = coxeter.named_matrix(name)
+    rep = weyl.build_root_system(mat)
+    rng = random.Random(SEED)
+    for _ in range(8):
+        gw = tuple(rng.randint(1, mat.rank) for _ in range(rng.randint(0, 40)))
+        J = tuple(s for s in mat.generators if rng.random() < 0.5)
+        w0_j = monoid.delta(mat, J).letters
+        target = weyl.image(rep, gw + w0_j + gw[::-1])
+        start = time.perf_counter()
+        d = involution_lift(mat, target)
+        assert time.perf_counter() - start < 1.0
+        assert group.w_image(reconstruct(d)).perm == target.perm
+        assert _acts_as_minus_one(mat, rep, d.I)
+
+
+def test_involution_lift_never_enumerates(monkeypatch):
+    def refuse(rep, cap):
+        raise AssertionError("involution_lift enumerated W")
+
+    monkeypatch.setattr(weyl, "enumerate_group", refuse)
+    mat = coxeter.named_matrix("E8")
+    rep = weyl.build_root_system(mat)
+    target = weyl.image(rep, (2, 4, 3, 8, 3, 4, 2))
+    d = involution_lift(mat, target)
+    assert group.w_image(reconstruct(d)).perm == target.perm
+    # descent lifts A3's s2 as Delta_{2}; the enumeration gave y = 1 2, I = {1}
+    d = involution_lift(A3, weyl.image(weyl.build_root_system(A3), (2,)))
+    assert d.I == (2,) and group.eq(d.y, group.identity(A3))
