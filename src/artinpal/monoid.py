@@ -48,11 +48,18 @@ class PositiveWord:
     def __mul__(self, other: "PositiveWord") -> "PositiveWord":
         if self.matrix != other.matrix:
             raise InvalidWordError("cannot concatenate words over different matrices")
-        return PositiveWord(self.matrix, self.letters + other.letters)
+        return _trusted(self.matrix, self.letters + other.letters)
 
     def __repr__(self):
         body = " ".join(str(x) for x in self.letters) if self.letters else "e"
         return f"<{body}>"
+
+
+def _trusted(matrix: CoxeterMatrix, letters: tuple[int, ...]) -> PositiveWord:
+    """A PositiveWord from letters known to be valid, without the check."""
+    w = object.__new__(PositiveWord)
+    w.__dict__.update(matrix=matrix, letters=letters)
+    return w
 
 
 def word(matrix: CoxeterMatrix, letters) -> PositiveWord:
@@ -61,7 +68,7 @@ def word(matrix: CoxeterMatrix, letters) -> PositiveWord:
 
 def rev(w: PositiveWord) -> PositiveWord:
     """Reverse the reading of the word; an anti-automorphism."""
-    return PositiveWord(w.matrix, w.letters[::-1])
+    return _trusted(w.matrix, w.letters[::-1])
 
 
 def blocking_left_index(w: PositiveWord, position: int) -> int:
@@ -128,7 +135,7 @@ def left_extract(w: PositiveWord, s: int) -> PositiveWord | None:
     if not 1 <= s <= w.matrix.rank:
         raise InvalidWordError(f"generator {s} out of range")
     out = _extract(w.matrix, list(w.letters), s)
-    return None if out is None else PositiveWord(w.matrix, tuple(out))
+    return None if out is None else _trusted(w.matrix, tuple(out))
 
 
 def starting_set(w: PositiveWord) -> tuple[int, ...]:
@@ -165,7 +172,7 @@ def divides_left(u: PositiveWord, v: PositiveWord) -> PositiveWord | None:
         if nxt is None:
             return None
         cur = nxt
-    return PositiveWord(u.matrix, tuple(cur))
+    return _trusted(u.matrix, tuple(cur))
 
 
 def equals(u: PositiveWord, v: PositiveWord) -> bool:
@@ -229,7 +236,7 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
         raise BudgetExceededError(
             f"common multiple of length {len(lcm_letters)} exceeds budget {budget}"
         )
-    return PositiveWord(mat, lcm_letters)
+    return _trusted(mat, lcm_letters)
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +327,7 @@ def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
 def apply_tau(w: PositiveWord) -> PositiveWord:
     """Letterwise tau; a monoid automorphism in finite type."""
     perm = compute_tau_perm(w.matrix)
-    return PositiveWord(w.matrix, tuple(perm[x - 1] for x in w.letters))
+    return _trusted(w.matrix, tuple(perm[x - 1] for x in w.letters))
 
 
 def parse_word(text: str) -> tuple[int, ...]:

@@ -65,41 +65,51 @@ class RewriteClass:
     members: frozenset
 
 
-def _neighbors(P: Presentation, w: tuple[int, ...]):
+@lru_cache(maxsize=None)
+def _rewrite_table(P: Presentation):
+    """(k, {side of length k: its partner sides}) per side length k."""
+    table: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
     for lhs, rhs in P.relations:
         for a, b in ((lhs, rhs), (rhs, lhs)):
-            k = len(a)
-            for i in range(len(w) - k + 1):
-                if w[i:i + k] == a:
-                    yield w[:i] + b + w[i + k:]
+            table.setdefault(len(a), {}).setdefault(a, []).append(b)
+    return tuple(table.items())
 
 
 @lru_cache(maxsize=None)
 def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
              len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
-    """BFS closure of w under single-relation rewrites; deterministic."""
+    """BFS closure of w under single-relation rewrites; deterministic.  A
+    closure costs |class| * len(w) * (distinct side lengths) lookups."""
     w = P.check_word(w)
     if len(w) > len_cap:
         raise BudgetExceededError(
             f"word length {len(w)} exceeds the cap {len_cap}"
         )
+    table = _rewrite_table(P)
     seen = {w}
     frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in _neighbors(P, u):
-                if len(v) != len(u):
-                    raise BudgetExceededError(
-                        "internal: homogeneity violated during rewriting"
-                    )
-                if v not in seen:
-                    if len(seen) >= class_cap:
-                        raise BudgetExceededError(
-                            f"class size exceeds the cap {class_cap}"
-                        )
-                    seen.add(v)
-                    nxt.append(v)
+            n = len(u)
+            for k, sides in table:
+                for i in range(n - k + 1):
+                    targets = sides.get(u[i:i + k])
+                    if targets is None:
+                        continue
+                    for b in targets:
+                        v = u[:i] + b + u[i + k:]
+                        if len(v) != n:
+                            raise BudgetExceededError(
+                                "internal: homogeneity violated during rewriting"
+                            )
+                        if v not in seen:
+                            if len(seen) >= class_cap:
+                                raise BudgetExceededError(
+                                    f"class size exceeds the cap {class_cap}"
+                                )
+                            seen.add(v)
+                            nxt.append(v)
         frontier = nxt
     return RewriteClass(min(seen), frozenset(seen))
 
@@ -139,23 +149,38 @@ def square_free_oracle(P: Presentation, w,
     )
 
 
+@lru_cache(maxsize=None)
+def _greedy_delta(matrix: CoxeterMatrix, subset: tuple[int, ...],
+                  max_len: int) -> tuple[int, ...] | None:
+    """Delta_I of a finite-type I, or None if longer than max_len: append the
+    least s in I that keeps the word square-free (reduced, as in
+    `coxeter_order_oracle`) until none does; that word spells w0(I)."""
+    P = presentation_from_matrix(matrix)
+    w: tuple[int, ...] = ()
+    while len(w) <= max_len:
+        s = next((s for s in subset
+                  if square_free_oracle(P, w + (s,), len_cap=max_len + 1)), None)
+        if s is None:
+            return w
+        w += (s,)
+    return None
+
+
 def artin_deltas(matrix: CoxeterMatrix,
-                 max_len: int | None = None) -> dict[tuple[int, ...], tuple[int, ...]]:
+                 max_len: int = DEFAULT_LEN_CAP) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Subset of generators -> one word for its fundamental element, for
-    every finite-type subset (optionally only those of length <= max_len)."""
+    every finite-type subset whose Delta_I has at most max_len letters (by
+    default the longest word the oracle classes).  The words come from the
+    oracle's own `_greedy_delta`, memoized, never from the monoid."""
     out: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     subsets: list[tuple[int, ...]] = [()]
     for g in matrix.generators:
         subsets.extend(prev + (g,) for prev in list(subsets))
-    for subset in subsets:
-        if not subset:
-            continue
-        d = monoid.delta(matrix, subset)
-        if d is None:
-            continue
-        if max_len is not None and len(d.letters) > max_len:
-            continue
-        out[subset] = d.letters
+    for subset in subsets[1:]:
+        if is_finite_type(matrix, subset):
+            d = _greedy_delta(matrix, subset, max_len)
+            if d is not None:
+                out[subset] = d
     return out
 
 

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from . import group
+from . import group, monoid
 from .coxeter import CoxeterMatrix, builtin
 from .errors import HandleReductionOverflow, InvalidWordError, PreconditionError
 from .group import GroupElement
@@ -63,6 +63,14 @@ class OrderingHandle:
 
 def _group_difference(x: GroupElement, y: GroupElement) -> GroupElement:
     return group.mult(group.inv(x), y)
+
+
+def _garside_word(x: GroupElement) -> tuple[int, ...]:
+    """Delta^inf a_1 ... a_r: unlike `group.to_signed_word`'s Delta^-2k p,
+    no cancelling Delta^-1 Delta pair when inf is odd and negative."""
+    d = monoid.ambient_delta(x.matrix).letters
+    head = d if x.inf >= 0 else tuple(-a for a in reversed(d))
+    return head * abs(x.inf) + x.p[len(d) * (2 * x.k + x.inf):]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +168,7 @@ def dehornoy_order(matrix: CoxeterMatrix,
     def sign_fn(x: GroupElement) -> Sign:
         if x.matrix.entries != matrix.entries:
             raise PreconditionError("element is over a different matrix")
-        return dehornoy_sign(group.to_signed_word(x), n, cap)
+        return dehornoy_sign(_garside_word(x), n, cap)
 
     return OrderingHandle("dehornoy", sign_fn, _group_difference)
 
@@ -394,7 +402,7 @@ def typeB_order(n: int, cap: int = DEFAULT_HANDLE_CAP) -> OrderingHandle:
     def sign_fn(x: GroupElement) -> Sign:
         if x.matrix.entries != bmat.entries:
             raise PreconditionError("element is not over the type B matrix")
-        return dehornoy_sign(typeB_embed(group.to_signed_word(x), n), n + 1, cap)
+        return dehornoy_sign(typeB_embed(_garside_word(x), n), n + 1, cap)
 
     return OrderingHandle("typeB-embedding", sign_fn, _group_difference)
 

@@ -55,6 +55,25 @@ def test_positive_word_validation():
     assert list(word(A2, (1, 2))) == [1, 2]
 
 
+@pytest.mark.parametrize("mat", [A2, A3, MIXED], ids=["A2", "A3", "MIXED"])
+def test_public_construction_validates_quotients_skip_it(mat):
+    for bad in (0, mat.rank + 1):
+        with pytest.raises(InvalidWordError):
+            word(mat, (1, bad))
+        with pytest.raises(InvalidWordError):
+            PositiveWord(mat, (bad,))
+    w = word(mat, (1, 2, 1, 2))
+    built = [rev(w), left_extract(w, 1), divides_left(word(mat, (1,)), w),
+             right_lcm(word(mat, (1,)), word(mat, (2,))), w * w]
+    if mat is not MIXED:
+        built.append(apply_tau(w))
+    for b in built:
+        # the bench tracer counts letters by this type name
+        assert type(b) is PositiveWord and type(b).__name__ == "PositiveWord"
+        assert b.matrix == mat and isinstance(b.letters, tuple)
+        assert b == word(mat, b.letters) and hash(b) == hash(word(mat, b.letters))
+
+
 def test_rev():
     w = word(A3, (1, 2, 3, 2))
     assert rev(w).letters == (2, 3, 2, 1)

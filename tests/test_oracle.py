@@ -209,3 +209,94 @@ def test_oracle_agrees_with_monoid(mat, u, v):
     assert divides_left_oracle(pres, tuple(u), tuple(v)) == (
         monoid.divides_left(uw, vw) is not None
     )
+
+
+# ---------------------------------------------------------------------------
+# The closure on the rewrite table against the per-relation scan it replaced
+
+
+def _old_neighbors(P, w):
+    for lhs, rhs in P.relations:
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            k = len(a)
+            for i in range(len(w) - k + 1):
+                if w[i:i + k] == a:
+                    yield w[:i] + b + w[i + k:]
+
+
+def _old_closure(P, w):
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in _old_neighbors(P, u):
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+# one side, 1 2, appears in two relations
+P_SHARED = Presentation(3, (((1, 2), (2, 1)), ((1, 2), (3, 3))))
+
+
+@pytest.mark.parametrize("pres", [
+    *(presentation_from_matrix(coxeter.named_matrix(n))
+      for n in ("A3", "B3", "D4", "H3", "I2(5)")),
+    presentation_from_matrix(MIXED), P_XY, P_SHARED,
+], ids=["A3", "B3", "D4", "H3", "I2(5)", "MIXED", "P_XY", "P_SHARED"])
+def test_class_of_matches_the_per_relation_scan(pres):
+    rng = random.Random(20240816)
+    for length in range(11):
+        for _ in range(4 if length > 8 else 8):
+            w = tuple(rng.randint(1, pres.ngens) for _ in range(length))
+            want = _old_closure(pres, w)
+            cls = class_of(pres, w)
+            assert cls.members == want, w
+            assert cls.canonical == min(want)
+
+
+def test_shared_side_rewrites_to_both_partners():
+    assert class_of(P_SHARED, (1, 2)).members == {(1, 2), (2, 1), (3, 3)}
+
+
+def test_class_cap_message_unchanged():
+    with pytest.raises(BudgetExceededError, match="^class size exceeds the cap 2$"):
+        class_of(P_A3, (1, 2, 1, 3, 2, 1), 2, 12)
+
+
+# ---------------------------------------------------------------------------
+# The oracle's own Delta_I: nothing of the monoid's reversing or extraction
+
+
+def test_oracle_answers_without_the_monoid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the fast path")
+
+    for name in ("delta", "right_lcm", "_extract"):
+        monkeypatch.setattr(monoid, name, refuse)
+    oracle._greedy_delta.cache_clear()
+    d3 = artin_deltas(A3)
+    assert len(d3[(1, 2, 3)]) == 6 and d3[(1, 3)] == (1, 3)
+    dm = artin_deltas(MIXED)
+    assert set(dm) == {(), (1,), (2,), (3,), (1, 2), (2, 3)}
+    assert dm[(2, 3)] == (2, 3, 2, 3)
+    P_M = presentation_from_matrix(MIXED)
+    assert all_pal_decompositions(P_A3, (1, 1), d3) == (((1,), ()),)
+    assert ((), (2, 3)) in all_pal_decompositions(P_M, (3, 2, 3, 2), dm)
+    assert equals_oracle(P_A3, (1, 2, 1), (2, 1, 2))
+    assert equals_oracle(P_M, (2, 3, 2, 3), (3, 2, 3, 2))
+    assert divides_left_oracle(P_A3, (2,), (1, 2, 1))
+    assert not divides_left_oracle(P_M, (3,), (1, 3))
+
+
+def test_artin_deltas_length_bound():
+    # without max_len the bound is the oracle's own length cap
+    a5 = coxeter.builtin("A", 5)
+    d5 = artin_deltas(a5)
+    assert len(d5[(1, 2, 3, 4)]) == 10 and (1, 2, 3, 4, 5) not in d5  # 15 letters
+    a4 = coxeter.builtin("A", 4)
+    assert (1, 2, 3, 4) in artin_deltas(a4, max_len=10)
+    assert (1, 2, 3, 4) not in artin_deltas(a4, max_len=9)

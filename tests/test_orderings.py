@@ -208,6 +208,35 @@ def test_typeB_compare_pinned():
     assert got == ["LESS", "GREATER", "LESS", "GREATER", "GREATER", "LESS"]
 
 
+@pytest.mark.parametrize("name", ["A3", "A4", "B3", "B4"])
+def test_dehornoy_orders_read_delta_inf_without_a_cancelling_pair(name):
+    """The Dehornoy and type-B orders read Delta^inf a_1 ... a_r: the same
+    element and sign as `to_signed_word`'s Delta^-2k p, without the
+    Delta^-1 Delta pair that spelling has when inf is odd and negative."""
+    mat = coxeter.named_matrix(name)
+    n = mat.rank
+    d = len(group.to_signed_word(group.delta_element(mat)))
+    order = orderings.order_for_matrix(mat, "dehornoy")
+    rng = random.Random(SEED)
+    odd_negative = 0
+    for _ in range(60):
+        x = group.from_word(mat, tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                                       for _ in range(rng.randint(0, 12))))
+        old, new = group.to_signed_word(x), orderings._garside_word(x)
+        assert group.from_word(mat, new) == x
+        if x.inf < 0 and x.inf % 2:
+            odd_negative += 1
+            assert len(new) == len(old) - 2 * d
+        else:
+            assert new == old
+        if name[0] == "A":
+            want = dehornoy_sign(old, n + 1)
+        else:
+            want = dehornoy_sign(typeB_embed(old, n), n + 1)
+        assert order.sign(x) == want
+    assert odd_negative
+
+
 # ---------------------------------------------------------------------------
 # Magnus order
 
