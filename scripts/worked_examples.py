@@ -5,7 +5,7 @@ recomputed on the spot; nothing is hard-coded.
 """
 
 from artinpal import coxeter, group, monoid, orderings, palindromes
-from artinpal.monoid import format_word
+from artinpal.coxeter import format_word
 
 
 def show(label, value):

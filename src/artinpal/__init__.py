@@ -8,9 +8,11 @@ from .coxeter import (
     CoxeterMatrix,
     builtin,
     classify,
+    format_word,
     is_finite_type,
     named_matrix,
     parse_matrix,
+    parse_word,
     serialize_matrix,
 )
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .group import GroupElement
-from .monoid import PositiveWord, format_word, parse_word
+from .monoid import PositiveWord
 from .orderings import Comparison, OrderingHandle, Sign, SppcReport
 from .palindromes import PalDecomposition
 

@@ -15,9 +15,9 @@ import json
 import sys
 
 from . import group, monoid, oracle, orderings, palindromes, weyl
-from .coxeter import CoxeterMatrix, named_matrix, parse_matrix
+from .coxeter import CoxeterMatrix, format_word, named_matrix, parse_matrix, parse_word
 from .errors import ArtinError
-from .monoid import PositiveWord, format_word, parse_word
+from .monoid import PositiveWord
 
 def _parse_set(text: str) -> tuple[int, ...]:
     """Generator subsets: `1 3`, `{1,3}`, or `{}` for the empty set."""
@@ -55,54 +55,40 @@ def _element_out(x: group.GroupElement) -> str:
     return format_word(group.to_signed_word(x))
 
 
+# the global options' values when absent, pre-filled before parsing
+_DEFAULTS = {"type_name": None, "matrix_file": None, "order": "dehornoy",
+             "opp": False, "budget": None, "as_json": False, "presentation": None}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # the global options, accepted before and after the subcommand alike; an
+    # absent one is left alone (SUPPRESS), so a value given before survives
+    g = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    g.add_argument("--type", dest="type_name", metavar="NAME",
+                   help="built-in Coxeter matrix, e.g. A3, B2, H3, I2(5)")
+    g.add_argument("--matrix", dest="matrix_file", metavar="FILE",
+                   help="Coxeter matrix file")
+    g.add_argument("--order", choices=("dehornoy", "magnus"),
+                   help="ordering for sign/cmp/decompose-canonical "
+                        "(dehornoy on a type B matrix means the embedding order)")
+    g.add_argument("--opp", action="store_true",
+                   help="flip the Delta_I comparison in decompose-canonical")
+    g.add_argument("--budget", type=_budget, metavar="N",
+                   help="search budget override, >= 0 (lcm, decompositions, oracle "
+                        "caps, handle steps of sign/cmp, weyl group size)")
+    g.add_argument("--json", action="store_true", dest="as_json",
+                   help="emit one machine-readable record")
+    g.add_argument("--presentation", metavar="FILE",
+                   help="presentation file for oracle-eq / oracle-squarefree")
     ap = argparse.ArgumentParser(
-        prog="artinpal",
+        prog="artinpal", parents=[g],
         description="word arithmetic, orderings and palindrome decompositions "
                     "in finite-type Artin groups",
     )
-    ap.add_argument("--type", dest="type_name", metavar="NAME",
-                    help="built-in Coxeter matrix, e.g. A3, B2, H3, I2(5)")
-    ap.add_argument("--matrix", dest="matrix_file", metavar="FILE",
-                    help="Coxeter matrix file")
-    ap.add_argument("--order", choices=("dehornoy", "magnus"),
-                    default="dehornoy",
-                    help="ordering for sign/cmp/decompose-canonical "
-                         "(dehornoy on a type B matrix means the embedding order)")
-    ap.add_argument("--opp", action="store_true",
-                    help="flip the Delta_I comparison in decompose-canonical")
-    ap.add_argument("--budget", type=_budget, default=None, metavar="N",
-                    help="search budget override, >= 0 (lcm, decompositions, oracle "
-                         "caps, handle steps of sign/cmp, weyl group size)")
-    ap.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit one machine-readable record")
-    ap.add_argument("--presentation", metavar="FILE",
-                    help="presentation file for oracle-eq / oracle-squarefree")
-
     sub = ap.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    def attach_globals(p):
-        # accepted after the subcommand too; SUPPRESS keeps an absent flag
-        # from overwriting the value parsed before the subcommand
-        g = p.add_argument_group("global options")
-        g.add_argument("--type", dest="type_name", default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
-        g.add_argument("--matrix", dest="matrix_file", default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
-        g.add_argument("--order", choices=("dehornoy", "magnus"),
-                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        g.add_argument("--opp", action="store_true", default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
-        g.add_argument("--budget", type=_budget, default=argparse.SUPPRESS,
-                       metavar="N", help=argparse.SUPPRESS)
-        g.add_argument("--json", action="store_true", dest="as_json",
-                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        g.add_argument("--presentation", default=argparse.SUPPRESS,
-                       help=argparse.SUPPRESS)
-
     def add(name, *words, help=""):
-        p = sub.add_parser(name, help=help)
-        attach_globals(p)
+        p = sub.add_parser(name, help=help, parents=[g])
         for w in words:
             p.add_argument(w)
         return p
@@ -134,10 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("oracle-eq", "word1", "word2", help="rewriting-oracle equality")
     add("oracle-decomps", "word", help="all decompositions by exhaustive search")
     add("oracle-squarefree", "word", help="no class member contains s s")
-    attach_globals(sub.add_parser("weyl-order", help="order of the Coxeter group"))
-    attach_globals(sub.add_parser(
-        "weyl-involutions",
-        help="every involution of the Coxeter group with a palindromic lift"))
+    add("weyl-order", help="order of the Coxeter group")
+    add("weyl-involutions",
+        help="every involution of the Coxeter group with a palindromic lift")
     return ap
 
 
@@ -334,7 +319,7 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[object, int, dict]:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(argv, argparse.Namespace(**_DEFAULTS))
     try:
         matrix = _resolve_matrix(ap, args)
         text, code, payload = _run(matrix, args)

@@ -288,8 +288,13 @@ def mult(a: GroupElement, b: GroupElement) -> GroupElement:
     if b.inf % 2 and t.twist:
         factors = [_tau(t, f) for f in factors]
     inf = a.inf + b.inf
-    for f in b.factors:
-        inf += _push(t, factors, f)
+    for j, f in enumerate(b.factors):
+        if factors and f.left & ~factors[-1].right:
+            inf += _push(t, factors, f)
+        else:
+            # the rest of b is left-weighted and holds no 1 and no Delta
+            factors.extend(b.factors[j:])
+            break
     return GroupElement(a.matrix, inf, tuple(factors))
 
 
@@ -315,10 +320,15 @@ def rev(a: GroupElement) -> GroupElement:
     factors: list[_Simple] = []
     inf = a.inf
     for f in reversed(a.factors):
-        g = _Simple(f.inv, f.perm, f.left, f.right, f.length)
+        # a factor whose image is an involution is its own reverse: reuse it
+        g = f if f.perm == f.inv else _Simple(f.inv, f.perm, f.left, f.right,
+                                               f.length)
         if t.twist and a.inf % 2:
             g = _tau(t, g)
-        inf += _push(t, factors, g)
+        if factors and g.left & ~factors[-1].right:
+            inf += _push(t, factors, g)
+        else:
+            factors.append(g)  # already left-weighted, and neither 1 nor Delta
     return GroupElement(a.matrix, inf, tuple(factors))
 
 
@@ -337,6 +347,21 @@ def is_pure(a: GroupElement) -> bool:
 
 def is_palindrome(a: GroupElement) -> bool:
     return eq(a, rev(a))
+
+
+def starting_set(a: GroupElement) -> tuple[int, ...]:
+    """The generators s with s^-1 * a positive, sorted: all if Delta divides
+    a, none if a is not positive, else the first factor's left descents."""
+    if a.inf:
+        return a.matrix.generators if a.inf > 0 else ()
+    left = a.factors[0].left if a.factors else 0
+    return tuple(s for s in a.matrix.generators if left >> (s - 1) & 1)
+
+
+def length(a: GroupElement) -> int:
+    """The exponent sum, inf * |Delta| plus the factor lengths; for a
+    positive element, the length of every positive word for it."""
+    return a.inf * _tables(a.matrix).top + sum(f.length for f in a.factors)
 
 
 def to_signed_word(a: GroupElement) -> tuple[int, ...]:

@@ -329,29 +329,3 @@ def apply_tau(w: PositiveWord) -> PositiveWord:
     perm = compute_tau_perm(w.matrix)
     return _trusted(w.matrix, tuple(perm[x - 1] for x in w.letters))
 
-
-def parse_word(text: str) -> tuple[int, ...]:
-    """Shared word syntax: whitespace-separated signed integers, or the
-    single token `e` for the empty word.  No matrix check here; callers
-    validate letters against their rank."""
-    tokens = text.split()
-    if tokens == ["e"]:
-        return ()
-    out = []
-    for t in tokens:
-        try:
-            x = int(t)
-        except ValueError:
-            raise InvalidWordError(f"token {t!r} is not a letter") from None
-        if x == 0:
-            raise InvalidWordError("0 is not a letter")
-        out.append(x)
-    return tuple(out)
-
-
-def format_word(letters) -> str:
-    """Inverse of parse_word; the empty word prints as `e`."""
-    letters = tuple(letters)
-    if not letters:
-        return "e"
-    return " ".join(str(x) for x in letters)

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import monoid
-from .coxeter import CoxeterMatrix, is_finite_type
+from .coxeter import CoxeterMatrix, format_word, is_finite_type, parse_word
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_CLASS_CAP = 1_000_000
@@ -153,17 +152,19 @@ def square_free_oracle(P: Presentation, w,
 def _greedy_delta(matrix: CoxeterMatrix, subset: tuple[int, ...],
                   max_len: int) -> tuple[int, ...] | None:
     """Delta_I of a finite-type I, or None if longer than max_len: append the
-    least s in I that keeps the word square-free (reduced, as in
-    `coxeter_order_oracle`) until none does; that word spells w0(I)."""
+    least s in I that is not a right descent of w, i.e. ends no member of w's
+    class (by Tits' word theorem and the exchange condition, as in
+    `coxeter_order_oracle`), until every s in I is one; w then spells w0(I)."""
     P = presentation_from_matrix(matrix)
     w: tuple[int, ...] = ()
-    while len(w) <= max_len:
-        s = next((s for s in subset
-                  if square_free_oracle(P, w + (s,), len_cap=max_len + 1)), None)
+    while True:
+        ends = {m[-1] for m in class_of(P, w, len_cap=max_len).members if m}
+        s = next((s for s in subset if s not in ends), None)
         if s is None:
             return w
+        if len(w) == max_len:
+            return None
         w += (s,)
-    return None
 
 
 def artin_deltas(matrix: CoxeterMatrix,
@@ -324,8 +325,8 @@ def parse_presentation(text: str) -> Presentation:
                 raise PreconditionError(f"line {lineno}: expected `rel w = w`")
             lhs_s, rhs_s = body.split("=")
             try:
-                lhs = monoid.parse_word(lhs_s)
-                rhs = monoid.parse_word(rhs_s)
+                lhs = parse_word(lhs_s)
+                rhs = parse_word(rhs_s)
             except Exception as exc:
                 raise PreconditionError(f"line {lineno}: {exc}") from exc
             if any(x < 0 for x in lhs + rhs):
@@ -344,6 +345,6 @@ def serialize_presentation(P: Presentation) -> str:
     lines = [f"gens {P.ngens}"]
     for lhs, rhs in P.relations:
         lines.append(
-            f"rel {monoid.format_word(lhs)} = {monoid.format_word(rhs)}"
+            f"rel {format_word(lhs)} = {format_word(rhs)}"
         )
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ clearing denominators with a central power of Delta: if x = Delta^(-2k) p,
 the smallest even N >= k makes z = Delta^(2N) x positive, Delta^N central
 and rev-fixed, and any positive decomposition z = u Delta_I rev(u) shifts
 back to x = (Delta^(-N) u) Delta_I rev(Delta^(-N) u).  The peeling
-recursions below therefore only ever touch positive words.
+recursions below therefore only ever touch positive words and elements.
 """
 
 from __future__ import annotations
@@ -57,19 +57,14 @@ def pal(x: GroupElement) -> GroupElement:
 
 
 def _positive_core(x: GroupElement) -> tuple[PositiveWord, int]:
-    """(z, half) with z positive, x = Delta^(-2*half) ... precisely
-    x = Delta^(-N) z' in the sense z = Delta^(2N-2k) p for N = 2*half,
-    the smallest even N >= x.k."""
+    """(z, half) for N = 2 * half, the least even exponent >= x.k: z =
+    Delta^(2N - 2k) x.p spells Delta^(2N) x, and as Delta^N is central, z =
+    u Delta_I rev(u) gives x = y Delta_I rev(y) with y = Delta^-N u."""
     mat = x.matrix
     half = (x.k + 1) // 2
     pad = 2 * (2 * half - x.k)
     d = monoid.ambient_delta(mat)
     return PositiveWord(mat, d.letters * pad + x.p), half
-
-
-def _lift(mat: CoxeterMatrix, half: int, letters) -> GroupElement:
-    """Delta^(-2*half) * positive word, as a group element."""
-    return group.make(mat, half, tuple(letters))
 
 
 def _peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -111,7 +106,7 @@ def decompose(x: GroupElement) -> PalDecomposition:
         raise NotPalindromeError("decompose needs rev(x) = x")
     core, half = _positive_core(x)
     letters, subset = _peel(core, lambda s: (s,))
-    d = PalDecomposition(y=_lift(x.matrix, half, letters), I=subset)
+    d = PalDecomposition(y=group.make(x.matrix, half, letters), I=subset)
     if not group.eq(reconstruct(d), x):
         raise ArtinError("internal: decomposition failed to reconstruct")
     return d
@@ -136,69 +131,60 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
     canonical even denominator-clearing exponent N.
 
     Returns a deterministically ordered tuple of PalDecomposition.  The
-    search peels one generator from both ends at a time; memoization is by
-    group element, so equal cores are explored once.  Each core's search
-    is a generator that yields the inner cores it needs and is sent their
-    results, driven depth first over an explicit stack, so the depth of
-    the peel is not bounded by the Python stack.
+    search runs on normal forms: a core z, first Delta^(2N) x, is its own
+    memo key; z = Delta_S(z) is a base case; each s in S(z) = F(z) peels to
+    s^-1 rev(s^-1 z) = s^-1 z s^-1 when that is positive.  Each core's
+    search is a generator that yields the inner cores it needs and is sent
+    their results, driven depth first over an explicit stack, so the depth
+    of the peel is not bounded by the Python stack.
     """
     if not group.is_palindrome(x):
         raise NotPalindromeError("decomposition search needs rev(x) = x")
-    core, half = _positive_core(x)
     mat = x.matrix
+    half = (x.k + 1) // 2
+    shift = group.make(mat, half, ())  # Delta^-N, central, as in _positive_core
+    core = group.mult(x, group.inv(group.mult(shift, shift)))  # Delta^(2N) x
+    gens = {s: group.from_word(mat, (s,)) for s in mat.generators}
+    invs = {s: group.inv(g) for s, g in gens.items()}
     cap = _SEARCH_BUDGET if budget is None else budget
     memo: dict = {}
     spent = 0
 
-    def search(w: PositiveWord, key):
+    def search(z: GroupElement):
         nonlocal spent
         spent += 1
         if spent > cap:
             raise BudgetExceededError("decomposition search budget exhausted")
-        found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        seen = set()
-        s_set = monoid.starting_set(w)
-        d = _delta_word(mat, s_set)
-        if len(d) == len(w):
-            entry = ((), tuple(sorted(s_set)))
-            found.append(entry)
-            seen.add((group.identity(mat), entry[1]))
-        fin = set(monoid.finishing_set(w))
-        for s in sorted(set(s_set) & fin):
-            left = monoid.left_extract(w, s)
-            inner = monoid.left_extract(monoid.rev(left), s)
-            if inner is None:
-                # both-end occurrences of s can collide; no s.a.s form then
+        # (y, I) in order of discovery, each once
+        found: dict = {}
+        s_set = group.starting_set(z)
+        if group.length(z) == len(_delta_word(mat, s_set)):
+            found[group.identity(mat), s_set] = None
+        for s in s_set:
+            inner = group.mult(invs[s], group.rev(group.mult(invs[s], z)))
+            if inner.inf < 0:
+                # s does not finish s^-1 z; no s a s form then
                 continue
-            a = monoid.rev(inner)
-            for ys, subset in (yield a):
-                yw = (s,) + ys
-                mark = (group.make(mat, 0, yw), subset)
-                if mark in seen:
-                    continue
-                seen.add(mark)
-                found.append((yw, subset))
-        memo[key] = tuple(found)
-        return memo[key]
+            for y, subset in (yield inner):
+                found.setdefault((group.mult(gens[s], y), subset))
+        memo[z] = tuple(found)
+        return memo[z]
 
-    stack = [search(core, group.from_positive(core))]
+    stack = [search(core)]
     result = None
     while stack:
         try:
-            a = stack[-1].send(result)
+            z = stack[-1].send(result)
         except StopIteration as done:
             stack.pop()
             result = done.value
             continue
-        key = group.from_positive(a)
-        result = memo.get(key)
+        result = memo.get(z)
         if result is None:
-            stack.append(search(a, key))
+            stack.append(search(z))
 
-    return tuple(
-        PalDecomposition(y=_lift(mat, half, yw), I=subset)
-        for yw, subset in result
-    )
+    return tuple(PalDecomposition(y=group.mult(y, shift), I=subset)
+                 for y, subset in result)
 
 
 def canonical_decompose(x: GroupElement, order, opp: bool = False,
@@ -208,17 +194,16 @@ def canonical_decompose(x: GroupElement, order, opp: bool = False,
     from .orderings import Comparison
 
     cands = core_decompositions(x, budget=budget)
+    if not cands:
+        raise ArtinError("internal: search returned no decomposition")
     mat = x.matrix
 
     def delta_elt(d: PalDecomposition) -> GroupElement:
         return group.from_positive(_delta_word(mat, d.I))
 
-    best = None
-    best_delta = None
-    for cand in cands:
-        if best is None:
-            best, best_delta = cand, delta_elt(cand)
-            continue
+    best = cands[0]
+    best_delta = delta_elt(best)
+    for cand in cands[1:]:
         cd = delta_elt(cand)
         c = order.compare(cd, best_delta)
         if opp:
@@ -232,8 +217,6 @@ def canonical_decompose(x: GroupElement, order, opp: bool = False,
                 best, best_delta = cand, cd
             elif cy is Comparison.EQUAL:
                 raise ArtinError("internal: two minimal decompositions")
-    if best is None:
-        raise ArtinError("internal: search returned no decomposition")
     return best
 
 
@@ -253,7 +236,7 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
     core, half = _positive_core(x)
 
     prefix, subset = _peel(core, lambda s: (s, perm[s - 1]))
-    d = PalDecomposition(y=_lift(mat, half, prefix), I=subset)
+    d = PalDecomposition(y=group.make(mat, half, prefix), I=subset)
     if not group.eq(reconstruct(d), x):
         raise ArtinError("internal: rev-tau decomposition reconstruction")
     if not group.eq(group.tau(d.y), d.y):

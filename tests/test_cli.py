@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from artinpal import coxeter, group, monoid, weyl
 from artinpal.cli import build_parser, main
-from artinpal.monoid import parse_word
+from artinpal.coxeter import parse_word
 from artinpal.palindromes import PalDecomposition, reconstruct
 
 A3 = coxeter.builtin("A", 3)

@@ -5,9 +5,11 @@ from artinpal.coxeter import (
     CoxeterMatrix,
     builtin,
     classify,
+    format_word,
     is_finite_type,
     named_matrix,
     parse_matrix,
+    parse_word,
     serialize_matrix,
     sub_matrix,
     w_word,
@@ -147,6 +149,18 @@ def test_check_word():
         a2.check_word((0,))
     with pytest.raises(InvalidWordError):
         a2.check_word((-1,), positive=True)
+
+
+def test_parse_format_word():
+    assert parse_word("e") == ()
+    assert parse_word("1 -2  3") == (1, -2, 3)
+    assert format_word(()) == "e"
+    assert format_word((1, -2)) == "1 -2"
+    assert parse_word(format_word((4, -4, 1))) == (4, -4, 1)
+    with pytest.raises(InvalidWordError):
+        parse_word("0")
+    with pytest.raises(InvalidWordError):
+        parse_word("1 x")
 
 
 def test_relations():

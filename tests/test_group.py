@@ -220,3 +220,20 @@ def test_long_words_invert(name, rng):
         assert eq(mult(x, inv(x)), e)
         assert eq(mult(inv(x), x), e)
         assert eq(inv(inv(x)), x)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3", "F4", "I2(7)"])
+def test_starting_set_and_length_match_the_word(name, rng):
+    mat = coxeter.named_matrix(name)
+    d = monoid.ambient_delta(mat).letters
+    for i in range(40):
+        w = tuple(rng.randint(1, mat.rank) for _ in range(rng.randint(0, 12)))
+        if i % 4 == 0:  # Delta^j w, with w empty every so often
+            w = d * rng.randint(1, 2) + w[:i % 8]
+        x = make(mat, 0, w)
+        assert group.starting_set(x) == monoid.starting_set(monoid.word(mat, w)), w
+        assert group.length(x) == len(w), w
+    # not positive: no generator left-divides; the length is the exponent sum
+    x = from_word(mat, (-1, 2, 2))
+    assert group.starting_set(x) == () and group.length(x) == 1
+    assert group.starting_set(identity(mat)) == () and group.length(identity(mat)) == 0

@@ -19,10 +19,8 @@ from artinpal.monoid import (
     divides_left,
     equals,
     finishing_set,
-    format_word,
     left_extract,
     normal_form,
-    parse_word,
     rev,
     right_lcm,
     starting_set,
@@ -238,15 +236,3 @@ def test_tau_is_involutive_automorphism(w):
     d = ambient_delta(A3)
     # defining property: w * Delta = Delta * tau(w)
     assert equals(w * d, d * apply_tau(w))
-
-
-def test_parse_format_word():
-    assert parse_word("e") == ()
-    assert parse_word("1 -2  3") == (1, -2, 3)
-    assert format_word(()) == "e"
-    assert format_word((1, -2)) == "1 -2"
-    assert parse_word(format_word((4, -4, 1))) == (4, -4, 1)
-    with pytest.raises(InvalidWordError):
-        parse_word("0")
-    with pytest.raises(InvalidWordError):
-        parse_word("1 x")

@@ -1,5 +1,7 @@
+import ast
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -290,6 +292,22 @@ def test_oracle_answers_without_the_monoid(monkeypatch):
     assert equals_oracle(P_M, (2, 3, 2, 3), (3, 2, 3, 2))
     assert divides_left_oracle(P_A3, (2,), (1, 2, 1))
     assert not divides_left_oracle(P_M, (3,), (1, 3))
+
+
+def test_oracle_imports_no_fast_path():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                modules.add(node.module)
+            if node.level and not node.module:  # from . import x
+                modules.update(a.name for a in node.names)
+    names = {m.removeprefix("artinpal.").split(".")[0] for m in modules}
+    assert not names & {"monoid", "group", "palindromes", "orderings", "weyl"}
+    assert {"coxeter", "errors"} <= names
 
 
 def test_artin_deltas_length_bound():

@@ -12,7 +12,7 @@ from artinpal.errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from artinpal.orderings import dehornoy_order
+from artinpal.orderings import dehornoy_order, order_for_matrix
 from artinpal.palindromes import (
     PalDecomposition,
     canonical_decompose,
@@ -242,17 +242,17 @@ PINNED_DECOMPOSITIONS = [
 @pytest.mark.parametrize("name, yw, J, dec, rev_tau", PINNED_DECOMPOSITIONS)
 def test_decompositions_pinned(name, yw, J, dec, rev_tau):
     mat = coxeter.named_matrix(name)
-    y = group.from_word(mat, monoid.parse_word(yw))
+    y = group.from_word(mat, coxeter.parse_word(yw))
     x = reconstruct(PalDecomposition(y=y, I=J))
     for fn, (want_y, want_i) in ((decompose, dec), (decompose_rev_tau, rev_tau)):
         d = fn(x)
-        assert (monoid.format_word(group.to_signed_word(d.y)), d.I) == (
+        assert (coxeter.format_word(group.to_signed_word(d.y)), d.I) == (
             want_y, want_i)
 
 
 def test_core_decompositions_delta_a3_order():
     out = core_decompositions(group.delta_element(A3))
-    got = [(monoid.format_word(group.to_signed_word(d.y)), d.I) for d in out]
+    got = [(coxeter.format_word(group.to_signed_word(d.y)), d.I) for d in out]
     assert got == [("e", (1, 2, 3)), ("1 2", (1, 3)), ("3 2", (1, 3))]
 
 
@@ -429,3 +429,18 @@ def test_involution_lift_never_enumerates(monkeypatch):
     # descent lifts A3's s2 as Delta_{2}; the enumeration gave y = 1 2, I = {1}
     d = involution_lift(A3, weyl.image(weyl.build_root_system(A3), (2,)))
     assert d.I == (2,) and group.eq(d.y, group.identity(A3))
+
+
+def test_core_search_never_extracts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the core search reached extraction")
+
+    monkeypatch.setattr(monoid, "_extract", refuse)
+    b3 = coxeter.builtin("B", 3)
+    for mat, yw, subset in ((A3, (2, -1, 3), (1, 3)), (A3, (), (1, 2, 3)),
+                            (b3, (1, -2, 3), (2,)), (b3, (3, 3), (1, 2))):
+        x = reconstruct(PalDecomposition(y=group.from_word(mat, yw), I=subset))
+        cands = core_decompositions(x)
+        assert cands and all(group.eq(reconstruct(d), x) for d in cands)
+        best = canonical_decompose(x, order_for_matrix(mat, "dehornoy"))
+        assert best in cands
