@@ -1,11 +1,14 @@
 """Command-line surface: every library operation behind one `artinpal`
-program with shared text formats.
+program with shared text formats.  `_COMMANDS` is the one list of
+subcommands, with their positional arguments and help lines; the parser
+and the `--json` record's `inputs.args` both read it.
 
 Exit protocol: 0 for success / a true predicate, 1 for a false predicate
-or an absent value (extract, lcm), 2 for usage errors (argparse), 3 for
-domain errors, 4 for an unexpected internal failure (any other exception,
-such as a RecursionError), each with a one-line reason on stderr.
-Predicates never exit 3 just because the answer is no.
+(`_verdict`) or an absent value (extract, lcm: `_word_or_none`; an empty
+oracle-decomps), 2 for usage errors (argparse), 3 for domain errors, 4 for
+an unexpected internal failure (any other exception, such as a
+RecursionError), each with a one-line reason on stderr.  Predicates never
+exit 3 just because the answer is no.
 """
 
 from __future__ import annotations
@@ -60,6 +63,40 @@ _DEFAULTS = {"type_name": None, "matrix_file": None, "order": "dehornoy",
              "opp": False, "budget": None, "as_json": False, "presentation": None}
 
 
+# every subcommand: its positional arguments and its help line, in --help order
+_COMMANDS = {
+    "eq": (("word1", "word2"), "group equality of two signed words"),
+    "nf": (("word",), "canonical word for a positive word"),
+    "extract": (("generator", "word"),
+                "quotient after removing a leading generator, or none"),
+    "lcm": (("word1", "word2"), "right lcm of two positive words, or none"),
+    "delta": (("generators",), "fundamental element of a generator subset"),
+    "sset": (("word",), "starting set of a positive word"),
+    "fset": (("word",), "finishing set of a positive word"),
+    "rev": (("word",), "reversal anti-automorphism"),
+    "tau": (("word",), "conjugation by Delta"),
+    "pal": (("word",), "palindromization x * rev(x)"),
+    "unpal": (("word",), "inverse of palindromization on pure palindromes"),
+    "is-pal": (("word",), "is the element a palindrome"),
+    "is-pure": (("word",), "is the Coxeter image trivial"),
+    "decompose": (("word",), "one decomposition y Delta_I rev(y)"),
+    "decompose-canonical": (("word",),
+                            "ordering-minimal decomposition y Delta_I rev(y)"),
+    "decompose-tau": (("word",), "tau-invariant decomposition"),
+    "symmetrize": (("y_word", "generators"),
+                   "rewrite a commuting decomposition to a tau-stable one"),
+    "delta-assoc": (("word",), "delta with x = Delta delta rev(delta)"),
+    "sign": (("word",), "ordering sign against the identity"),
+    "cmp": (("word1", "word2"), "ordering comparison, prints LESS/EQUAL/GREATER"),
+    "oracle-eq": (("word1", "word2"), "rewriting-oracle equality"),
+    "oracle-decomps": (("word",), "all decompositions by exhaustive search"),
+    "oracle-squarefree": (("word",), "no class member contains s s"),
+    "weyl-order": ((), "order of the Coxeter group"),
+    "weyl-involutions": ((), "every involution of the Coxeter group with a "
+                             "palindromic lift"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the global options, accepted before and after the subcommand alike; an
     # absent one is left alone (SUPPRESS), so a value given before survives
@@ -86,43 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "in finite-type Artin groups",
     )
     sub = ap.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def add(name, *words, help=""):
-        p = sub.add_parser(name, help=help, parents=[g])
-        for w in words:
-            p.add_argument(w)
-        return p
-
-    add("eq", "word1", "word2", help="group equality of two signed words")
-    add("nf", "word", help="canonical word for a positive word")
-    add("extract", "generator", "word",
-        help="quotient after removing a leading generator, or none")
-    add("lcm", "word1", "word2", help="right lcm of two positive words, or none")
-    add("delta", "generators", help="fundamental element of a generator subset")
-    add("sset", "word", help="starting set of a positive word")
-    add("fset", "word", help="finishing set of a positive word")
-    add("rev", "word", help="reversal anti-automorphism")
-    add("tau", "word", help="conjugation by Delta")
-    add("pal", "word", help="palindromization x * rev(x)")
-    add("unpal", "word", help="inverse of palindromization on pure palindromes")
-    add("is-pal", "word", help="is the element a palindrome")
-    add("is-pure", "word", help="is the Coxeter image trivial")
-    add("decompose", "word", help="one decomposition y Delta_I rev(y)")
-    add("decompose-canonical", "word",
-        help="ordering-minimal decomposition y Delta_I rev(y)")
-    add("decompose-tau", "word", help="tau-invariant decomposition")
-    add("symmetrize", "y_word", "generators",
-        help="rewrite a commuting decomposition to a tau-stable one")
-    add("delta-assoc", "word",
-        help="delta with x = Delta delta rev(delta)")
-    add("sign", "word", help="ordering sign against the identity")
-    add("cmp", "word1", "word2", help="ordering comparison, prints LESS/EQUAL/GREATER")
-    add("oracle-eq", "word1", "word2", help="rewriting-oracle equality")
-    add("oracle-decomps", "word", help="all decompositions by exhaustive search")
-    add("oracle-squarefree", "word", help="no class member contains s s")
-    add("weyl-order", help="order of the Coxeter group")
-    add("weyl-involutions",
-        help="every involution of the Coxeter group with a palindromic lift")
+    for name, (positionals, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text, parents=[g])
+        for positional in positionals:
+            p.add_argument(positional)
     return ap
 
 
@@ -148,24 +152,32 @@ def _oracle_caps(args) -> dict:
     return {"class_cap": args.budget}
 
 
-def _run(matrix: CoxeterMatrix, args) -> tuple[object, int, dict]:
-    """Returns (text result, exit code, json result fields)."""
+def _verdict(verdict: bool) -> tuple[str, int, bool]:
+    """A predicate's answer: true exits 0, false exits 1."""
+    return str(verdict).lower(), 0 if verdict else 1, verdict
+
+
+def _word_or_none(word: PositiveWord | None) -> tuple[str, int, str | None]:
+    """An optional word's answer: the word exits 0, an absent one prints
+    none and exits 1."""
+    if word is None:
+        return "none", 1, None
+    out = format_word(word.letters)
+    return out, 0, out
+
+
+def _run(matrix: CoxeterMatrix, args) -> tuple[str, int, object]:
+    """Returns (text result, exit code, json result)."""
     cmd = args.command
 
     if cmd == "eq":
-        verdict = group.eq(_element(matrix, args.word1), _element(matrix, args.word2))
-        return str(verdict).lower(), 0 if verdict else 1, {"result": verdict}
+        return _verdict(group.eq(_element(matrix, args.word1),
+                                 _element(matrix, args.word2)))
 
     if cmd == "nf":
-        w = _positive(matrix, args.word)
-        sets = monoid.normal_form(w)
-        flat: list[int] = []
-        for heads in sets:
-            d = monoid.delta(matrix, heads)
-            flat.extend(d.letters)
-        out = format_word(flat)
-        return out, 0, {"result": {"word": out,
-                                   "sets": [sorted(s) for s in sets]}}
+        sets = monoid.normal_form(_positive(matrix, args.word))
+        out = format_word(s for heads in sets for s in monoid.delta(matrix, heads))
+        return out, 0, {"word": out, "sets": [sorted(s) for s in sets]}
 
     if cmd == "extract":
         try:
@@ -173,109 +185,81 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[object, int, dict]:
         except ValueError:
             raise ArtinError(f"generator must be an integer, got {args.generator!r}")
         matrix.check_word((s,), positive=True)
-        q = monoid.left_extract(_positive(matrix, args.word), s)
-        if q is None:
-            return "none", 1, {"result": None}
-        out = format_word(q.letters)
-        return out, 0, {"result": out}
+        return _word_or_none(monoid.left_extract(_positive(matrix, args.word), s))
 
     if cmd == "lcm":
-        q = monoid.right_lcm(_positive(matrix, args.word1),
-                             _positive(matrix, args.word2),
-                             budget=args.budget)
-        if q is None:
-            return "none", 1, {"result": None}
-        out = format_word(q.letters)
-        return out, 0, {"result": out}
+        return _word_or_none(monoid.right_lcm(_positive(matrix, args.word1),
+                                              _positive(matrix, args.word2),
+                                              budget=args.budget))
 
     if cmd == "delta":
         subset = _parse_set(args.generators)
         matrix.check_word(subset, positive=True)
-        d = monoid.delta(matrix, subset)
-        if d is None:
+        if (d := monoid.delta(matrix, subset)) is None:
             raise ArtinError(
                 f"Delta is undefined for {_format_set(subset)}: "
                 "the parabolic is not finite type"
             )
-        out = format_word(d.letters)
-        return out, 0, {"result": out}
+        return _word_or_none(d)
 
     if cmd in ("sset", "fset"):
         w = _positive(matrix, args.word)
         s = monoid.starting_set(w) if cmd == "sset" else monoid.finishing_set(w)
-        return _format_set(s), 0, {"result": sorted(s)}
+        return _format_set(s), 0, sorted(s)
 
-    if cmd in ("rev", "tau", "pal", "unpal"):
-        x = _element(matrix, args.word)
-        fn = {"rev": group.rev, "tau": group.tau,
-              "pal": palindromes.pal, "unpal": palindromes.unpal}[cmd]
-        out = _element_out(fn(x))
-        return out, 0, {"result": out}
+    if cmd in ("rev", "tau", "pal", "unpal", "delta-assoc"):
+        fn = {"rev": group.rev, "tau": group.tau, "pal": palindromes.pal,
+              "unpal": palindromes.unpal,
+              "delta-assoc": palindromes.delta_associated}[cmd]
+        out = _element_out(fn(_element(matrix, args.word)))
+        return out, 0, out
 
-    if cmd == "is-pal":
-        verdict = group.is_palindrome(_element(matrix, args.word))
-        return str(verdict).lower(), 0 if verdict else 1, {"result": verdict}
+    if cmd in ("is-pal", "is-pure"):
+        test = group.is_palindrome if cmd == "is-pal" else group.is_pure
+        return _verdict(test(_element(matrix, args.word)))
 
-    if cmd == "is-pure":
-        verdict = group.is_pure(_element(matrix, args.word))
-        return str(verdict).lower(), 0 if verdict else 1, {"result": verdict}
-
-    if cmd in ("decompose", "decompose-canonical", "decompose-tau", "symmetrize",
-               "delta-assoc"):
-        if cmd == "decompose":
-            d = palindromes.decompose(_element(matrix, args.word))
-        elif cmd == "decompose-canonical":
-            handle = orderings.order_for_matrix(matrix, args.order)
-            d = palindromes.canonical_decompose(
-                _element(matrix, args.word), handle,
-                opp=args.opp, budget=args.budget,
-            )
-        elif cmd == "decompose-tau":
-            d = palindromes.decompose_rev_tau(_element(matrix, args.word))
-        elif cmd == "symmetrize":
+    if cmd in ("decompose", "decompose-canonical", "decompose-tau", "symmetrize"):
+        if cmd == "symmetrize":
             subset = _parse_set(args.generators)
             matrix.check_word(subset, positive=True)
-            d = palindromes.tau_symmetrize(palindromes.PalDecomposition(
-                y=_element(matrix, args.y_word), I=subset))
+            given = palindromes.PalDecomposition(y=_element(matrix, args.y_word),
+                                                 I=subset)
+            d = palindromes.tau_symmetrize(given)
+            x = palindromes.reconstruct(given)
+        elif cmd == "decompose-canonical":
+            handle = orderings.order_for_matrix(matrix, args.order)
+            x = _element(matrix, args.word)
+            d = palindromes.canonical_decompose(x, handle, opp=args.opp,
+                                                budget=args.budget)
         else:
-            root = palindromes.delta_associated(_element(matrix, args.word))
-            out = _element_out(root)
-            return out, 0, {"result": out}
+            x = _element(matrix, args.word)
+            d = (palindromes.decompose if cmd == "decompose"
+                 else palindromes.decompose_rev_tau)(x)
         y_out = _element_out(d.y)
-        if cmd == "symmetrize":
-            original = palindromes.PalDecomposition(
-                y=_element(matrix, args.y_word),
-                I=_parse_set(args.generators))
-            recon = group.eq(palindromes.reconstruct(d),
-                             palindromes.reconstruct(original))
-        else:
-            recon = group.eq(palindromes.reconstruct(d),
-                             _element(matrix, args.word))
-        text = f"y = {y_out}\nI = {_format_set(d.I)}"
-        return text, 0, {"result": {"y": y_out, "I": sorted(d.I),
-                                    "reconstruction": recon}}
+        recon = group.eq(palindromes.reconstruct(d), x)
+        return f"y = {y_out}\nI = {_format_set(d.I)}", 0, {
+            "y": y_out, "I": sorted(d.I), "reconstruction": recon}
 
     if cmd in ("sign", "cmp"):
         cap = orderings.DEFAULT_HANDLE_CAP if args.budget is None else args.budget
         handle = orderings.order_for_matrix(matrix, args.order, cap)
         if cmd == "sign":
-            s = handle.sign(_element(matrix, args.word))
-            return s.name, 0, {"result": s.name}
-        c = handle.compare(_element(matrix, args.word1),
-                           _element(matrix, args.word2))
-        return c.value, 0, {"result": c.value}
+            out = handle.sign(_element(matrix, args.word)).name
+        else:
+            out = handle.compare(_element(matrix, args.word1),
+                                 _element(matrix, args.word2)).value
+        return out, 0, out
 
     if cmd == "oracle-eq":
         P = _load_presentation(matrix, args)
-        verdict = oracle.equals_oracle(P, parse_word(args.word1),
-                                       parse_word(args.word2), **_oracle_caps(args))
-        return str(verdict).lower(), 0 if verdict else 1, {"result": verdict}
+        return _verdict(oracle.equals_oracle(P, parse_word(args.word1),
+                                             parse_word(args.word2),
+                                             **_oracle_caps(args)))
 
     if cmd == "oracle-squarefree":
         P = _load_presentation(matrix, args)
-        verdict = oracle.square_free_oracle(P, parse_word(args.word),
-                                            **_oracle_caps(args))
-        return str(verdict).lower(), 0 if verdict else 1, {"result": verdict}
+        return _verdict(oracle.square_free_oracle(P, parse_word(args.word),
+                                                  **_oracle_caps(args)))
 
     if cmd == "oracle-decomps":
         if args.presentation is not None:
@@ -286,33 +270,26 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[object, int, dict]:
         w = matrix.check_word(parse_word(args.word), positive=True)
         deltas = oracle.artin_deltas(matrix, max_len=len(w))
         res = oracle.all_pal_decompositions(P, w, deltas, **_oracle_caps(args))
-        lines = [f"y = {format_word(y)} ; I = {_format_set(i)}" for y, i in res]
-        return "\n".join(lines) if lines else "none", 0 if lines else 1, {
-            "result": [{"y": format_word(y), "I": sorted(i)} for y, i in res]
-        }
+        records = [{"y": format_word(y), "I": sorted(i)} for y, i in res]
+        text = "\n".join(f"y = {r['y']} ; I = {_format_set(r['I'])}" for r in records)
+        return text or "none", 0 if records else 1, records
 
-    if cmd == "weyl-order":
+    if cmd in ("weyl-order", "weyl-involutions"):
         rep = weyl.build_root_system(matrix)
-        cap = args.budget if args.budget is not None else 1_000_000
-        n = len(weyl.enumerate_group(rep, cap))
-        return str(n), 0, {"result": n}
-
-    if cmd == "weyl-involutions":
-        rep = weyl.build_root_system(matrix)
-        cap = args.budget if args.budget is not None else 1_000_000
-        todo = [g for g in weyl.enumerate_group(rep, cap) if weyl.is_involution(g)]
-        todo.sort(key=lambda g: (len(g.word), g.word))
-        lines = [f"involutions {len(todo)}"]
+        cap = 1_000_000 if args.budget is None else args.budget
+        elements = weyl.enumerate_group(rep, cap)
+        if cmd == "weyl-order":
+            return str(len(elements)), 0, len(elements)
+        todo = sorted((g for g in elements if weyl.is_involution(g)),
+                      key=lambda g: (len(g.word), g.word))
         records = []
         for g in todo:
             d = palindromes.involution_lift(matrix, g)
-            y_out = _element_out(d.y)
-            lines.append(
-                f"w = {format_word(g.word)} : y = {y_out} ; I = {_format_set(d.I)}"
-            )
-            records.append({"w": format_word(g.word), "y": y_out,
+            records.append({"w": format_word(g.word), "y": _element_out(d.y),
                             "I": sorted(d.I)})
-        return "\n".join(lines), 0, {"result": records}
+        lines = [f"w = {r['w']} : y = {r['y']} ; I = {_format_set(r['I'])}"
+                 for r in records]
+        return "\n".join([f"involutions {len(todo)}", *lines]), 0, records
 
     raise ArtinError(f"internal: unhandled subcommand {cmd!r}")
 
@@ -322,11 +299,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv, argparse.Namespace(**_DEFAULTS))
     try:
         matrix = _resolve_matrix(ap, args)
-        text, code, payload = _run(matrix, args)
-    except ArtinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+        text, code, result = _run(matrix, args)
+    except (ArtinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # the process boundary: never a traceback
@@ -334,24 +308,16 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {reason}", file=sys.stderr)
         return 4
     if args.as_json:
-        record = {
+        print(json.dumps({
             "command": args.command,
             "inputs": {
                 "type": args.type_name or args.matrix_file,
-                "args": [a for a in (
-                    getattr(args, "word", None),
-                    getattr(args, "word1", None),
-                    getattr(args, "word2", None),
-                    getattr(args, "generator", None),
-                    getattr(args, "generators", None),
-                    getattr(args, "y_word", None),
-                ) if a is not None],
+                "args": [getattr(args, name) for name in _COMMANDS[args.command][0]],
                 "order": args.order,
                 "opp": args.opp,
             },
-        }
-        record.update(payload)
-        print(json.dumps(record, sort_keys=True))
+            "result": result,
+        }, sort_keys=True))
     else:
         print(text)
     return code

@@ -56,19 +56,18 @@ def pal(x: GroupElement) -> GroupElement:
     return group.mult(x, group.rev(x))
 
 
-def _positive_core(x: GroupElement) -> tuple[PositiveWord, int]:
-    """(z, half) for N = 2 * half, the least even exponent >= x.k: z =
-    Delta^(2N - 2k) x.p spells Delta^(2N) x, and as Delta^N is central, z =
+def _core(x: GroupElement) -> tuple[GroupElement, int]:
+    """(z, half) with z = Delta^(2N) x for N = 2 * half, the least even
+    exponent >= x.k.  z is positive, and as Delta^N is central, z =
     u Delta_I rev(u) gives x = y Delta_I rev(y) with y = Delta^-N u."""
-    mat = x.matrix
     half = (x.k + 1) // 2
-    pad = 2 * (2 * half - x.k)
-    d = monoid.ambient_delta(mat)
-    return PositiveWord(mat, d.letters * pad + x.p), half
+    shift = group.make(x.matrix, half, ())  # Delta^-N
+    return group.mult(x, group.inv(group.mult(shift, shift))), half
 
 
-def _peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Deterministic decomposition of a positive palindromic word.
+def _peel(x: GroupElement, block) -> PalDecomposition:
+    """Deterministic decomposition of a palindrome x, peeled off the
+    positive word w = z.p of its core.
 
     Loop: if w equals Delta_{S(w)} stop with I = S(w); otherwise take the
     smallest s finishing the tail Delta_S \\ w, J = block(s), and continue
@@ -77,18 +76,20 @@ def _peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Delta_S, left-divides w / s = rev(s \\ w).  When J = {s, tau(s)}, w, S
     and the tail are tau-stable, so Delta_J finishes the tail and starts w.
     a inherits palindromicity (and tau-stability) by two-sided
-    cancellation.  Returns the concatenated Delta_J words and I.
+    cancellation.  y is Delta^-N times the concatenated Delta_J words.
     """
-    mat = w.matrix
+    mat = x.matrix
+    z, half = _core(x)
+    w = monoid.word(mat, z.p)
     prefix: list[int] = []
     while True:
-        s_set = monoid.starting_set(w)
-        d = _delta_word(mat, s_set)
-        if len(d) == len(w):
-            return tuple(prefix), tuple(sorted(s_set))
-        cuts = ((s, monoid.rev(monoid.left_extract(w, s))) for s in s_set)
-        s = next((s for s, cut in cuts if all(
-            monoid.left_extract(cut, t) is not None for t in s_set)), None)
+        # s \ w for every s in S(w), each extracted once
+        cuts = {s: q for s in sorted(set(w.letters))
+                if (q := monoid.left_extract(w, s)) is not None}
+        if len(_delta_word(mat, cuts)) == len(w):
+            break
+        s = next((s for s, q in cuts.items() if all(
+            monoid.left_extract(monoid.rev(q), t) is not None for t in cuts)), None)
         if s is None:
             raise ArtinError("internal: nonempty tail has a finishing letter")
         dj = _delta_word(mat, block(s))
@@ -98,18 +99,17 @@ def _peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
             raise ArtinError("internal: Delta_J starts and finishes w")
         prefix.extend(dj.letters)
         w = monoid.rev(a)
+    d = PalDecomposition(y=group.make(mat, half, prefix), I=tuple(cuts))
+    if not group.eq(reconstruct(d), x):
+        raise ArtinError("internal: decomposition failed to reconstruct")
+    return d
 
 
 def decompose(x: GroupElement) -> PalDecomposition:
     """Some (y, I) with x = y * Delta_I * rev(y); deterministic."""
     if not group.is_palindrome(x):
         raise NotPalindromeError("decompose needs rev(x) = x")
-    core, half = _positive_core(x)
-    letters, subset = _peel(core, lambda s: (s,))
-    d = PalDecomposition(y=group.make(x.matrix, half, letters), I=subset)
-    if not group.eq(reconstruct(d), x):
-        raise ArtinError("internal: decomposition failed to reconstruct")
-    return d
+    return _peel(x, lambda s: (s,))
 
 
 def unpal(x: GroupElement) -> GroupElement:
@@ -141,9 +141,8 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
     if not group.is_palindrome(x):
         raise NotPalindromeError("decomposition search needs rev(x) = x")
     mat = x.matrix
-    half = (x.k + 1) // 2
-    shift = group.make(mat, half, ())  # Delta^-N, central, as in _positive_core
-    core = group.mult(x, group.inv(group.mult(shift, shift)))  # Delta^(2N) x
+    core, half = _core(x)
+    shift = group.make(mat, half, ())  # Delta^-N, central
     gens = {s: group.from_word(mat, (s,)) for s in mat.generators}
     invs = {s: group.inv(g) for s, g in gens.items()}
     cap = _SEARCH_BUDGET if budget is None else budget
@@ -231,14 +230,8 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
         raise NotPalindromeError("decompose_rev_tau needs rev(x) = x")
     if not group.eq(group.tau(x), x):
         raise NotTauInvariantError("decompose_rev_tau needs tau(x) = x")
-    mat = x.matrix
-    perm = monoid.compute_tau_perm(mat)
-    core, half = _positive_core(x)
-
-    prefix, subset = _peel(core, lambda s: (s, perm[s - 1]))
-    d = PalDecomposition(y=group.make(mat, half, prefix), I=subset)
-    if not group.eq(reconstruct(d), x):
-        raise ArtinError("internal: rev-tau decomposition reconstruction")
+    perm = monoid.compute_tau_perm(x.matrix)
+    d = _peel(x, lambda s: (s, perm[s - 1]))
     if not group.eq(group.tau(d.y), d.y):
         raise ArtinError("internal: rev-tau decomposition tau(y) = y")
     if tuple(sorted(perm[i - 1] for i in d.I)) != d.I:
@@ -380,9 +373,12 @@ def involution_lift(matrix: CoxeterMatrix, target) -> PalDecomposition:
     record s.  For an involution a right descent is a left descent, so each
     step shortens w by 2; the loop ends at w0(I) for
     I = {s : w(alpha_s) = -alpha_s}, and y is the recorded word (Richardson,
-    Bull. Austral. Math. Soc. 26 (1982); Geck-Pfeiffer (2000), Thm 3.2.9)."""
+    Bull. Austral. Math. Soc. 26 (1982); Geck-Pfeiffer (2000), Thm 3.2.9).
+    A target outside W raises PreconditionError."""
     rep = weyl.build_root_system(matrix)
     perm = target.perm if isinstance(target, weyl.WElement) else tuple(target)
+    if len(perm) != rep.degree or set(perm) != set(range(rep.degree)):
+        raise PreconditionError("involution_lift needs a permutation of the roots")
     if weyl.compose(perm, perm) != rep.identity().perm:
         raise PreconditionError("involution_lift needs an element of order <= 2")
 
@@ -390,14 +386,18 @@ def involution_lift(matrix: CoxeterMatrix, target) -> PalDecomposition:
     refl = rep.simple_reflections
     minus = [r[i] for i, r in enumerate(refl)]  # the index of -alpha_(i+1)
     # s w s = w iff w(alpha_s) = +-alpha_s: a step needs w(alpha_s) < 0, not -alpha_s
+    # no involution of W is longer than |Phi+| = degree / 2, so a longer
+    # descent, or one that ends away from w0(I), starts outside W
     w, letters = perm, []
     while (i := next((i for i, m in enumerate(minus)
                       if negative[w[i]] and w[i] != m), None)) is not None:
+        if len(letters) == rep.degree // 4:
+            raise PreconditionError("involution_lift needs an element of W")
         w = weyl.compose(refl[i], weyl.compose(w, refl[i]))
         letters.append(i + 1)
     subset = tuple(i + 1 for i, m in enumerate(minus) if w[i] == m)
     if weyl.image(rep, _delta_word(matrix, subset).letters).perm != w:
-        raise ArtinError("internal: descent must end at a parabolic longest element")
+        raise PreconditionError("involution_lift needs an element of W")
     out = PalDecomposition(y=group.make(matrix, 0, letters), I=subset)
     if group.w_image(reconstruct(out)).perm != perm:
         raise ArtinError("internal: lift image mismatch")

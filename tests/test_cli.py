@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,16 @@ def test_transcript_battery_runs():
     assert "error:" in text  # the battery includes failure cases on purpose
 
 
+def test_transcript_matches_golden():
+    """The transcript recorded in tests/data, byte for byte; after an
+    intended output change, record it again with
+    `python3 scripts/cli_transcript.py > tests/data/cli_transcript.txt`."""
+    from scripts.cli_transcript import run_transcript
+
+    golden = Path(__file__).parent / "data" / "cli_transcript.txt"
+    assert run_transcript() == golden.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("exc_type", [RuntimeError, RecursionError])
 def test_internal_errors_exit_4(capsys, monkeypatch, exc_type):
     def broken(x):
@@ -404,3 +415,26 @@ def test_fuzz_subcommand(mixed_file, cmd, data):
     assert code in (0, 1, 2, 3), (argv, err)
     if code == 3:
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+# valid A3 positionals for every subcommand, each answering with a record
+VALID_ARGS = {
+    "eq": ["1 2 1", "2 1 2"], "nf": ["2 1 3 2"], "extract": ["1", "1 2 1"],
+    "lcm": ["1", "2"], "delta": ["1 3"], "sset": ["2 1 3 2"],
+    "fset": ["2 1 3 2"], "rev": ["1 2 -3"], "tau": ["1"], "pal": ["1 2"],
+    "unpal": ["1 2 2 1"], "is-pal": ["1 2"], "is-pure": ["1 -1"],
+    "decompose": ["2 1 3 2"], "decompose-canonical": ["2 1 3 2"],
+    "decompose-tau": ["2 1 3 2"], "symmetrize": ["2", "1"],
+    "delta-assoc": ["1 2 1 3 2 1"], "sign": ["1 -2"], "cmp": ["1 2", "1 1"],
+    "oracle-eq": ["1 2 1", "2 1 2"], "oracle-decomps": ["1 2 1 3 2 1"],
+    "oracle-squarefree": ["1 2 1"], "weyl-order": [], "weyl-involutions": [],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(SUBCOMMAND_ARGS))
+def test_json_inputs_args_in_command_line_order(capsys, cmd):
+    code, out, err = run(capsys, "--type", "A3", "--json", cmd, *VALID_ARGS[cmd])
+    assert code in (0, 1) and err == ""
+    record = json.loads(out)
+    assert record["command"] == cmd
+    assert record["inputs"]["args"] == VALID_ARGS[cmd]

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -429,6 +430,30 @@ def test_involution_lift_never_enumerates(monkeypatch):
     # descent lifts A3's s2 as Delta_{2}; the enumeration gave y = 1 2, I = {1}
     d = involution_lift(A3, weyl.image(weyl.build_root_system(A3), (2,)))
     assert d.I == (2,) and group.eq(d.y, group.identity(A3))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_involution_lift_rejects_involutions_outside_w(name):
+    """Every involutive permutation of the roots that is not in W raises,
+    without looping: 72 in A2, 758 in B2."""
+    mat = coxeter.named_matrix(name)
+    rep = weyl.build_root_system(mat)
+    in_w = {g.perm for g in weyl.enumerate_group(rep, 1000)}
+    identity = rep.identity().perm
+    outside = [p for p in itertools.permutations(range(rep.degree))
+               if weyl.compose(p, p) == identity and p not in in_w]
+    assert len(outside) == {"A2": 72, "B2": 758}[name]
+    start = time.perf_counter()
+    for p in outside:
+        with pytest.raises(PreconditionError):
+            involution_lift(mat, p)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_involution_lift_rejects_non_permutations():
+    for target in ((5,), (), (0, 0, 2, 3, 4, 5), tuple(range(7))):
+        with pytest.raises(PreconditionError):
+            involution_lift(A2, target)
 
 
 def test_core_search_never_extracts(monkeypatch):
