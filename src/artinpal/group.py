@@ -269,7 +269,7 @@ def delta_element(matrix: CoxeterMatrix) -> GroupElement:
 
 
 def _check_same(a: GroupElement, b: GroupElement):
-    if a.matrix != b.matrix:
+    if a.matrix is not b.matrix and a.matrix != b.matrix:
         raise InvalidWordError("operands live over different matrices")
 
 

@@ -3,10 +3,12 @@
 Everything here works for an arbitrary Coxeter matrix (finite labels or
 not); only the fundamental elements need finite-type parabolics.  The
 basic decision procedure is generator left-extraction: a rewriting scheme,
-run over an explicit stack of nested extractions, that either exhibits
-w = s * w'' or certifies that the generator s is not a left divisor of w.
-Equality, divisibility, starting sets, least common multiples and the
-normal form are all built on it.
+run in place over an explicit stack of nested extractions, that rewrites a
+window w[lo:hi] of a list either into s * w'' or, when the generator s is
+not a left divisor of it, into some equal word.  Equality, divisibility,
+starting sets and the normal form are built on it, each on one buffer that
+successive extractions rewrite; least common multiples come from
+signed-word reversing.
 """
 
 from __future__ import annotations
@@ -71,18 +73,21 @@ def rev(w: PositiveWord) -> PositiveWord:
     return _trusted(w.matrix, w.letters[::-1])
 
 
-def blocking_left_index(w: PositiveWord, position: int) -> int:
-    """Count letters strictly left of `position` (1-indexed) that do not
-    commute with the letter there (label >= 3, including inf)."""
-    if not 1 <= position <= len(w.letters):
-        raise InvalidWordError(f"position {position} out of range")
-    s = w.letters[position - 1]
-    return sum(1 for t in w.letters[: position - 1] if w.matrix.m(t, s) >= 3)
+@lru_cache(maxsize=None)
+def _rules(matrix: CoxeterMatrix) -> tuple:
+    """rules[x][t] for generators x != t: None when they commute, () when
+    their label is inf, else the alternating word (x, t, x, ...) of length m."""
+    return ((),) + tuple(
+        (None,) + tuple(None if m <= 2 else () if m == INF else _alt(x, t, m)
+                        for t, m in enumerate(row, 1))
+        for x, row in enumerate(matrix.entries, 1))
 
 
-def _extract(mat: CoxeterMatrix, source: list[int], s: int) -> list[int] | None:
-    """Left-extraction core: return w'' with source = s * w'', or None.
-
+def _extract(rules: tuple, w: list[int], s: int, lo: int, hi: int) -> bool:
+    """Left-extraction in place: rewrite the window w[lo:hi] into an equal
+    word starting with s and return True, or return False if s does not
+    left-divide it.  Each step is a commutation or a full relation, so the
+    window stays equal to its input, also on failure; w outside it is kept.
     Deterministic strategy: track the leftmost occurrence of s (relations
     never create or destroy occurrences of a letter, so absence is final).
     Commute it past label-2 neighbors; at a label-m >= 3 blocker t, first
@@ -92,58 +97,61 @@ def _extract(mat: CoxeterMatrix, source: list[int], s: int) -> list[int] | None:
     dead end: no relation can ever move s past it, and the tracked
     occurrence is the leftmost, so s cannot surface.
 
-    The continuations nest, so the work is an explicit stack of frames on
-    one list w.  A frame [base, letter, i, j] moves its letter from w[i] to
-    w[base] and rewrites only w[base:]; j counts the continuation letters
-    it has placed at the current blocker.  Any failing frame fails the
-    whole call.
+    The continuations nest, so the work is an explicit stack of frames.  A
+    frame [base, letter, i, j] moves its letter from w[i] to w[base] and
+    rewrites only w[base:hi]; j counts the continuation letters it has
+    placed at the current blocker.  Any failing frame fails the whole call.
     """
-    if s not in source:
-        return None
-    w = list(source)
-    stack = [[0, s, w.index(s), 0]]
+    try:
+        stack = [[lo, s, w.index(s, lo, hi), 0]]
+    except ValueError:
+        return False
     while stack:
-        frame = stack[-1]
-        base, x, i, j = frame
+        base, x, i, j = frame = stack[-1]
         if i == base:
             stack.pop()
             continue
         t = w[i - 1]
-        m = mat.m(x, t)
-        if m == 2:
+        r = rules[x][t]
+        if r is None:
             w[i - 1], w[i] = x, t
             frame[2] = i - 1
-        elif m == INF:
-            return None
-        elif j < m - 2:
-            c = t if j % 2 == 0 else x
+        elif not r:
+            return False
+        elif j < len(r) - 2:
             pos = i + 1 + j
             try:
-                k = w.index(c, pos)
+                k = w.index(r[j + 1], pos, hi)
             except ValueError:
-                return None
+                return False
             frame[3] = j + 1
-            stack.append([pos, c, k, 0])
+            stack.append([pos, r[j + 1], k, 0])
         else:
-            w[i - 1 : i - 1 + m] = _alt(x, t, m)
+            w[i - 1 : i - 1 + len(r)] = r
             frame[2], frame[3] = i - 1, 0
-    return w[1:]
+    return True
 
 
 def left_extract(w: PositiveWord, s: int) -> PositiveWord | None:
     """If s left-divides w, return some w'' with w = s * w''; else None."""
     if not 1 <= s <= w.matrix.rank:
         raise InvalidWordError(f"generator {s} out of range")
-    out = _extract(w.matrix, list(w.letters), s)
-    return None if out is None else _trusted(w.matrix, tuple(out))
+    return divides_left(_trusted(w.matrix, (s,)), w)
+
+
+def _heads(rules: tuple, w: list[int], lo: int, hi: int) -> tuple[int, ...]:
+    """The starting set of the window w[lo:hi], extracted on the window."""
+    return tuple(s for s in sorted(set(w[lo:hi])) if _extract(rules, w, s, lo, hi))
+
+
+def _divides(rules: tuple, w: list[int], letters, lo: int, hi: int) -> bool:
+    """Whether the letters, the k-th extracted at lo + k, left-divide w[lo:hi]."""
+    return all(_extract(rules, w, t, lo + k, hi) for k, t in enumerate(letters))
 
 
 def starting_set(w: PositiveWord) -> tuple[int, ...]:
     """Generators that left-divide w, sorted."""
-    mat, letters = w.matrix, list(w.letters)
-    return tuple(
-        s for s in sorted(set(letters)) if _extract(mat, letters, s) is not None
-    )
+    return _heads(_rules(w.matrix), list(w.letters), 0, len(w.letters))
 
 
 def finishing_set(w: PositiveWord) -> tuple[int, ...]:
@@ -152,35 +160,28 @@ def finishing_set(w: PositiveWord) -> tuple[int, ...]:
 
 
 def _check_same_matrix(u: PositiveWord, v: PositiveWord):
-    if u.matrix != v.matrix:
+    if u.matrix is not v.matrix and u.matrix != v.matrix:
         raise InvalidWordError("operands live over different matrices")
 
 
 def divides_left(u: PositiveWord, v: PositiveWord) -> PositiveWord | None:
     """Quotient u\\v with v = u * (u\\v) in the monoid, or None.
 
-    Extracts the letters of u from v one at a time; sound because each
-    successful extraction is an equality in the monoid, complete because
-    extraction decides one-generator divisibility.
+    Extracts the letters of u from one copy of v, the k-th at position k;
+    sound because each successful extraction is an equality in the monoid,
+    complete because extraction decides one-generator divisibility.
     """
     _check_same_matrix(u, v)
-    if len(u.letters) > len(v.letters):
+    n, buf = len(u.letters), list(v.letters)
+    if n > len(buf) or not _divides(_rules(u.matrix), buf, u.letters, 0, len(buf)):
         return None
-    cur = list(v.letters)
-    for s in u.letters:
-        nxt = _extract(u.matrix, cur, s)
-        if nxt is None:
-            return None
-        cur = nxt
-    return _trusted(u.matrix, tuple(cur))
+    return _trusted(u.matrix, tuple(buf[n:]))
 
 
 def equals(u: PositiveWord, v: PositiveWord) -> bool:
     """Monoid equality: length check, then consume u's letters from v."""
     _check_same_matrix(u, v)
-    if len(u.letters) != len(v.letters):
-        return False
-    return divides_left(u, v) is not None
+    return len(u.letters) == len(v.letters) and divides_left(u, v) is not None
 
 
 def right_lcm(u: PositiveWord, v: PositiveWord,
@@ -290,22 +291,16 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
     whenever two generators left-divide w they admit a common multiple
     (namely w), so Delta_{S(w)} always exists and divides w.
     """
-    out = []
-    cur = w
-    while cur.letters:
-        heads = starting_set(cur)
-        d = delta(cur.matrix, heads)
-        if d is None:
+    rules, buf = _rules(w.matrix), list(w.letters)
+    out, lo, hi = [], 0, len(buf)
+    while lo < hi:
+        heads = _heads(rules, buf, lo, hi)
+        d = delta(w.matrix, heads)
+        if d is None or not _divides(rules, buf, d.letters, lo, hi):
             raise DeltaUndefinedError(
-                "internal: Delta over a starting set must exist"
-            )
-        q = divides_left(d, cur)
-        if q is None:
-            raise DeltaUndefinedError(
-                "internal: Delta over the starting set must divide the word"
-            )
+                "internal: Delta over the starting set must exist and divide the word")
+        lo += len(d.letters)
         out.append(heads)
-        cur = q
     return tuple(out)
 
 

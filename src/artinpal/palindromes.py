@@ -26,7 +26,6 @@ from .errors import (
     SearchExhaustedError,
 )
 from .group import GroupElement
-from .monoid import PositiveWord
 
 _SEARCH_BUDGET = 200_000
 
@@ -45,7 +44,7 @@ def reconstruct(d: PalDecomposition) -> GroupElement:
     return group.mult(group.mult(d.y, group.from_positive(d_i)), group.rev(d.y))
 
 
-def _delta_word(mat: CoxeterMatrix, subset) -> PositiveWord:
+def _delta_word(mat: CoxeterMatrix, subset) -> monoid.PositiveWord:
     d = monoid.delta(mat, subset)
     if d is None:
         raise ArtinError("internal: parabolic delta must exist in finite type")
@@ -67,7 +66,8 @@ def _core(x: GroupElement) -> tuple[GroupElement, int]:
 
 def _peel(x: GroupElement, block) -> PalDecomposition:
     """Deterministic decomposition of a palindrome x, peeled off the
-    positive word w = z.p of its core.
+    positive word of its core: one list, whose window [lo, hi) holds the
+    palindrome w still to peel and is rewritten in place into equal words.
 
     Loop: if w equals Delta_{S(w)} stop with I = S(w); otherwise take the
     smallest s finishing the tail Delta_S \\ w, J = block(s), and continue
@@ -80,26 +80,31 @@ def _peel(x: GroupElement, block) -> PalDecomposition:
     """
     mat = x.matrix
     z, half = _core(x)
-    w = monoid.word(mat, z.p)
-    prefix: list[int] = []
+    rules, buf = monoid._rules(mat), list(z.p)
+    lo, hi, prefix = 0, len(buf), []
     while True:
-        # s \ w for every s in S(w), each extracted once
-        cuts = {s: q for s in sorted(set(w.letters))
-                if (q := monoid.left_extract(w, s)) is not None}
-        if len(_delta_word(mat, cuts)) == len(w):
+        s_set = monoid._heads(rules, buf, lo, hi)
+        if len(_delta_word(mat, s_set)) == hi - lo:
             break
-        s = next((s for s, q in cuts.items() if all(
-            monoid.left_extract(monoid.rev(q), t) is not None for t in cuts)), None)
-        if s is None:
+        for s in s_set:
+            # s \ w reversed is w / s on [lo, hi - 1); s goes last and leads
+            # it, so that for J = {s} both extractions below find s in place
+            monoid._extract(rules, buf, s, lo, hi)
+            buf[lo:hi] = buf[lo:hi][::-1]
+            if all(monoid._extract(rules, buf, t, lo, hi - 1)
+                   for t in [t for t in s_set if t != s] + [s]):
+                break
+        else:
             raise ArtinError("internal: nonempty tail has a finishing letter")
-        dj = _delta_word(mat, block(s))
-        q = monoid.divides_left(dj, w)
-        a = None if q is None else monoid.divides_left(dj, monoid.rev(q))
-        if a is None:
-            raise ArtinError("internal: Delta_J starts and finishes w")
-        prefix.extend(dj.letters)
-        w = monoid.rev(a)
-    d = PalDecomposition(y=group.make(mat, half, prefix), I=tuple(cuts))
+        dj = _delta_word(mat, block(s)).letters
+        # Delta_J \ w = a Delta_J, reversed Delta_J a; then a, equal to its reverse
+        for _ in range(2):
+            if not monoid._divides(rules, buf, dj, lo, hi):
+                raise ArtinError("internal: Delta_J starts and finishes w")
+            lo += len(dj)
+            buf[lo:hi] = buf[lo:hi][::-1]
+        prefix.extend(dj)
+    d = PalDecomposition(y=group.make(mat, half, prefix), I=s_set)
     if not group.eq(reconstruct(d), x):
         raise ArtinError("internal: decomposition failed to reconstruct")
     return d

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpal import coxeter, monoid
+from artinpal import coxeter, monoid, oracle
 from artinpal.errors import (
     BudgetExceededError,
     DeltaUndefinedError,
@@ -13,7 +15,6 @@ from artinpal.monoid import (
     PositiveWord,
     ambient_delta,
     apply_tau,
-    blocking_left_index,
     compute_tau_perm,
     delta,
     divides_left,
@@ -80,18 +81,6 @@ def test_rev():
     assert rev(u * v) == rev(v) * rev(u)
 
 
-def test_blocking_left_index():
-    w = word(A3, (1, 3, 2))
-    # both 1 and 3 fail to commute with 2 in A3
-    assert blocking_left_index(w, 3) == 2
-    assert blocking_left_index(w, 2) == 0  # m(1,3) = 2
-    assert blocking_left_index(w, 1) == 0
-    with pytest.raises(InvalidWordError):
-        blocking_left_index(w, 4)
-    with pytest.raises(InvalidWordError):
-        blocking_left_index(w, 0)
-
-
 def test_left_extract_examples():
     out = left_extract(word(A2, (2, 1, 2)), 1)
     assert out is not None and equals(word(A2, (1,)) * out, word(A2, (2, 1, 2)))
@@ -111,6 +100,36 @@ def test_extract_is_sound_and_detects_heads(w, s):
         assert divides_left(head, w) is None
     else:
         assert equals(head * out, w)
+
+
+def _all_words(rank, max_len):
+    words, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + (x,) for w in frontier for x in range(1, rank + 1)]
+        words += frontier
+    return words
+
+
+@pytest.mark.parametrize("mat, max_len", [
+    (A3, 7), (coxeter.builtin("B", 3), 7), (coxeter.builtin("H3"), 7), (MIXED, 6),
+], ids=["A3", "B3", "H3", "MIXED"])
+def test_extract_rewrites_its_window_in_place(mat, max_len):
+    # every positive word, over its full window and one seeded inner window
+    P = oracle.presentation_from_matrix(mat)
+    rules = monoid._rules(mat)
+    rng = random.Random(max_len * 10 + mat.rank)
+    for w in _all_words(mat.rank, max_len):
+        lo = rng.randint(0, len(w))
+        for a, b in ((0, len(w)), (lo, rng.randint(lo, len(w)))):
+            window = w[a:b]
+            members = oracle.class_of(P, window).members
+            for s in mat.generators:
+                buf = list(w)
+                found = monoid._extract(rules, buf, s, a, b)
+                assert found == oracle.divides_left_oracle(P, (s,), window)
+                assert tuple(buf[a:b]) in members
+                assert not found or buf[a] == s
+                assert buf[:a] == list(w[:a]) and buf[b:] == list(w[b:])
 
 
 def test_starting_finishing_sets():
