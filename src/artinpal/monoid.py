@@ -318,9 +318,3 @@ def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
     return tuple(refl.index(weyl.compose(w0, weyl.compose(r, w0))) + 1
                  for r in refl)
 
-
-def apply_tau(w: PositiveWord) -> PositiveWord:
-    """Letterwise tau; a monoid automorphism in finite type."""
-    perm = compute_tau_perm(w.matrix)
-    return _trusted(w.matrix, tuple(perm[x - 1] for x in w.letters))
-

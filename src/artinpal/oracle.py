@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coxeter import CoxeterMatrix, format_word, is_finite_type, parse_word
+from .coxeter import CoxeterMatrix, is_finite_type, parse_word
 from .errors import BudgetExceededError, PreconditionError
 
 DEFAULT_CLASS_CAP = 1_000_000
@@ -339,12 +339,3 @@ def parse_presentation(text: str) -> Presentation:
     if ngens is None:
         raise PreconditionError("missing gens line")
     return Presentation(ngens, tuple(relations))
-
-
-def serialize_presentation(P: Presentation) -> str:
-    lines = [f"gens {P.ngens}"]
-    for lhs, rhs in P.relations:
-        lines.append(
-            f"rel {format_word(lhs)} = {format_word(rhs)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -5,8 +5,9 @@ Every routine reduces group-level input to a positive palindromic word by
 clearing denominators with a central power of Delta: if x = Delta^(-2k) p,
 the smallest even N >= k makes z = Delta^(2N) x positive, Delta^N central
 and rev-fixed, and any positive decomposition z = u Delta_I rev(u) shifts
-back to x = (Delta^(-N) u) Delta_I rev(Delta^(-N) u).  The peeling
-recursions below therefore only ever touch positive words and elements.
+back to x = (Delta^(-N) u) Delta_I rev(Delta^(-N) u).  The peel and the
+decomposition search below therefore only ever touch positive words and
+elements.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import group, monoid, weyl
-from .coxeter import INF, CoxeterMatrix, _alt
+from .coxeter import CoxeterMatrix, _alt
 from .errors import (
     ArtinError,
     BudgetExceededError,
@@ -28,6 +29,7 @@ from .errors import (
 from .group import GroupElement
 
 _SEARCH_BUDGET = 200_000
+_TAU_STATE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -136,59 +138,49 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
     canonical even denominator-clearing exponent N.
 
     Returns a deterministically ordered tuple of PalDecomposition.  The
-    search runs on normal forms: a core z, first Delta^(2N) x, is its own
-    memo key; z = Delta_S(z) is a base case; each s in S(z) = F(z) peels to
-    s^-1 rev(s^-1 z) = s^-1 z s^-1 when that is positive.  Each core's
-    search is a generator that yields the inner cores it needs and is sent
-    their results, driven depth first over an explicit stack, so the depth
-    of the peel is not bounded by the Python stack.
+    search runs on normal forms in two passes over the cores z, the first
+    being Delta^(2N) x.  Collect records each distinct core once with its
+    peels: each s in S(z) = F(z) peels to s^-1 rev(s^-1 z) = s^-1 z s^-1
+    when that is positive.  The budget counts the recorded cores.  Combine
+    visits the cores shortest first, so the inner cores, two letters
+    shorter, are done before z; z lists (e, S(z)) when z = Delta_S(z), then
+    (s y', I) for each peel s in order and each (y', I) of its inner core,
+    each pair once.
     """
     if not group.is_palindrome(x):
         raise NotPalindromeError("decomposition search needs rev(x) = x")
     mat = x.matrix
     core, half = _core(x)
-    shift = group.make(mat, half, ())  # Delta^-N, central
     gens = {s: group.from_word(mat, (s,)) for s in mat.generators}
     invs = {s: group.inv(g) for s, g in gens.items()}
     cap = _SEARCH_BUDGET if budget is None else budget
-    memo: dict = {}
-    spent = 0
-
-    def search(z: GroupElement):
-        nonlocal spent
-        spent += 1
-        if spent > cap:
+    cores: dict = {}  # z -> (|z|, S(z), [(s, inner core)])
+    todo = [core]
+    while todo:
+        z = todo.pop()
+        if z in cores:
+            continue
+        if len(cores) >= cap:
             raise BudgetExceededError("decomposition search budget exhausted")
-        # (y, I) in order of discovery, each once
-        found: dict = {}
-        s_set = group.starting_set(z)
-        if group.length(z) == len(_delta_word(mat, s_set)):
-            found[group.identity(mat), s_set] = None
+        s_set, peels = group.starting_set(z), []
         for s in s_set:
             inner = group.mult(invs[s], group.rev(group.mult(invs[s], z)))
-            if inner.inf < 0:
-                # s does not finish s^-1 z; no s a s form then
-                continue
-            for y, subset in (yield inner):
+            if inner.inf >= 0:  # else s does not finish s^-1 z
+                peels.append((s, inner))
+                todo.append(inner)
+        cores[z] = group.length(z), s_set, peels
+    pairs: dict = {}
+    for z, (n, s_set, peels) in sorted(cores.items(), key=lambda item: item[1][0]):
+        found: dict = {}  # (y, I) in order of discovery, each once
+        if n == len(_delta_word(mat, s_set)):
+            found[group.identity(mat), s_set] = None
+        for s, inner in peels:
+            for y, subset in pairs[inner]:
                 found.setdefault((group.mult(gens[s], y), subset))
-        memo[z] = tuple(found)
-        return memo[z]
-
-    stack = [search(core)]
-    result = None
-    while stack:
-        try:
-            z = stack[-1].send(result)
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-            continue
-        result = memo.get(z)
-        if result is None:
-            stack.append(search(z))
-
+        pairs[z] = tuple(found)
+    shift = group.make(mat, half, ())  # Delta^-N, central
     return tuple(PalDecomposition(y=group.mult(y, shift), I=subset)
-                 for y, subset in result)
+                 for y, subset in pairs[core])
 
 
 def canonical_decompose(x: GroupElement, order, opp: bool = False,
@@ -265,7 +257,7 @@ def _flank_words(s: int, t: int, k: int) -> tuple[tuple[int, ...], tuple[int, ..
     return _alt(t, s, k), _alt(s, t, k)
 
 
-def tau_symmetrize(d: PalDecomposition, state_cap: int = 10_000) -> PalDecomposition:
+def tau_symmetrize(d: PalDecomposition) -> PalDecomposition:
     """Rewrite a pairwise-commuting decomposition into one with tau(I) = I.
 
     Moves across an odd edge m(s,s') = 2k+1, for a pivot s in J commuting
@@ -275,7 +267,9 @@ def tau_symmetrize(d: PalDecomposition, state_cap: int = 10_000) -> PalDecomposi
     (B) swap s for s' with y <- y * D^-1 C, since
         Delta_J = (D^-1 C) Delta_{J'} rev(D^-1 C).
     Breadth-first over subsets, accepting the first tau-stable
-    pairwise-commuting J.  Exhaustion of the (finite) reachable set raises.
+    pairwise-commuting J.  Exhaustion of the (finite) reachable set raises
+    SearchExhaustedError; popping more than _TAU_STATE_BUDGET states raises
+    BudgetExceededError.
     """
     mat = d.y.matrix
     if not _pairwise_commuting(mat, d.I):
@@ -306,8 +300,8 @@ def tau_symmetrize(d: PalDecomposition, state_cap: int = 10_000) -> PalDecomposi
     while queue:
         j, y = queue.popleft()
         popped += 1
-        if popped > state_cap:
-            raise SearchExhaustedError("tau_symmetrize state cap exceeded")
+        if popped > _TAU_STATE_BUDGET:
+            raise BudgetExceededError("tau-symmetrization budget exhausted")
         if accepted(j):
             out = PalDecomposition(y=y, I=tuple(sorted(j)))
             if not group.eq(reconstruct(out), target):
@@ -320,9 +314,7 @@ def tau_symmetrize(d: PalDecomposition, state_cap: int = 10_000) -> PalDecomposi
                 if sp in j:
                     continue
                 m = mat.m(s, sp)
-                if m == 2 or m == INF or m % 2 == 0:
-                    continue
-                if any(mat.m(sp, t) != 2 for t in j if t != s):
+                if m == 2 or any(mat.m(sp, t) != 2 for t in j if t != s):
                     continue
                 dw, cw = _flank_words(s, sp, (m - 1) // 2)
                 d_elt = group.from_word(mat, dw)

@@ -13,7 +13,8 @@ import pytest
 from artinpal import coxeter, group, monoid, oracle
 from artinpal.palindromes import core_decompositions, decompose, decompose_rev_tau
 
-CASES = [("A3", 8), ("B3", 8), ("H3", 7), ("I2(5)", 10), ("D4", 7), ("A4", 6)]
+CASES = [("A3", 11), ("B3", 10), ("H3", 10), ("I2(5)", 10), ("D4", 8), ("A4", 8),
+         ("F4", 8)]
 
 
 def palindromic_classes(P, max_len):

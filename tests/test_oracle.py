@@ -20,7 +20,6 @@ from artinpal.oracle import (
     equals_oracle,
     parse_presentation,
     presentation_from_matrix,
-    serialize_presentation,
     square_free_oracle,
 )
 
@@ -178,7 +177,7 @@ def test_coxeter_order_oracle_rejects_inf(mat):
 
 
 def test_parse_serialize_presentation():
-    text = serialize_presentation(P_A3)
+    text = "gens 3\nrel 1 2 1 = 2 1 2\nrel 1 3 = 3 1\nrel 2 3 2 = 3 2 3\n"
     assert parse_presentation(text) == P_A3
     P = parse_presentation("# comment\ngens 2\nrel 1 1 = 2 2\n")
     assert P == P_XY

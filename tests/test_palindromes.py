@@ -282,17 +282,17 @@ def test_tau_symmetrize_trivial_tau_returns_input():
     assert tau_symmetrize(d) is d
 
 
-def test_tau_symmetrize_errors():
+def test_tau_symmetrize_errors(monkeypatch):
     with pytest.raises(PreconditionError):
         tau_symmetrize(PalDecomposition(y=group.identity(A3), I=(1, 2)))
     # in rank 2 with odd label, {1} can only move between {1} and {2},
     # neither of which is tau-stable
     with pytest.raises(SearchExhaustedError):
         tau_symmetrize(PalDecomposition(y=group.identity(A2), I=(1,)))
-    with pytest.raises(SearchExhaustedError):
-        tau_symmetrize(
-            PalDecomposition(y=group.identity(A3), I=(1,)), state_cap=0
-        )
+    # running out of budget proves nothing, so it is not an exhausted search
+    monkeypatch.setattr(palindromes, "_TAU_STATE_BUDGET", 0)
+    with pytest.raises(BudgetExceededError):
+        tau_symmetrize(PalDecomposition(y=group.identity(A3), I=(1,)))
 
 
 def test_delta_associated():
