@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import group, monoid, oracle, orderings, palindromes, weyl
@@ -308,7 +309,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {reason}", file=sys.stderr)
         return 4
     if args.as_json:
-        print(json.dumps({
+        text = json.dumps({
             "command": args.command,
             "inputs": {
                 "type": args.type_name or args.matrix_file,
@@ -317,9 +318,14 @@ def main(argv=None) -> int:
                 "opp": args.opp,
             },
             "result": result,
-        }, sort_keys=True))
-    else:
+        }, sort_keys=True)
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -15,6 +15,11 @@ each generator of D_L(b) \\ D_R(a) across the boundary of a pair (a, b).
 Delta^-1 moves to the front by tau, a -> w0 a w0, and an inverse letter is
 s^-1 = Delta^-1 * (w0 s).  Equality compares (inf, factors).
 
+With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
+identity past the last root, and f o g is g.translate(f): one C loop per
+composition, whatever the rank.  Larger root systems (A16, B12, D12 and
+I2(129) upwards) keep tuples composed by `weyl.compose`.
+
 The attributes k and p give the same element as a fraction: x =
 Delta^(-2k) * p with k = 0 or Delta^2 not left-dividing p.  k is the least
 exponent with 2k + inf >= 0, and p spells Delta^(2k + inf) followed by the
@@ -36,11 +41,12 @@ from .weyl import compose
 
 
 class _Simple(NamedTuple):
-    """A simple element: root permutation and its inverse, the descent sets
-    D_R and D_L as bitmasks (bit s-1 for generator s), and its length."""
+    """A simple element: root permutation and its inverse (256-byte `bytes`,
+    or tuples above 256 roots), the descent sets D_R and D_L as bitmasks
+    (bit s-1 for generator s), and its length."""
 
-    perm: tuple[int, ...]
-    inv: tuple[int, ...]
+    perm: bytes | tuple[int, ...]
+    inv: bytes | tuple[int, ...]
     right: int
     left: int
     length: int
@@ -58,7 +64,8 @@ def _simple(t: _Tables, perm, inv, length: int) -> _Simple:
 class _Tables:
     """Per-matrix tables of the normal form."""
 
-    __slots__ = ("signs", "refl", "times", "top", "delta", "twist", "gens", "co")
+    __slots__ = ("signs", "degree", "compose", "refl", "times", "ident", "top",
+                 "delta", "twist", "gens", "co")
 
     def __init__(self, matrix: CoxeterMatrix):
         rep = weyl.build_root_system(matrix)
@@ -67,22 +74,36 @@ class _Tables:
         # signs[s][j] is bit s if root j is negative
         self.signs = tuple(tuple(1 << s if x else 0 for x in negative)
                            for s in range(n))
-        self.refl = rep.simple_reflections
-        # times[s](f) = f o s_(s+1)
-        self.times = tuple(itemgetter(*r) for r in self.refl)
+        self.degree = rep.degree
+        # compose(f, g) = f o g and times[s](f) = f o s_(s+1)
+        if rep.degree <= 256:
+            # translate needs 256-byte tables; an identity tail keeps two
+            # permutations equal exactly when they move the roots alike,
+            # which twist and rev's perm == inv test compare
+            pad = bytes(range(rep.degree, 256))
+            self.refl = tuple(bytes(r) + pad for r in rep.simple_reflections)
+            self.compose = lambda f, g: g.translate(f)
+            self.times = tuple(r.translate for r in self.refl)
+            self.ident = bytes(range(256))
+        else:
+            self.refl = rep.simple_reflections
+            self.compose = compose
+            self.times = tuple(itemgetter(*r) for r in self.refl)
+            self.ident = rep.identity().perm
         # w0 is the element whose right descent set is everything
         full = (1 << n) - 1
-        w0 = rep.identity().perm
+        w0 = self.ident
         while (m := _mask(self.signs, w0)) != full:
             w0 = self.times[((m + 1) & ~m).bit_length() - 1](w0)
         self.top = rep.degree // 2  # the length of Delta
         self.delta = _Simple(w0, w0, full, full, self.top)
         # tau is the identity exactly when w0 is central
-        self.twist = any(compose(w0, compose(r, w0)) != r for r in self.refl)
+        c = self.compose
+        self.twist = any(c(w0, c(r, w0)) != r for r in self.refl)
         self.gens = tuple(_Simple(r, r, 1 << s, 1 << s, 1)
                           for s, r in enumerate(self.refl))
         # co[s] = Delta * s_(s+1)^-1, with image w0 s
-        self.co = tuple(_simple(self, compose(w0, r), compose(r, w0), self.top - 1)
+        self.co = tuple(_simple(self, c(w0, r), c(r, w0), self.top - 1)
                         for r in self.refl)
 
 
@@ -95,15 +116,15 @@ def _tables(matrix: CoxeterMatrix) -> _Tables:
 
 def _tau(t: _Tables, a: _Simple) -> _Simple:
     """Delta^-1 a Delta, image w0 a w0."""
-    w0 = t.delta.perm
-    return _simple(t, compose(w0, compose(a.perm, w0)),
-                   compose(w0, compose(a.inv, w0)), a.length)
+    w0, c = t.delta.perm, t.compose
+    return _simple(t, c(w0, c(a.perm, w0)), c(w0, c(a.inv, w0)), a.length)
 
 
 def _complement(t: _Tables, a: _Simple) -> _Simple:
     """The simple element with a^-1 = Delta^-1 * it, image w0 a^-1."""
     w0 = t.delta.perm
-    return _simple(t, compose(w0, a.inv), compose(a.perm, w0), t.top - a.length)
+    return _simple(t, t.compose(w0, a.inv), t.compose(a.perm, w0),
+                   t.top - a.length)
 
 
 def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
@@ -123,8 +144,8 @@ def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
     for s in reversed(moved[:-1]):
         u_inv = times[s](u_inv)
     m = len(moved)
-    return (_simple(t, perm, compose(u_inv, a.inv), a.length + m),
-            _simple(t, compose(u_inv, b.perm), binv, b.length - m))
+    return (_simple(t, perm, t.compose(u_inv, a.inv), a.length + m),
+            _simple(t, t.compose(u_inv, b.perm), binv, b.length - m))
 
 
 def _push(t: _Tables, factors: list, b: _Simple) -> int:
@@ -254,7 +275,8 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
             a = factors.pop()
             if a.length > 1:
                 factors.append(_simple(t, t.times[s](a.perm),
-                                       compose(t.refl[s], a.inv), a.length - 1))
+                                       t.compose(t.refl[s], a.inv),
+                                       a.length - 1))
         else:
             inf -= 1
             if t.twist:
@@ -375,7 +397,7 @@ def to_signed_word(a: GroupElement) -> tuple[int, ...]:
 def w_image(a: GroupElement) -> weyl.WElement:
     """Image of the element in the Coxeter group: w0^inf times the factors."""
     t = _tables(a.matrix)
-    acc = t.delta.perm if a.inf % 2 else tuple(range(len(t.delta.perm)))
+    acc = t.delta.perm if a.inf % 2 else t.ident
     for f in a.factors:
-        acc = compose(acc, f.perm)
-    return weyl.WElement(acc, ())
+        acc = t.compose(acc, f.perm)
+    return weyl.WElement(tuple(acc[:t.degree]), ())

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -438,3 +440,21 @@ def test_json_inputs_args_in_command_line_order(capsys, cmd):
     record = json.loads(out)
     assert record["command"] == cmd
     assert record["inputs"]["args"] == VALID_ARGS[cmd]
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+@pytest.mark.parametrize("argv, expected", [
+    (("--type", "H4", "weyl-involutions"), 0),
+    (("--type", "A3", "eq", "1 2", "2 1"), 1),
+])
+def test_closed_stdout_ends_quietly(monkeypatch, capsys, flags, argv, expected):
+    # stdout is a pipe whose reader has gone, as in `artinpal ... | head -1`:
+    # no traceback, nothing on stderr, the command's own exit code
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main([*flags, *argv]) == expected
+        closed.write("more")
+        closed.flush()  # stdout now points at devnull
+    assert capsys.readouterr().err == ""

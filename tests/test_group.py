@@ -237,3 +237,35 @@ def test_starting_set_and_length_match_the_word(name, rng):
     x = from_word(mat, (-1, 2, 2))
     assert group.starting_set(x) == () and group.length(x) == 1
     assert group.starting_set(identity(mat)) == () and group.length(identity(mat)) == 0
+
+
+# 240, 242, 256, 258 and 272 roots: the two sides of the 256-root boundary
+# at which permutations switch from `bytes` to tuples.  tau is trivial in
+# B_n and in I2(m) for even m, and tau(x) is then x itself.
+@pytest.mark.parametrize("name, trivial_tau", [
+    ("A15", False), ("B11", True), ("I2(128)", True), ("I2(129)", False),
+    ("A16", False)])
+def test_both_permutation_representations(name, trivial_tau, rng):
+    mat = coxeter.named_matrix(name)
+    rep = weyl.build_root_system(mat)
+    e = identity(mat)
+    for _ in range(4):
+        word = [rng.choice((-1, 1)) * rng.randint(1, mat.rank) for _ in range(30)]
+        x = from_word(mat, word)
+        assert eq(mult(x, inv(x)), e)
+        assert eq(inv(inv(x)), x)
+        assert eq(rev(rev(x)), x)
+        assert w_image(x).perm == weyl.image(rep, word).perm
+        assert (tau(x) is x) == trivial_tau
+    for _ in range(4):
+        u = [rng.randint(1, mat.rank) for _ in range(30)]
+        s, t = rng.sample(mat.generators, 2)
+        m = mat.m(s, t)
+        cut = rng.randint(0, 30)
+        same = (u[:cut] + list(coxeter.w_word(s, t, m)) + u[cut:],
+                u[:cut] + list(coxeter.w_word(t, s, m)) + u[cut:])
+        other = (u, [rng.randint(1, mat.rank) for _ in range(30)])
+        for v, w in (same, other, (u, u[:-1] + [u[-1] % mat.rank + 1])):
+            v, w = monoid.word(mat, v), monoid.word(mat, w)
+            assert eq(from_positive(v), from_positive(w)) == monoid.equals(v, w)
+        assert eq(*(from_positive(monoid.word(mat, v)) for v in same))
