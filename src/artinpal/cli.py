@@ -131,7 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_matrix(ap: argparse.ArgumentParser, args) -> CoxeterMatrix:
+def _resolve_matrix(ap: argparse.ArgumentParser, args) -> CoxeterMatrix | None:
+    """The named matrix; None for an oracle command that names only a
+    presentation, which does not read the matrix."""
+    if (args.type_name is None and args.matrix_file is None
+            and args.presentation is not None
+            and args.command in ("oracle-eq", "oracle-squarefree")):
+        return None
     if (args.type_name is None) == (args.matrix_file is None):
         ap.error("exactly one of --type or --matrix is required")
     if args.type_name is not None:

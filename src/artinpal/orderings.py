@@ -1,10 +1,9 @@
 """Left-invariant orderings with controlled behaviour under reversal.
 
-Four constructions: the Dehornoy order on braid groups (decided by handle
+Three constructions: the Dehornoy order on braid groups (decided by handle
 reduction), the Magnus order on free groups (graded-lexicographic first
-coefficient of the power-series image), a short-exact-sequence combinator,
-and the type-B order pulled back through the embedding b_j -> s_j,
-b_n -> s_n^2 into the braid group on n+1 strands.
+coefficient of the power-series image), and the type-B order pulled back
+through b_j -> s_j, b_n -> s_n^2 into the braid group on n+1 strands.
 
 Every order is packaged as an OrderingHandle: a sign function into
 {Negative, Zero, Positive} plus a difference map, with compare(x, y)
@@ -63,6 +62,18 @@ class OrderingHandle:
 
 def _group_difference(x: GroupElement, y: GroupElement) -> GroupElement:
     return group.mult(group.inv(x), y)
+
+
+def _element_order(name: str, matrix: CoxeterMatrix,
+                   sign: Callable[[GroupElement], Sign]) -> OrderingHandle:
+    """Order elements over `matrix` by `sign`; refuse elements over any other."""
+
+    def sign_fn(x: GroupElement) -> Sign:
+        if x.matrix.entries != matrix.entries:
+            raise PreconditionError("element is over a different matrix")
+        return sign(x)
+
+    return OrderingHandle(name, sign_fn, _group_difference)
 
 
 def _garside_word(x: GroupElement) -> tuple[int, ...]:
@@ -164,13 +175,8 @@ def dehornoy_order(matrix: CoxeterMatrix,
     n-1, i.e. the braid group on n strands."""
     _require_builtin(matrix, "A")
     n = matrix.rank + 1
-
-    def sign_fn(x: GroupElement) -> Sign:
-        if x.matrix.entries != matrix.entries:
-            raise PreconditionError("element is over a different matrix")
-        return dehornoy_sign(_garside_word(x), n, cap)
-
-    return OrderingHandle("dehornoy", sign_fn, _group_difference)
+    return _element_order("dehornoy", matrix,
+                          lambda x: dehornoy_sign(_garside_word(x), n, cap))
 
 
 def dehornoy_compare(x: GroupElement, y: GroupElement,
@@ -336,38 +342,12 @@ def magnus_element_order(matrix: CoxeterMatrix) -> OrderingHandle:
     on the representative, not only on the element, unless the matrix is
     free (all labels infinite).
     """
-
-    def sign_fn(x: GroupElement) -> Sign:
-        return magnus_sign(group.to_signed_word(x), x.matrix.rank)
-
-    return OrderingHandle("magnus", sign_fn, _group_difference)
+    return _element_order("magnus", matrix, lambda x: magnus_sign(
+        group.to_signed_word(x), matrix.rank))
 
 
 # ---------------------------------------------------------------------------
-# Extension combinator and the type B embedding order
-
-
-def extension_order(project, base: OrderingHandle, kernel: OrderingHandle,
-                    coords=None, difference=None,
-                    name: str = "extension") -> OrderingHandle:
-    """Order a group through a short exact sequence: compare images under
-    project with the base order, fall back to the kernel order on elements
-    projecting to the identity.
-
-    coords maps such an element to whatever the kernel handle expects
-    (identity if omitted); difference supplies x^-1 y for compare and
-    defaults to the group-element difference.
-    """
-
-    def sign_fn(x) -> Sign:
-        s = base.sign(project(x))
-        if s is not Sign.ZERO:
-            return s
-        return kernel.sign(coords(x) if coords is not None else x)
-
-    return OrderingHandle(
-        name, sign_fn, difference if difference is not None else _group_difference
-    )
+# The type B embedding order
 
 
 def typeB_embed(word, n: int) -> tuple[int, ...]:
@@ -397,14 +377,9 @@ def typeB_order(n: int, cap: int = DEFAULT_HANDLE_CAP) -> OrderingHandle:
     """
     if n < 2:
         raise PreconditionError("type B order needs rank >= 2")
-    bmat = builtin("B", n)
-
-    def sign_fn(x: GroupElement) -> Sign:
-        if x.matrix.entries != bmat.entries:
-            raise PreconditionError("element is not over the type B matrix")
-        return dehornoy_sign(typeB_embed(_garside_word(x), n), n + 1, cap)
-
-    return OrderingHandle("typeB-embedding", sign_fn, _group_difference)
+    return _element_order(
+        "typeB-embedding", builtin("B", n),
+        lambda x: dehornoy_sign(typeB_embed(_garside_word(x), n), n + 1, cap))
 
 
 def order_for_matrix(matrix: CoxeterMatrix, kind: str,

@@ -165,9 +165,9 @@ def _dihedral_rep(matrix: CoxeterMatrix, m: int) -> RootSystemRep:
 def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
     """Closure of the simple roots under the simple reflections.
 
-    Requires finite type.  The root list is in breadth-first discovery
-    order, which is deterministic; reflections come back as index
-    permutations of that list.
+    Requires finite type, which is also what makes the closure stop.  The
+    root list is in breadth-first discovery order, which is deterministic;
+    reflections come back as index permutations of that list.
     """
     if not is_finite_type(matrix):
         raise InfiniteTypeError("root systems exist only for finite type")
@@ -212,8 +212,6 @@ def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
             w = reflect(i, v)
             k = _vec_key(w)
             if k not in index:
-                if len(roots) >= 1000:
-                    raise InfiniteTypeError("root closure did not stop; not finite type")
                 index[k] = len(roots)
                 roots.append(w)
                 queue.append(w)

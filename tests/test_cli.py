@@ -269,6 +269,26 @@ def test_presentation_file(capsys, tmp_path):
     assert code == 3 and "presentation" in err
 
 
+def test_presentation_needs_no_matrix(capsys, tmp_path):
+    pfile = tmp_path / "xy.txt"
+    pfile.write_text("gens 2\nrel 1 1 = 2 2\n")
+    code, out, err = run(capsys, "--presentation", str(pfile),
+                         "oracle-eq", "1 1", "2 2")
+    assert (code, out, err) == (0, "true\n", "")
+    code, out, _ = run(capsys, "--presentation", str(pfile),
+                       "oracle-squarefree", "1 2 1")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "--presentation", str(pfile), "--json",
+                       "oracle-eq", "1", "2")
+    rec = json.loads(out)
+    assert code == 1 and rec["inputs"]["type"] is None and rec["result"] is False
+    # every other command still names a matrix
+    for argv in (("oracle-decomps", "1 1"), ("eq", "1", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["--presentation", str(pfile), *argv])
+        assert exc.value.code == 2
+
+
 def test_oracle_decomps(capsys):
     code, out, _ = run(capsys, "--type", "A3", "oracle-decomps", "1 2 1 3 2 1")
     assert code == 0

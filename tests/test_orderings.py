@@ -13,7 +13,6 @@ from artinpal.errors import (
 )
 from artinpal.orderings import (
     Comparison,
-    OrderingHandle,
     SeriesTrunc,
     Sign,
     SppcReport,
@@ -21,7 +20,6 @@ from artinpal.orderings import (
     dehornoy_order,
     dehornoy_sign,
     exponent_sums,
-    extension_order,
     free_reduce,
     magnus_element_order,
     magnus_image,
@@ -398,36 +396,6 @@ def test_magnus_rev_sppc():
 
 
 # ---------------------------------------------------------------------------
-# Extension combinator
-
-
-def _int_handle():
-    def sign_fn(v):
-        return Sign.POSITIVE if v > 0 else Sign.NEGATIVE if v < 0 else Sign.ZERO
-
-    return OrderingHandle("z", sign_fn, lambda x, y: y - x)
-
-
-def test_extension_order_lexicographic():
-    # Z^2 ordered lexicographically through projection to the first factor
-    order = extension_order(
-        project=lambda v: v[0],
-        base=_int_handle(),
-        kernel=_int_handle(),
-        coords=lambda v: v[1],
-        difference=lambda x, y: (y[0] - x[0], y[1] - x[1]),
-        name="zz-lex",
-    )
-    assert order.name == "zz-lex"
-    assert order.compare((0, 5), (1, 0)) == Comparison.LESS
-    assert order.compare((2, 3), (2, 4)) == Comparison.LESS
-    assert order.compare((2, 4), (2, 3)) == Comparison.GREATER
-    assert order.compare((2, 3), (2, 3)) == Comparison.EQUAL
-    assert order.sign((0, -7)) == Sign.NEGATIVE
-    assert order.sign((1, -7)) == Sign.POSITIVE
-
-
-# ---------------------------------------------------------------------------
 # Type B embedding order
 
 
@@ -496,6 +464,16 @@ def test_order_for_matrix():
         order_for_matrix(coxeter.named_matrix("H3"), "dehornoy")
     with pytest.raises(PreconditionError):
         order_for_matrix(A3, "lexicographic")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dehornoy_order(A3),
+    lambda: typeB_order(3),
+    lambda: order_for_matrix(A3, "magnus"),
+], ids=["dehornoy", "typeB", "magnus"])
+def test_element_orders_refuse_a_foreign_element(make):
+    with pytest.raises(PreconditionError):
+        make().sign(group.from_word(B2, (1, 2)))
 
 
 def test_sppc_check_reports_violations():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpal import coxeter, weyl
+from artinpal import coxeter, group, weyl
 from artinpal.errors import BudgetExceededError, InfiniteTypeError
 from artinpal.weyl import (
     WElement,
@@ -51,6 +51,17 @@ def test_infinite_type_rejected():
     mixed = coxeter.parse_matrix("rank 3\nm 1 2 3\nm 2 3 4\nm 1 3 inf\n")
     with pytest.raises(InfiniteTypeError):
         build_root_system(mixed)
+
+
+@pytest.mark.parametrize("name,degree", [("A32", 1056), ("B23", 1058), ("D23", 1012)])
+def test_root_systems_past_a_thousand_roots(name, degree):
+    assert build_root_system(coxeter.named_matrix(name)).degree == degree
+
+
+def test_group_over_a32():
+    a32 = coxeter.named_matrix("A32")
+    assert not group.eq(group.from_word(a32, (1, 2)), group.from_word(a32, (2, 1)))
+    assert group.eq(group.from_word(a32, (31, 32, 31)), group.from_word(a32, (32, 31, 32)))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(7)"])
