@@ -10,7 +10,9 @@ once in each for every seed, parent first on even pair indices and change
 first on odd ones, and appends one JSON line per run.  `summarize` gives,
 per workload and end-to-end metric, the median and quartiles of each side,
 the change/parent ratio of the medians and the number of pairs the change
-won (ties count for neither side); BENCH_<n>.json holds these rows under
+won (ties count for neither side), and each side's failed and attempted
+operations and failed share; a workload with no seed run on both sides
+is an error.  BENCH_<n>.json holds these rows under
 a header that names the change, the parent commit and the machine.
 Traced runs (`--trace 1`) go to the same file and are summarized as
 per-layer rows without statistics.
@@ -74,6 +76,8 @@ def summarize(args) -> None:
             if r["workload"] == workload:
                 by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
         pairs = [p for p in by_seed.values() if len(p) == 2]
+        if not pairs:
+            sys.exit(f"summarize: workload {workload} has no seed run on both sides")
         for name, higher in BETTER_HIGHER.items():
             value = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                      for side in ("parent", "change")}
@@ -88,8 +92,13 @@ def summarize(args) -> None:
                 "change_wins": f"{wins}/{len(pairs)}",
             }
         failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
-        out["end_to_end"][workload] = {"seeds": sorted(by_seed), "pairs": len(pairs),
-                                       "failed_ops": failed, "metrics": rows}
+        attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in failed}
+        out["end_to_end"][workload] = {
+            "seeds": sorted(by_seed), "pairs": len(pairs), "failed_ops": failed,
+            "attempted": attempted,
+            "failed_share": {side: failed[side] / attempted[side] if attempted[side] else None
+                             for side in failed},
+            "metrics": rows}
     for r in records:
         if r["trace"] == 1:
             key = f"{r['workload']}/seed {r['seed']}"

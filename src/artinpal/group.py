@@ -70,9 +70,8 @@ class _Tables:
     def __init__(self, matrix: CoxeterMatrix):
         rep = weyl.build_root_system(matrix)
         n = matrix.rank
-        negative = weyl._negative_roots(rep)
         # signs[s][j] is bit s if root j is negative
-        self.signs = tuple(tuple(1 << s if x else 0 for x in negative)
+        self.signs = tuple(tuple(1 << s if x else 0 for x in rep.negative)
                            for s in range(n))
         self.degree = rep.degree
         # compose(f, g) = f o g and times[s](f) = f o s_(s+1)

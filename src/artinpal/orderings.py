@@ -304,10 +304,9 @@ def magnus_sign(word, n: int | None = None) -> Sign:
     X_{i1} ... X_{ik} has coefficient e1 ... ek != 0, so the search stops
     by degree k <= len(word).
     """
-    if n is not None:
-        for x in word:
-            if not isinstance(x, int) or x == 0 or abs(x) > n:
-                raise InvalidWordError(f"letter {x!r} out of range for F_{n}")
+    for x in word:
+        if not isinstance(x, int) or x == 0 or (n is not None and abs(x) > n):
+            raise InvalidWordError(f"letter {x!r} is not a generator of F_{n or 'n'}")
     w = free_reduce(word)
     if not w:
         return Sign.ZERO

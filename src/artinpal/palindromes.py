@@ -379,7 +379,7 @@ def involution_lift(matrix: CoxeterMatrix, target) -> PalDecomposition:
     if weyl.compose(perm, perm) != rep.identity().perm:
         raise PreconditionError("involution_lift needs an element of order <= 2")
 
-    negative = weyl._negative_roots(rep)
+    negative = rep.negative
     refl = rep.simple_reflections
     minus = [r[i] for i, r in enumerate(refl)]  # the index of -alpha_(i+1)
     # s w s = w iff w(alpha_s) = +-alpha_s: a step needs w(alpha_s) < 0, not -alpha_s

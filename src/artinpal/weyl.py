@@ -5,7 +5,9 @@ makes the quotient map from the Artin group exact: no rewriting, no
 floating point.  Crystallographic types use integer Cartan coefficients;
 types with a label 5 use the quadratic ring Z[phi]; dihedral types with
 any other label skip root coordinates and act on the 2m roots labelled by
-their angles.
+their angles.  The roots are found in one pass that reflects each root
+once by each generator and reads its sign off the simple reflection that
+produced it, since s_i permutes the positive roots other than alpha_i.
 """
 
 from __future__ import annotations
@@ -101,10 +103,6 @@ def _cartan(matrix: CoxeterMatrix, use_phi: bool):
     return c
 
 
-def _vec_key(vec) -> tuple:
-    return tuple((x.a, x.b) if isinstance(x, ZPhi) else (x, 0) for x in vec)
-
-
 @dataclass(frozen=True)
 class WElement:
     """A Coxeter group element as a permutation of root (or point) indices.
@@ -130,11 +128,13 @@ def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RootSystemRep:
-    """Permutation model of W: roots plus one permutation per generator."""
+    """Permutation model of W: roots, one permutation per generator, and
+    per root index (the simple roots first) whether the root is negative."""
 
     matrix: CoxeterMatrix
     roots: tuple[tuple, ...]
     simple_reflections: tuple[tuple[int, ...], ...]
+    negative: tuple[bool, ...]
 
     @property
     def degree(self) -> int:
@@ -158,16 +158,21 @@ def _dihedral_rep(matrix: CoxeterMatrix, m: int) -> RootSystemRep:
     at = {a: i for i, a in enumerate(angles)}
     s1 = tuple(at[(m - a) % (2 * m)] for a in angles)
     s2 = tuple(at[(m - 2 - a) % (2 * m)] for a in angles)
-    return RootSystemRep(matrix, (), (s1, s2))
+    return RootSystemRep(matrix, (), (s1, s2), tuple(i >= m for i in angles))
 
 
 @lru_cache(maxsize=None)
 def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
-    """Closure of the simple roots under the simple reflections.
+    """Closure of the simple roots under the simple reflections, in one pass.
 
     Requires finite type, which is also what makes the closure stop.  The
-    root list is in breadth-first discovery order, which is deterministic;
-    reflections come back as index permutations of that list.
+    root list grows while it is walked: root k reflected by s_i changes
+    only coordinate i, through the nonzero entries of Cartan row i, and
+    the image's index goes into the table of s_i at once, so roots come
+    out in breadth-first discovery order.  s_i sends alpha_i to -alpha_i
+    and permutes the other positive roots (Humphreys, Reflection Groups
+    and Coxeter Groups, 1990, sections 1.4 and 5.4), so a new root
+    s_i(root k) is negative exactly when root k is negative or is alpha_i.
     """
     if not is_finite_type(matrix):
         raise InfiniteTypeError("root systems exist only for finite type")
@@ -182,57 +187,24 @@ def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
         return _dihedral_rep(matrix, int(max(labels)))
     use_phi = 5 in labels
     n = matrix.rank
-    cartan = _cartan(matrix, use_phi)
-    one, zero = (ZPhi(1, 0), ZPhi(0, 0)) if use_phi else (1, 0)
-
-    def reflect(i: int, vec):
-        s = zero
-        for j in range(n):
-            if vec[j] != zero:
-                s = s + cartan[i][j] * vec[j]
-        out = list(vec)
-        out[i] = vec[i] - s
-        return tuple(out)
-
-    basis = []
-    for i in range(n):
-        v = [zero] * n
-        v[i] = one
-        basis.append(tuple(v))
-    index = {}
-    roots = []
-    queue = []
-    for v in basis:
-        index[_vec_key(v)] = len(roots)
-        roots.append(v)
-        queue.append(v)
-    while queue:
-        v = queue.pop(0)
-        for i in range(n):
-            w = reflect(i, v)
-            k = _vec_key(w)
-            if k not in index:
-                index[k] = len(roots)
+    zero, one = (ZPhi(0, 0), ZPhi(1, 0)) if use_phi else (0, 1)
+    rows = [[(j, c) for j, c in enumerate(row) if c != zero]
+            for row in _cartan(matrix, use_phi)]
+    # the coordinates are all ints or all ZPhi, so vectors are their own keys
+    roots = [(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)]
+    index = {v: k for k, v in enumerate(roots)}
+    negative = [False] * n
+    refl = [[] for _ in range(n)]
+    for k, v in enumerate(roots):
+        for i, row in enumerate(rows):
+            w = v[:i] + (v[i] - sum(c * v[j] for j, c in row),) + v[i + 1:]
+            j = index.setdefault(w, len(roots))
+            if j == len(roots):
                 roots.append(w)
-                queue.append(w)
-    refl = []
-    for i in range(n):
-        refl.append(tuple(index[_vec_key(reflect(i, v))] for v in roots))
-    return RootSystemRep(matrix, tuple(roots), tuple(refl))
-
-
-def _negative_roots(rep: RootSystemRep) -> tuple[bool, ...]:
-    """Per root index, whether the root is negative; simple roots have the
-    indices 0..rank-1.  The coefficients of a root share one sign, so their
-    sum decides it.  For Z[phi] the sum a + b*phi is taken as a float: a
-    and b are small integers, so it stays far from 0 next to rounding."""
-    if not rep.roots:
-        return tuple(i >= rep.degree // 2 for i in range(rep.degree))
-    phi = (1 + 5 ** 0.5) / 2
-    return tuple(
-        sum(c.a + c.b * phi if isinstance(c, ZPhi) else c for c in root) < 0
-        for root in rep.roots
-    )
+                negative.append(negative[k] != (k == i))
+            refl[i].append(j)
+    return RootSystemRep(matrix, tuple(roots), tuple(map(tuple, refl)),
+                         tuple(negative))
 
 
 def image(rep: RootSystemRep, word) -> WElement:

@@ -1,0 +1,50 @@
+"""scripts/bench_pairs.py summarize on a hand-written two-pair file."""
+
+import json
+
+import pytest
+
+from scripts.bench_pairs import main
+
+
+def _record(workload, seed, side, ops, attempted, failed):
+    metrics = {name: {"value": ops if name == "ops_per_s" else 1.0, "unit": "u"}
+               for name in ("ops_per_s", "latency_p50_ms", "latency_p90_ms",
+                            "setup_s", "peak_rss_mb")}
+    return {"workload": workload, "seed": seed, "side": side, "first": "parent",
+            "trace": 0, "result": {"attempted": attempted, "failed": failed,
+                                   "metrics": metrics}}
+
+
+def _summarize(tmp_path, capsys, records):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["summarize", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_summarize_two_pairs(tmp_path, capsys):
+    out = _summarize(tmp_path, capsys, [
+        _record("wp", 1, "parent", 10.0, 100, 0), _record("wp", 1, "change", 12.0, 100, 1),
+        _record("wp", 2, "change", 9.0, 300, 3), _record("wp", 2, "parent", 14.0, 100, 0),
+    ])
+    row = out["end_to_end"]["wp"]
+    assert row["seeds"] == [1, 2] and row["pairs"] == 2
+    ops = row["metrics"]["ops_per_s"]
+    assert ops["parent"]["median"] == 12.0 and ops["change"]["median"] == 10.5
+    assert ops["ratio"] == 10.5 / 12.0
+    assert ops["change_wins"] == "1/2"
+    assert row["metrics"]["setup_s"]["change_wins"] == "0/2"  # ties count for neither
+    assert row["failed_ops"] == {"parent": 0, "change": 4}
+    assert row["attempted"] == {"parent": 200, "change": 400}
+    assert row["failed_share"] == {"parent": 0.0, "change": 0.01}
+
+
+def test_summarize_workload_without_a_pair(tmp_path, capsys):
+    path = tmp_path / "pairs.jsonl"
+    records = [_record("wp", 1, "parent", 10.0, 100, 0), _record("wp", 1, "change", 12.0, 100, 0),
+               _record("pal", 5, "parent", 10.0, 100, 0)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(SystemExit) as exc:
+        main(["summarize", str(path)])
+    assert exc.value.code == "summarize: workload pal has no seed run on both sides"

@@ -289,6 +289,16 @@ def test_magnus_sign_examples():
         magnus_sign((3,), 2)
 
 
+@pytest.mark.parametrize("word", [(0,), (1, 0), (1.5,), ("a",)])
+def test_magnus_sign_checks_letters_without_n(word):
+    """Letters are nonzero ints even when no rank bounds them."""
+    with pytest.raises(InvalidWordError):
+        magnus_sign(word)
+    with pytest.raises(InvalidWordError):
+        magnus_order().sign(word)
+    assert magnus_sign((7, -7, 9)) == Sign.POSITIVE
+
+
 def test_magnus_reversal_flips_commutator_sign():
     """Reversal (not inversion) of the commutator x1 x2 x1^-1 x2^-1 flips
     its Magnus sign: both words are balanced, their degree-two parts are

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +59,48 @@ def test_infinite_type_rejected():
 @pytest.mark.parametrize("name,degree", [("A32", 1056), ("B23", 1058), ("D23", 1012)])
 def test_root_systems_past_a_thousand_roots(name, degree):
     assert build_root_system(coxeter.named_matrix(name)).degree == degree
+
+
+# sha256(repr((roots, simple_reflections, negative)))[:16], recorded from
+# the two-pass breadth-first build, whose signs summed the coefficients
+@pytest.mark.parametrize("name,digest", [
+    ("B4", "9ddc5f5dd31d5a32"), ("D5", "4df850e29c7d5ed0"),
+    ("E6", "91503b20df679644"), ("E7", "cb373587a54201d4"),
+    ("E8", "3ba95599c3a46af4"), ("F4", "1dbdc9a370571744"),
+    ("H3", "ee783c3c86d3d008"), ("H4", "6b42d5736dbb79a3"),
+    ("I2(5)", "c724388c932ad4cd"), ("I2(7)", "4b8ebf6ecf0e27fe"),
+    ("A16", "722fb51d419ac43f"),
+])
+def test_root_tables_pinned(name, digest):
+    rep = build_root_system(coxeter.named_matrix(name))
+    text = repr((rep.roots, rep.simple_reflections, rep.negative))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _has_negative_coefficient(rep, k) -> bool:
+    if rep.roots:
+        phi = (1 + 5 ** 0.5) / 2
+        return any((c.a + c.b * phi if isinstance(c, ZPhi) else c) < 0
+                   for c in rep.roots[k])
+    # I2(m) without coordinates: root k lies at the angle
+    # _dihedral_angles(m)[k] * pi/m, alpha_1 at 0 and alpha_2 at (m-1)pi/m
+    m = rep.degree // 2
+    a, b = weyl._dihedral_angles(m)[k] * math.pi / m, (m - 1) * math.pi / m
+    c2 = math.sin(a) / math.sin(b)
+    return min(math.cos(a) - c2 * math.cos(b), c2) < -1e-9
+
+
+@pytest.mark.parametrize("name", [
+    *(f"A{n}" for n in range(1, 9)), *(f"B{n}" for n in range(2, 9)),
+    *(f"D{n}" for n in range(4, 9)), "E6", "E7", "E8", "F4", "H3", "H4",
+    "I2(5)", "I2(7)", "I2(12)",
+])
+def test_root_signs_exact(name):
+    rep = build_root_system(coxeter.named_matrix(name))
+    assert [_has_negative_coefficient(rep, k) for k in range(rep.degree)] == list(rep.negative)
+    assert sum(rep.negative) * 2 == rep.degree
+    for i, r in enumerate(rep.simple_reflections):
+        assert not rep.negative[i] and rep.negative[r[i]]  # s_i(alpha_i) = -alpha_i
 
 
 def test_group_over_a32():
