@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flip the Delta_I comparison in decompose-canonical")
     g.add_argument("--budget", type=_budget, metavar="N",
                    help="search budget override, >= 0 (lcm, decompositions, oracle "
-                        "caps, handle steps of sign/cmp, weyl group size)")
+                        "caps, weyl group size)")
     g.add_argument("--json", action="store_true", dest="as_json",
                    help="emit one machine-readable record")
     g.add_argument("--presentation", metavar="FILE",
@@ -248,8 +248,7 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[str, int, object]:
             "y": y_out, "I": sorted(d.I), "reconstruction": recon}
 
     if cmd in ("sign", "cmp"):
-        cap = orderings.DEFAULT_HANDLE_CAP if args.budget is None else args.budget
-        handle = orderings.order_for_matrix(matrix, args.order, cap)
+        handle = orderings.order_for_matrix(matrix, args.order)
         if cmd == "sign":
             out = handle.sign(_element(matrix, args.word)).name
         else:

@@ -3,7 +3,8 @@
 Ground truth by breadth-first closure of the rewriting graph: a relation
 u = v of equal length may be applied at any position in either direction,
 so the set of words reachable from w is finite and enumerable.  Slow on
-purpose; every answer is exact or a budget error, never a guess.
+purpose; every answer is exact or a budget error, never a guess.  Braid
+words are refereed apart from the closures, by handle reduction.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import CoxeterMatrix, is_finite_type, parse_word
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, HandleReductionOverflow, PreconditionError
 
 DEFAULT_CLASS_CAP = 1_000_000
 DEFAULT_LEN_CAP = 12
+DEFAULT_HANDLE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -295,6 +297,65 @@ def coxeter_order_oracle(matrix: CoxeterMatrix,
                 nxt.setdefault(cls.canonical, cls.canonical)
         level = nxt
     return total
+
+
+# ---------------------------------------------------------------------------
+# Handle reduction: the referee of the Dehornoy sign
+
+
+def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...], int]:
+    """Reduce a braid word to a handle-free word; returns (word, reduction
+    step count).
+
+    The reduced word is empty exactly when the braid is trivial; otherwise
+    its lowest index occurs with one sign only, and that is the braid's
+    Dehornoy sign, which `orderings.dehornoy_sign` computes another way.
+
+    A handle is a subword g^e ... g^-e whose interior letters all have
+    index > g.  A left-to-right scan keeps a stack of open positions (each
+    position's nearest earlier letter of index <= its own) and stops at the
+    first letter that closes a handle.  No other handle closes inside that
+    one, so it is permitted, and reducing permitted handles terminates.
+
+    One step removes the two ends and conjugates the interior: letters of
+    index g+1 and sign d become the triple (g+1)^-e, g^d, (g+1)^e where e
+    is the sign of the opening letter; letters of index >= g+2 commute past
+    and are kept as they are.  Nothing closes before the opening position
+    i, so the next scan resumes, with an empty stack, at the last index-1
+    letter before i: no letter pops it, so no earlier position could ever
+    be on top of the stack again.
+    """
+    w = list(word)
+    steps = 0
+    start = 0
+    while True:
+        opened: list[int] = []
+        for j in range(start, len(w)):
+            x = w[j]
+            g = abs(x)
+            while opened and abs(w[opened[-1]]) > g:
+                opened.pop()
+            if opened and w[opened[-1]] == -x:
+                break
+            opened.append(j)
+        else:
+            return tuple(w), steps
+        steps += 1
+        if steps > cap:
+            raise HandleReductionOverflow(word, steps, cap)
+        i = opened[-1]
+        e = 1 if w[i] > 0 else -1
+        mid: list[int] = []
+        for x in w[i + 1:j]:
+            if abs(x) >= g + 2:
+                mid.append(x)
+            else:
+                d = 1 if x > 0 else -1
+                mid.extend((-e * (g + 1), d * g, e * (g + 1)))
+        w[i:j + 1] = mid
+        start = max(i - 1, 0)
+        while start > 0 and abs(w[start]) > 1:
+            start -= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Left-invariant orderings with controlled behaviour under reversal.
 
-Three constructions: the Dehornoy order on braid groups (decided by handle
-reduction), the Magnus order on free groups (graded-lexicographic first
-coefficient of the power-series image), and the type-B order pulled back
-through b_j -> s_j, b_n -> s_n^2 into the braid group on n+1 strands.
+Three constructions: the Dehornoy order on braid groups (decided by
+Dynnikov coordinates in one pass over the word), the Magnus order on free
+groups (graded-lexicographic first coefficient of the power-series image),
+and the type-B order pulled back through b_j -> s_j, b_n -> s_n^2 into the
+braid group on n+1 strands.
 
 Every order is packaged as an OrderingHandle: a sign function into
 {Negative, Zero, Positive} plus a difference map, with compare(x, y)
@@ -18,10 +19,8 @@ from typing import Callable
 
 from . import group, monoid
 from .coxeter import CoxeterMatrix, builtin
-from .errors import HandleReductionOverflow, InvalidWordError, PreconditionError
+from .errors import InvalidWordError, PreconditionError
 from .group import GroupElement
-
-DEFAULT_HANDLE_CAP = 1_000_000
 
 
 class Sign(enum.IntEnum):
@@ -85,81 +84,71 @@ def _garside_word(x: GroupElement) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Dehornoy order: handle reduction
+# Dehornoy order: Dynnikov coordinates
 
 
-def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...], int]:
-    """Reduce to a handle-free word; returns (word, reduction step count).
+def dynnikov_action(word, coords) -> tuple[int, ...]:
+    """Act by a braid word on (a_1, b_1, ..., a_n, b_n), n = len(coords) // 2.
 
-    A handle is a subword g^e ... g^-e whose interior letters all have
-    index > g.  A left-to-right scan keeps a stack of open positions (each
-    position's nearest earlier letter of index <= its own) and stops at the
-    first letter that closes a handle.  No other handle closes inside that
-    one, so it is permitted, and reducing permitted handles terminates.
+    The letters act left to right, each in a fixed number of integer
+    operations (Dynnikov, Russ. Math. Surveys 57 (2002); Dehornoy,
+    Dynnikov, Rolfsen and Wiest, *Ordering Braids*, ch. XII).  Letter i or
+    -i changes only the pairs i and i+1, and every right-hand side below
+    reads the old values; x+ and x- are max(x, 0) and min(x, 0):
 
-    One step removes the two ends and conjugates the interior: letters of
-    index g+1 and sign d become the triple (g+1)^-e, g^d, (g+1)^e where e
-    is the sign of the opening letter; letters of index >= g+2 commute past
-    and are kept as they are.  Nothing closes before the opening position
-    i, so the next scan resumes, with an empty stack, at the last index-1
-    letter before i: no letter pops it, so no earlier position could ever
-    be on top of the stack again.
+        sigma_i:    t = a_i - b_i- - a_i+1 + b_i+1+
+                    a_i   <- a_i + b_i+ + (b_i+1+ - t)+
+                    b_i   <- b_i+1 - t+
+                    a_i+1 <- a_i+1 + b_i+1- + (b_i- + t)-
+                    b_i+1 <- b_i + t+
+        sigma_i^-1: t = a_i + b_i- - a_i+1 - b_i+1+
+                    a_i   <- a_i - b_i+ - (b_i+1+ + t)+
+                    b_i   <- b_i+1 + t-
+                    a_i+1 <- a_i+1 - b_i+1- - (b_i- - t)-
+                    b_i+1 <- b_i - t-
     """
-    w = list(word)
-    steps = 0
-    start = 0
-    while True:
-        opened: list[int] = []
-        for j in range(start, len(w)):
-            x = w[j]
-            g = abs(x)
-            while opened and abs(w[opened[-1]]) > g:
-                opened.pop()
-            if opened and w[opened[-1]] == -x:
-                break
-            opened.append(j)
-        else:
-            return tuple(w), steps
-        steps += 1
-        if steps > cap:
-            raise HandleReductionOverflow(word, steps, cap)
-        i = opened[-1]
-        e = 1 if w[i] > 0 else -1
-        mid: list[int] = []
-        for x in w[i + 1:j]:
-            if abs(x) >= g + 2:
-                mid.append(x)
-            else:
-                d = 1 if x > 0 else -1
-                mid.extend((-e * (g + 1), d * g, e * (g + 1)))
-        w[i:j + 1] = mid
-        start = max(i - 1, 0)
-        while start > 0 and abs(w[start]) > 1:
-            start -= 1
-
-
-def dehornoy_sign(word, n: int, cap: int = DEFAULT_HANDLE_CAP) -> Sign:
-    """Sign of a braid word on n strands under the Dehornoy order.
-
-    Positive iff the word is sigma-positive: its handle-free form is
-    nonempty and the lowest occurring index appears only positively.  In a
-    handle-free word the lowest index cannot occur with both signs, so
-    reading any one occurrence decides.
-    """
-    w = tuple(word)
-    for x in w:
+    c = list(coords)
+    n = len(c) // 2
+    for x in word:
         if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
             raise InvalidWordError(
                 f"letter {x!r} is not a braid generator on {n} strands"
             )
-    reduced, _ = reduce_handles(w, cap)
-    if not reduced:
-        return Sign.ZERO
-    g = min(abs(x) for x in reduced)
-    for x in reduced:
-        if abs(x) == g:
-            return Sign.POSITIVE if x > 0 else Sign.NEGATIVE
-    raise InvalidWordError("internal: minimal index must occur")
+        k = 2 * abs(x) - 2
+        a1, b1, a2, b2 = c[k:k + 4]
+        p1 = b1 if b1 > 0 else 0
+        p2 = b2 if b2 > 0 else 0
+        m1 = b1 - p1
+        m2 = b2 - p2
+        if x > 0:
+            t = a1 - m1 - a2 + p2
+            tp = t if t > 0 else 0
+            u = p2 - t if t < p2 else 0
+            v = m1 + t if m1 + t < 0 else 0
+            c[k:k + 4] = a1 + p1 + u, b2 - tp, a2 + m2 + v, b1 + tp
+        else:
+            t = a1 + m1 - a2 - p2
+            tm = t if t < 0 else 0
+            u = p2 + t if p2 + t > 0 else 0
+            v = m1 - t if m1 < t else 0
+            c[k:k + 4] = a1 - p1 - u, b2 + tm, a2 - m2 - v, b1 - tm
+    return tuple(c)
+
+
+def dehornoy_sign(word, n: int) -> Sign:
+    """Sign of a braid word on n strands under the Dehornoy order.
+
+    The word acts on the coordinates (0, 1, ..., 0, 1) of the trivial
+    braid; the sign is that of the first nonzero entry of
+    (a_1, b_1 - 1, a_2, b_2 - 1, ...) afterwards, and ZERO if there is
+    none.  `oracle.reduce_handles` decides the same sign by handle
+    reduction and referees this one in the tests.
+    """
+    c = dynnikov_action(word, (0, 1) * n)
+    for k, v in enumerate(c):
+        if v != k % 2:
+            return Sign.POSITIVE if v > k % 2 else Sign.NEGATIVE
+    return Sign.ZERO
 
 
 def _require_builtin(matrix: CoxeterMatrix, family: str):
@@ -169,21 +158,19 @@ def _require_builtin(matrix: CoxeterMatrix, family: str):
         )
 
 
-def dehornoy_order(matrix: CoxeterMatrix,
-                   cap: int = DEFAULT_HANDLE_CAP) -> OrderingHandle:
+def dehornoy_order(matrix: CoxeterMatrix) -> OrderingHandle:
     """The Dehornoy order on the braid group of a type A matrix of rank
     n-1, i.e. the braid group on n strands."""
     _require_builtin(matrix, "A")
     n = matrix.rank + 1
     return _element_order("dehornoy", matrix,
-                          lambda x: dehornoy_sign(_garside_word(x), n, cap))
+                          lambda x: dehornoy_sign(_garside_word(x), n))
 
 
-def dehornoy_compare(x: GroupElement, y: GroupElement,
-                     cap: int = DEFAULT_HANDLE_CAP) -> Comparison:
+def dehornoy_compare(x: GroupElement, y: GroupElement) -> Comparison:
     if x.matrix != y.matrix:
         raise PreconditionError("operands live over different matrices")
-    return dehornoy_order(x.matrix, cap).compare(x, y)
+    return dehornoy_order(x.matrix).compare(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +341,15 @@ def typeB_embed(word, n: int) -> tuple[int, ...]:
     strands: generator j < n passes through, generator n doubles."""
     out: list[int] = []
     for x in word:
-        g = abs(x)
-        if not isinstance(x, int) or x == 0 or g > n:
+        if not isinstance(x, int) or x == 0 or abs(x) > n:
             raise InvalidWordError(f"letter {x!r} out of range for type B rank {n}")
-        if g < n:
-            out.append(x)
-        else:
-            out.append(x)
+        out.append(x)
+        if abs(x) == n:
             out.append(x)
     return tuple(out)
 
 
-def typeB_order(n: int, cap: int = DEFAULT_HANDLE_CAP) -> OrderingHandle:
+def typeB_order(n: int) -> OrderingHandle:
     """Left order on the type B Artin group of rank n >= 2, pulled back
     through the embedding into the braid group on n+1 strands.
 
@@ -378,18 +362,17 @@ def typeB_order(n: int, cap: int = DEFAULT_HANDLE_CAP) -> OrderingHandle:
         raise PreconditionError("type B order needs rank >= 2")
     return _element_order(
         "typeB-embedding", builtin("B", n),
-        lambda x: dehornoy_sign(typeB_embed(_garside_word(x), n), n + 1, cap))
+        lambda x: dehornoy_sign(typeB_embed(_garside_word(x), n), n + 1))
 
 
-def order_for_matrix(matrix: CoxeterMatrix, kind: str,
-                     cap: int = DEFAULT_HANDLE_CAP) -> OrderingHandle:
+def order_for_matrix(matrix: CoxeterMatrix, kind: str) -> OrderingHandle:
     """Resolve an order name against a matrix: dehornoy on type A, the
     embedding order on type B, magnus on representatives anywhere."""
     if kind == "dehornoy":
         if matrix.rank >= 1 and matrix.entries == builtin("A", matrix.rank).entries:
-            return dehornoy_order(matrix, cap)
+            return dehornoy_order(matrix)
         if matrix.rank >= 2 and matrix.entries == builtin("B", matrix.rank).entries:
-            return typeB_order(matrix.rank, cap)
+            return typeB_order(matrix.rank)
         raise PreconditionError(
             "dehornoy ordering needs a type A or type B matrix"
         )

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpal import coxeter, monoid, oracle
-from artinpal.errors import BudgetExceededError, PreconditionError
+from artinpal import coxeter, group, monoid, oracle
+from artinpal.errors import (
+    BudgetExceededError,
+    HandleReductionOverflow,
+    PreconditionError,
+)
 from artinpal.oracle import (
     Presentation,
     all_pal_decompositions,
@@ -20,6 +24,7 @@ from artinpal.oracle import (
     equals_oracle,
     parse_presentation,
     presentation_from_matrix,
+    reduce_handles,
     square_free_oracle,
 )
 
@@ -317,3 +322,45 @@ def test_artin_deltas_length_bound():
     a4 = coxeter.builtin("A", 4)
     assert (1, 2, 3, 4) in artin_deltas(a4, max_len=10)
     assert (1, 2, 3, 4) not in artin_deltas(a4, max_len=9)
+
+
+# ---------------------------------------------------------------------------
+# Handle reduction, the referee of the Dehornoy sign
+
+signed_a3 = st.lists(
+    st.integers(-3, 3).filter(lambda x: x != 0), max_size=8
+).map(tuple)
+
+
+def test_reduce_handles_basic():
+    w, steps = reduce_handles((1, -1))
+    assert w == () and steps == 1
+    w, steps = reduce_handles((1, 2, -1))
+    assert steps >= 1
+    # output is handle-free: reducing again is a no-op
+    assert reduce_handles(w) == (w, 0)
+
+
+@given(signed_a3)
+def test_reduce_handles_preserves_element(word):
+    reduced, _ = reduce_handles(word)
+    assert group.eq(group.from_word(A3, word), group.from_word(A3, reduced))
+    assert reduce_handles(reduced)[1] == 0
+
+
+def test_handle_reduction_overflow():
+    with pytest.raises(HandleReductionOverflow) as exc:
+        reduce_handles((1, -1), cap=0)
+    assert exc.value.word == (1, -1)
+    assert exc.value.steps == 1
+
+
+def test_handle_reduction_overflow_reports_cap():
+    word = (1, 2, -1, 2, 1, -2, -1, -2)
+    with pytest.raises(HandleReductionOverflow) as exc:
+        reduce_handles(word, cap=2)
+    assert exc.value.cap == 2
+    assert exc.value.steps == 3
+    assert "3 steps against a cap of 2" in str(exc.value)
+    _, steps = reduce_handles(word)
+    assert reduce_handles(word, cap=steps)[1] == steps

@@ -6,11 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artinpal import coxeter, group, orderings
-from artinpal.errors import (
-    HandleReductionOverflow,
-    InvalidWordError,
-    PreconditionError,
-)
+from artinpal.errors import InvalidWordError, PreconditionError
+from artinpal.oracle import reduce_handles
 from artinpal.orderings import (
     Comparison,
     SeriesTrunc,
@@ -26,7 +23,6 @@ from artinpal.orderings import (
     magnus_order,
     magnus_sign,
     order_for_matrix,
-    reduce_handles,
     sppc_check,
     typeB_embed,
     typeB_order,
@@ -38,11 +34,6 @@ B2 = coxeter.builtin("B", 2)
 
 SEED = 20240816
 
-signed_a3 = st.lists(
-    st.integers(-3, 3).filter(lambda x: x != 0), max_size=8
-).map(tuple)
-
-
 def random_signed_word(rng, rank, max_len):
     return tuple(
         rng.choice([1, -1]) * rng.randint(1, rank)
@@ -51,7 +42,7 @@ def random_signed_word(rng, rank, max_len):
 
 
 # ---------------------------------------------------------------------------
-# Handle reduction / Dehornoy order
+# Dehornoy order
 
 
 def test_dehornoy_sign_examples():
@@ -66,40 +57,6 @@ def test_dehornoy_sign_examples():
         dehornoy_sign((3,), 3)
     with pytest.raises(InvalidWordError):
         dehornoy_sign((0,), 3)
-
-
-def test_reduce_handles_basic():
-    w, steps = reduce_handles((1, -1))
-    assert w == () and steps == 1
-    w, steps = reduce_handles((1, 2, -1))
-    assert steps >= 1
-    # output is handle-free: reducing again is a no-op
-    assert reduce_handles(w) == (w, 0)
-
-
-@given(signed_a3)
-def test_reduce_handles_preserves_element(word):
-    reduced, _ = reduce_handles(word)
-    assert group.eq(group.from_word(A3, word), group.from_word(A3, reduced))
-    assert reduce_handles(reduced)[1] == 0
-
-
-def test_handle_reduction_overflow():
-    with pytest.raises(HandleReductionOverflow) as exc:
-        reduce_handles((1, -1), cap=0)
-    assert exc.value.word == (1, -1)
-    assert exc.value.steps == 1
-
-
-def test_handle_reduction_overflow_reports_cap():
-    word = (1, 2, -1, 2, 1, -2, -1, -2)
-    with pytest.raises(HandleReductionOverflow) as exc:
-        reduce_handles(word, cap=2)
-    assert exc.value.cap == 2
-    assert exc.value.steps == 3
-    assert "3 steps against a cap of 2" in str(exc.value)
-    _, steps = reduce_handles(word)
-    assert reduce_handles(word, cap=steps)[1] == steps
 
 
 def test_dehornoy_trichotomy_exhaustive():
@@ -176,9 +133,10 @@ def _pinned_dehornoy_words():
 
 
 def test_dehornoy_signs_pinned():
-    """Signs recorded with the earlier handle selection (smallest index
-    among permitted handles, full rescan per step); the sign does not
-    depend on which handle-free form the reduction reaches."""
+    """Signs recorded by handle reduction with the earlier handle
+    selection (smallest index among permitted handles, full rescan per
+    step); the sign does not depend on which handle-free form the
+    reduction reaches, nor on how it is computed."""
     P, N, Z = "POSITIVE", "NEGATIVE", "ZERO"
     expected = [
         N, N, P, N, P, N, Z,
@@ -417,6 +375,15 @@ def test_typeB_embed():
         typeB_embed((3,), 2)
     with pytest.raises(InvalidWordError):
         typeB_embed((0,), 2)
+
+
+@pytest.mark.parametrize("letter", ["a", None, 1.0])
+def test_typeB_embed_rejects_a_non_integer_letter(letter):
+    # the type is checked before abs() could raise a bare TypeError
+    with pytest.raises(InvalidWordError):
+        typeB_embed((letter,), 3)
+    with pytest.raises(InvalidWordError):
+        dehornoy_sign((letter,), 3)
 
 
 def test_typeB_order_respects_relations():
