@@ -40,8 +40,8 @@ BATTERY = [
     ["--type", "A3", "symmetrize", "e", "1"],
     ["--type", "A3", "delta-assoc", DELTA_A3],
     ["--type", "A3", "sign", "1 -2"],
-    ["--type", "A3", "sign", "--order", "magnus", "-1"],
-    ["--type", "A2", "cmp", "--order", "dehornoy", "1 2", "1 1"],
+    ["--type", "H3", "sign", "1"],
+    ["--type", "A2", "cmp", "1 2", "1 1"],
     ["--type", "B2", "cmp", "1 2 1 2", "2 1 2 1"],
     ["--type", "A2", "oracle-eq", "1 2 1", "2 1 2"],
     ["--type", "A3", "oracle-decomps", DELTA_A3],

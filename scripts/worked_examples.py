@@ -61,9 +61,9 @@ def main():
     show("element unchanged",
          group.eq(palindromes.reconstruct(sym), palindromes.reconstruct(start)))
 
-    # type B embedding order
+    # the order follows the matrix: on type B it is the embedding order
     b2 = coxeter.builtin("B", 2)
-    ob = orderings.typeB_order(2)
+    ob = orderings.order_for_matrix(b2)
     show("type B generator sign", ob.sign(group.from_word(b2, (2,))).name)
 
 

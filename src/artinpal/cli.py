@@ -52,7 +52,7 @@ def _element(matrix: CoxeterMatrix, text: str) -> group.GroupElement:
 
 
 def _positive(matrix: CoxeterMatrix, text: str) -> PositiveWord:
-    return PositiveWord(matrix, matrix.check_word(parse_word(text), positive=True))
+    return PositiveWord(matrix, parse_word(text))
 
 
 def _element_out(x: group.GroupElement) -> str:
@@ -60,8 +60,8 @@ def _element_out(x: group.GroupElement) -> str:
 
 
 # the global options' values when absent, pre-filled before parsing
-_DEFAULTS = {"type_name": None, "matrix_file": None, "order": "dehornoy",
-             "opp": False, "budget": None, "as_json": False, "presentation": None}
+_DEFAULTS = {"type_name": None, "matrix_file": None, "opp": False,
+             "budget": None, "as_json": False, "presentation": None}
 
 
 # every subcommand: its positional arguments and its help line, in --help order
@@ -106,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="built-in Coxeter matrix, e.g. A3, B2, H3, I2(5)")
     g.add_argument("--matrix", dest="matrix_file", metavar="FILE",
                    help="Coxeter matrix file")
-    g.add_argument("--order", choices=("dehornoy", "magnus"),
-                   help="ordering for sign/cmp/decompose-canonical "
-                        "(dehornoy on a type B matrix means the embedding order)")
     g.add_argument("--opp", action="store_true",
                    help="flip the Delta_I comparison in decompose-canonical")
     g.add_argument("--budget", type=_budget, metavar="N",
@@ -191,7 +188,6 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[str, int, object]:
             s = int(args.generator)
         except ValueError:
             raise ArtinError(f"generator must be an integer, got {args.generator!r}")
-        matrix.check_word((s,), positive=True)
         return _word_or_none(monoid.left_extract(_positive(matrix, args.word), s))
 
     if cmd == "lcm":
@@ -201,7 +197,6 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[str, int, object]:
 
     if cmd == "delta":
         subset = _parse_set(args.generators)
-        matrix.check_word(subset, positive=True)
         if (d := monoid.delta(matrix, subset)) is None:
             raise ArtinError(
                 f"Delta is undefined for {_format_set(subset)}: "
@@ -234,7 +229,7 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[str, int, object]:
             d = palindromes.tau_symmetrize(given)
             x = palindromes.reconstruct(given)
         elif cmd == "decompose-canonical":
-            handle = orderings.order_for_matrix(matrix, args.order)
+            handle = orderings.order_for_matrix(matrix)
             x = _element(matrix, args.word)
             d = palindromes.canonical_decompose(x, handle, opp=args.opp,
                                                 budget=args.budget)
@@ -248,7 +243,7 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[str, int, object]:
             "y": y_out, "I": sorted(d.I), "reconstruction": recon}
 
     if cmd in ("sign", "cmp"):
-        handle = orderings.order_for_matrix(matrix, args.order)
+        handle = orderings.order_for_matrix(matrix)
         if cmd == "sign":
             out = handle.sign(_element(matrix, args.word)).name
         else:
@@ -319,7 +314,6 @@ def main(argv=None) -> int:
             "inputs": {
                 "type": args.type_name or args.matrix_file,
                 "args": [getattr(args, name) for name in _COMMANDS[args.command][0]],
-                "order": args.order,
                 "opp": args.opp,
             },
             "result": result,

@@ -347,9 +347,11 @@ def classify(matrix: CoxeterMatrix, subset=None) -> list[str] | None:
     """Component type names if the (sub)system is finite, else None.
 
     subset restricts to a parabolic; default is all generators.  Names come
-    back sorted, one per connected component, e.g. ['A1', 'A2', 'B3'].
+    back sorted, one per connected component, e.g. ['A1', 'A2', 'B3'].  A
+    subset member that is not a generator raises InvalidWordError.
     """
-    nodes = matrix.generators if subset is None else sorted(set(subset))
+    nodes = (matrix.generators if subset is None
+             else sorted(set(matrix.check_word(subset, positive=True))))
     if not nodes:
         return []
     names = []

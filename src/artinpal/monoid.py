@@ -34,12 +34,8 @@ class PositiveWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for x in self.letters:
-            if not isinstance(x, int) or not 1 <= x <= self.matrix.rank:
-                raise InvalidWordError(
-                    f"letter {x!r} out of range for rank {self.matrix.rank}"
-                )
+        object.__setattr__(self, "letters",
+                           self.matrix.check_word(self.letters, positive=True))
 
     def __len__(self):
         return len(self.letters)
@@ -134,8 +130,7 @@ def _extract(rules: tuple, w: list[int], s: int, lo: int, hi: int) -> bool:
 
 def left_extract(w: PositiveWord, s: int) -> PositiveWord | None:
     """If s left-divides w, return some w'' with w = s * w''; else None."""
-    if not 1 <= s <= w.matrix.rank:
-        raise InvalidWordError(f"generator {s} out of range")
+    w.matrix.check_word((s,), positive=True)
     return divides_left(_trusted(w.matrix, (s,)), w)
 
 
@@ -263,10 +258,7 @@ def delta(matrix: CoxeterMatrix, subset) -> PositiveWord | None:
     raised, never read as "no Delta".
     The empty subset yields the empty word.  Memoized per (matrix, subset).
     """
-    idx = tuple(sorted(set(subset)))
-    for s in idx:
-        if not 1 <= s <= matrix.rank:
-            raise InvalidWordError(f"generator {s} out of range")
+    idx = tuple(sorted(set(matrix.check_word(subset, positive=True))))
     if not idx:
         return PositiveWord(matrix, ())
     return _delta_cached(matrix, idx)

@@ -1,10 +1,11 @@
 """Left-invariant orderings with controlled behaviour under reversal.
 
-Three constructions: the Dehornoy order on braid groups (decided by
-Dynnikov coordinates in one pass over the word), the Magnus order on free
-groups (graded-lexicographic first coefficient of the power-series image),
-and the type-B order pulled back through b_j -> s_j, b_n -> s_n^2 into the
-braid group on n+1 strands.
+Two orders on group elements, one per matrix type (`order_for_matrix`):
+the Dehornoy order on type A braid groups, decided by Dynnikov coordinates
+in one pass over the word, and the type-B order pulled back through
+b_j -> s_j, b_n -> s_n^2 into the braid group on n+1 strands.  Beside them,
+the Magnus order on free words (graded-lexicographic first coefficient of
+the power-series image), which orders no group element here.
 
 Every order is packaged as an OrderingHandle: a sign function into
 {Negative, Zero, Positive} plus a difference map, with compare(x, y)
@@ -144,6 +145,8 @@ def dehornoy_sign(word, n: int) -> Sign:
     none.  `oracle.reduce_handles` decides the same sign by handle
     reduction and referees this one in the tests.
     """
+    if not isinstance(n, int) or n < 1:
+        raise InvalidWordError(f"strand count {n!r} is not an integer >= 1")
     c = dynnikov_action(word, (0, 1) * n)
     for k, v in enumerate(c):
         if v != k % 2:
@@ -152,7 +155,7 @@ def dehornoy_sign(word, n: int) -> Sign:
 
 
 def _require_builtin(matrix: CoxeterMatrix, family: str):
-    if matrix.rank < 1 or matrix.entries != builtin(family, matrix.rank).entries:
+    if matrix.entries != builtin(family, matrix.rank).entries:
         raise PreconditionError(
             f"this order needs the type {family} matrix of matching rank"
         )
@@ -319,19 +322,6 @@ def magnus_order(n: int | None = None) -> OrderingHandle:
     )
 
 
-def magnus_element_order(matrix: CoxeterMatrix) -> OrderingHandle:
-    """Magnus sign evaluated on the canonical signed-word representative
-    of a group element.
-
-    The difference is computed in the group first, so compare(x, y) is
-    Equal exactly on group-equal pairs; beyond that the verdict depends
-    on the representative, not only on the element, unless the matrix is
-    free (all labels infinite).
-    """
-    return _element_order("magnus", matrix, lambda x: magnus_sign(
-        group.to_signed_word(x), matrix.rank))
-
-
 # ---------------------------------------------------------------------------
 # The type B embedding order
 
@@ -365,20 +355,17 @@ def typeB_order(n: int) -> OrderingHandle:
         lambda x: dehornoy_sign(typeB_embed(_garside_word(x), n), n + 1))
 
 
-def order_for_matrix(matrix: CoxeterMatrix, kind: str) -> OrderingHandle:
-    """Resolve an order name against a matrix: dehornoy on type A, the
-    embedding order on type B, magnus on representatives anywhere."""
-    if kind == "dehornoy":
-        if matrix.rank >= 1 and matrix.entries == builtin("A", matrix.rank).entries:
-            return dehornoy_order(matrix)
-        if matrix.rank >= 2 and matrix.entries == builtin("B", matrix.rank).entries:
-            return typeB_order(matrix.rank)
-        raise PreconditionError(
-            "dehornoy ordering needs a type A or type B matrix"
-        )
-    if kind == "magnus":
-        return magnus_element_order(matrix)
-    raise PreconditionError(f"unknown ordering {kind!r}")
+def order_for_matrix(matrix: CoxeterMatrix) -> OrderingHandle:
+    """The order on group elements over `matrix`, which the matrix alone
+    decides: the Dehornoy order on the type A matrix, the embedding order
+    on the type B matrix.  Any other matrix, a renumbered type A or B
+    included, raises PreconditionError."""
+    if matrix.entries == builtin("A", matrix.rank).entries:
+        return dehornoy_order(matrix)
+    if matrix.rank >= 2 and matrix.entries == builtin("B", matrix.rank).entries:
+        return typeB_order(matrix.rank)
+    raise PreconditionError(
+        "an element order needs a type A or type B matrix in builtin numbering")
 
 
 # ---------------------------------------------------------------------------

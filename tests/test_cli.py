@@ -36,13 +36,17 @@ def test_eq(capsys):
 
 
 def test_globals_after_subcommand(capsys):
-    code, out, _ = run(capsys, "--type", "A2", "cmp", "--order", "dehornoy",
-                       "1 2", "1 1")
-    assert (code, out) == (0, "LESS\n")
+    code, out, _ = run(capsys, "--type", "A3", "decompose-canonical", "--opp",
+                       "1 2 1 3 2 1")
+    assert (code, out) == (0, "y = e\nI = {1,2,3}\n")
     # pre-subcommand placement must behave identically
-    code2, out2, _ = run(capsys, "--order", "dehornoy", "--type", "A2", "cmp",
-                         "1 2", "1 1")
+    code2, out2, _ = run(capsys, "--opp", "--type", "A3", "decompose-canonical",
+                         "1 2 1 3 2 1")
     assert (code2, out2) == (code, out)
+    code, out, _ = run(capsys, "--type", "A2", "cmp", "--json", "1 2", "1 1")
+    code2, out2, _ = run(capsys, "--json", "--type", "A2", "cmp", "1 2", "1 1")
+    assert code == code2 == 0 and out == out2
+    assert json.loads(out)["result"] == "LESS"
 
 
 def test_usage_errors(capsys):
@@ -137,6 +141,24 @@ def test_sign_and_cmp_are_not_budgeted(capsys):
         0, "POSITIVE\n", "")
     assert run(capsys, "--type", "A3", "--budget", "1", "cmp", "1 2", "2 1") == (
         0, "LESS\n", "")
+
+
+def test_order_follows_the_matrix(capsys):
+    # an element and its inverse get opposite signs, and cmp reads x^-1 y
+    assert run(capsys, "--type", "A2", "sign", "-1 2") == (0, "NEGATIVE\n", "")
+    assert run(capsys, "--type", "A2", "sign", "-2 1") == (0, "POSITIVE\n", "")
+    assert run(capsys, "--type", "A2", "cmp", "e", "-1 2") == (0, "GREATER\n", "")
+    assert run(capsys, "--type", "A2", "cmp", "-1 2", "e") == (0, "LESS\n", "")
+    assert run(capsys, "--type", "B3", "sign", "-3") == (0, "NEGATIVE\n", "")
+    code, out, err = run(capsys, "--type", "H3", "sign", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    _, out, _ = run(capsys, "--type", "A2", "--json", "sign", "1")
+    assert "order" not in json.loads(out)["inputs"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--type", "A2", "cmp", "--order", "dehornoy", "1 2", "1 1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_budget_errors(capsys):
@@ -406,9 +428,6 @@ def invocations(draw, cmd, mixed_path):
             lambda xs: "{" + ",".join(map(str, xs)) + "}"), bad),
     }
     argv += ["--budget", draw(st.sampled_from(("-1", "0", "1", "2", "100")))]
-    order = draw(st.sampled_from((None, "dehornoy", "magnus")))
-    if order is not None:
-        argv += ["--order", order]
     argv += draw(st.sampled_from(([], ["--json"], ["--opp"])))
     return argv + [cmd] + [draw(kinds[k]) for k in SUBCOMMAND_ARGS[cmd]]
 

@@ -89,7 +89,7 @@ def test_element_orders(name):
     words."""
     mat = coxeter.named_matrix(name)
     n = mat.rank
-    order = orderings.order_for_matrix(mat, "dehornoy")
+    order = orderings.order_for_matrix(mat)
     rng = random.Random(SEED + n)
     for _ in range(6):
         x = group.from_word(mat, signed_word(rng, n, rng.randint(100, 200)))

@@ -211,6 +211,20 @@ def test_delta_values():
         delta(A3, (5,))
 
 
+@pytest.mark.parametrize("bad", [9, 0, -1, "a", 1.0, None])
+def test_generator_arguments_are_checked(bad):
+    # a non-generator is an InvalidWordError, never a bare TypeError nor a
+    # silent answer for a generator that is not there
+    w = word(A3, (1, 2))
+    for call in (lambda: coxeter.is_finite_type(A3, [bad]),
+                 lambda: coxeter.classify(A3, [1, bad]),
+                 lambda: delta(A3, [bad]),
+                 lambda: left_extract(w, bad),
+                 lambda: word(A3, (1, bad))):
+        with pytest.raises(InvalidWordError):
+            call()
+
+
 def test_ambient_delta_infinite():
     with pytest.raises(DeltaUndefinedError):
         ambient_delta(MIXED)

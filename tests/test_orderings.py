@@ -18,7 +18,6 @@ from artinpal.orderings import (
     dehornoy_sign,
     exponent_sums,
     free_reduce,
-    magnus_element_order,
     magnus_image,
     magnus_order,
     magnus_sign,
@@ -57,6 +56,12 @@ def test_dehornoy_sign_examples():
         dehornoy_sign((3,), 3)
     with pytest.raises(InvalidWordError):
         dehornoy_sign((0,), 3)
+
+
+@pytest.mark.parametrize("n", [None, 0, -2, 3.0, "3"])
+def test_dehornoy_sign_checks_the_strand_count(n):
+    with pytest.raises(InvalidWordError):
+        dehornoy_sign((1,), n)
 
 
 def test_dehornoy_trichotomy_exhaustive():
@@ -172,7 +177,7 @@ def test_dehornoy_orders_read_delta_inf_without_a_cancelling_pair(name):
     mat = coxeter.named_matrix(name)
     n = mat.rank
     d = len(group.to_signed_word(group.delta_element(mat)))
-    order = orderings.order_for_matrix(mat, "dehornoy")
+    order = orderings.order_for_matrix(mat)
     rng = random.Random(SEED)
     odd_negative = 0
     for _ in range(60):
@@ -339,15 +344,6 @@ def test_magnus_order_left_invariant(z, x, y):
     )
 
 
-def test_magnus_element_order():
-    order = magnus_element_order(A2)
-    x = group.from_word(A2, (1, 2, 1))
-    y = group.from_word(A2, (2, 1, 2))
-    assert order.compare(x, y) == Comparison.EQUAL  # group-equal
-    assert order.compare(group.identity(A2), group.from_word(A2, (1,))) == Comparison.LESS
-    assert order.sign(group.from_word(A2, (-1,))) == Sign.NEGATIVE
-
-
 def test_magnus_rev_sppc():
     """Reversal must preserve every sign for the order to transfer through
     palindromization; the Magnus graded-lex order fails this on balanced
@@ -434,20 +430,55 @@ def test_typeB_rev_sppc():
 
 
 def test_order_for_matrix():
-    assert order_for_matrix(A3, "dehornoy").name == "dehornoy"
-    assert order_for_matrix(B2, "dehornoy").name == "typeB-embedding"
-    assert order_for_matrix(A3, "magnus").name == "magnus"
-    with pytest.raises(PreconditionError):
-        order_for_matrix(coxeter.named_matrix("H3"), "dehornoy")
-    with pytest.raises(PreconditionError):
-        order_for_matrix(A3, "lexicographic")
+    assert order_for_matrix(A3).name == "dehornoy"
+    assert order_for_matrix(B2).name == "typeB-embedding"
+
+
+FLIP = {Comparison.LESS: Comparison.GREATER, Comparison.EQUAL: Comparison.EQUAL,
+        Comparison.GREATER: Comparison.LESS}
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5",
+                                  "B2", "B3", "B4", "B5"])
+def test_order_laws(name):
+    """The order the matrix picks is an order on its group: x and x^-1 get
+    opposite signs, the sign is ZERO exactly on the identity, and
+    compare(x, y) is opposite to compare(y, x).  The words are seeded
+    random ones, the empty word, and relators spliced into a word, which
+    spell the same element."""
+    mat = coxeter.named_matrix(name)
+    order = order_for_matrix(mat)
+    e = group.identity(mat)
+    relators = [(s, -s) for s in mat.generators] + [
+        u + tuple(-a for a in reversed(v)) for u, v in mat.relations()]
+    rng = random.Random(SEED + mat.rank)
+    words = [()] + [random_signed_word(rng, mat.rank, 10) for _ in range(200)]
+    for w in words:
+        x = group.from_word(mat, w)
+        s = order.sign(x)
+        assert order.sign(group.inv(x)) == -s, w
+        assert (s == Sign.ZERO) == group.eq(x, e), w
+        i = rng.randint(0, len(w))
+        padded = group.from_word(mat, w[:i] + rng.choice(relators) + w[i:])
+        assert order.compare(x, padded) == order.compare(padded, x) == Comparison.EQUAL
+        y = group.from_word(mat, rng.choice(words))
+        assert order.compare(y, x) == FLIP[order.compare(x, y)], (w, y)
+
+
+@pytest.mark.parametrize("matrix", [
+    coxeter.named_matrix("H3"), coxeter.named_matrix("D4"),
+    coxeter.named_matrix("F4"), coxeter.named_matrix("I2(5)"),
+    coxeter.parse_matrix("rank 3\nm 1 3 3\nm 3 2 3\n"),  # the chain 1 - 3 - 2
+], ids=["H3", "D4", "F4", "I2(5)", "renumbered-A3"])
+def test_order_for_matrix_refuses_other_types(matrix):
+    with pytest.raises(PreconditionError, match="type A or type B"):
+        order_for_matrix(matrix)
 
 
 @pytest.mark.parametrize("make", [
     lambda: dehornoy_order(A3),
     lambda: typeB_order(3),
-    lambda: order_for_matrix(A3, "magnus"),
-], ids=["dehornoy", "typeB", "magnus"])
+], ids=["dehornoy", "typeB"])
 def test_element_orders_refuse_a_foreign_element(make):
     with pytest.raises(PreconditionError):
         make().sign(group.from_word(B2, (1, 2)))

@@ -134,6 +134,29 @@ def test_canonical_decompose():
     assert d_opp.I == (1, 2, 3) and group.eq(d_opp.y, group.identity(A3))
 
 
+@pytest.mark.parametrize("name, classes", [("A3", 69), ("B3", 32)])
+def test_canonical_decompose_ignores_candidate_order(monkeypatch, name, classes):
+    """Under an order, the minimum is a property of the candidate set: the
+    same (y, I) comes back when the search lists its candidates reversed.
+    Run on every palindrome y Delta_I rev(y), y positive of length <= 3,
+    with at least three candidates."""
+    mat = coxeter.named_matrix(name)
+    order = order_for_matrix(mat)
+    subsets = [c for k in range(mat.rank + 1)
+               for c in itertools.combinations(mat.generators, k)]
+    xs = {reconstruct(PalDecomposition(y=group.from_word(mat, yw), I=subset))
+          for n in range(4) for yw in itertools.product(mat.generators, repeat=n)
+          for subset in subsets}
+    xs = [x for x in xs if len(core_decompositions(x)) >= 3]
+    assert len(xs) == classes
+    picks = {opp: [canonical_decompose(x, order, opp=opp) for x in xs]
+             for opp in (False, True)}
+    monkeypatch.setattr(palindromes, "core_decompositions",
+                        lambda x, budget=None: core_decompositions(x, budget)[::-1])
+    for opp in (False, True):
+        assert [canonical_decompose(x, order, opp=opp) for x in xs] == picks[opp]
+
+
 def test_decompose_rev_tau():
     x = group.from_word(A3, (2, 1, 3, 2))
     d = decompose_rev_tau(x)
@@ -467,5 +490,5 @@ def test_core_search_never_extracts(monkeypatch):
         x = reconstruct(PalDecomposition(y=group.from_word(mat, yw), I=subset))
         cands = core_decompositions(x)
         assert cands and all(group.eq(reconstruct(d), x) for d in cands)
-        best = canonical_decompose(x, order_for_matrix(mat, "dehornoy"))
+        best = canonical_decompose(x, order_for_matrix(mat))
         assert best in cands
