@@ -27,9 +27,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-# end-to-end metrics and whether higher is better, as in BENCHMARK.json
-BETTER_HIGHER = {"ops_per_s": True, "latency_p50_ms": False,
-                 "latency_p90_ms": False, "setup_s": False, "peak_rss_mb": False}
+# end-to-end metrics and whether higher is better, read from BENCHMARK.json
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+BETTER_HIGHER = {m["name"]: m["better"] == "higher" for m in
+                 json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def seeds(text: str) -> list[int]:

@@ -16,22 +16,11 @@ from .errors import InvalidMatrixError, InvalidWordError
 INF = float("inf")
 
 
-def _alt(a: int, b: int, k: int) -> tuple[int, ...]:
-    """Alternating letters (a, b, a, ...) of length k; no validation."""
-    return tuple(a if t % 2 == 0 else b for t in range(k))
-
-
 def w_word(a: int, b: int, k: int) -> tuple[int, ...]:
-    """The alternating word w_k(a, b) = a b a b ... of length k.
-
-    Defined for k >= 2 and a != b; the two sides of an Artin relation are
-    w_m(a, b) and w_m(b, a).
+    """The alternating word w_k(a, b) = a b a b ... of length k, for any
+    k >= 0; the two sides of an Artin relation are w_m(a, b) and w_m(b, a).
     """
-    if k < 2:
-        raise ValueError(f"w_word needs k >= 2, got {k}")
-    if a == b:
-        raise ValueError("w_word needs two distinct generators")
-    return _alt(a, b, k)
+    return tuple(a if t % 2 == 0 else b for t in range(k))
 
 
 @dataclass(frozen=True)
@@ -144,14 +133,12 @@ def _matrix_from_edges(rank: int, edges: dict[tuple[int, int], int | float],
 def sub_matrix(matrix: CoxeterMatrix, subset) -> CoxeterMatrix:
     """Restriction of a matrix to a generator subset, relabelled 1..|subset|.
 
-    The result may be disconnected; that is fine for parabolic use.
+    The result may be disconnected; that is fine for parabolic use.  A
+    subset member that is not a generator raises InvalidWordError.
     """
-    idx = sorted(set(subset))
+    idx = sorted(set(matrix.check_word(subset, positive=True)))
     if not idx:
         raise InvalidMatrixError("sub_matrix needs a nonempty subset")
-    for i in idx:
-        if not 1 <= i <= matrix.rank:
-            raise InvalidMatrixError(f"generator {i} out of range")
     rows = tuple(tuple(matrix.m(i, j) for j in idx) for i in idx)
     return CoxeterMatrix(len(idx), rows)
 

@@ -393,6 +393,15 @@ def to_signed_word(a: GroupElement) -> tuple[int, ...]:
     return dinv * (2 * a.k) + a.p
 
 
+def garside_word(a: GroupElement) -> tuple[int, ...]:
+    """Delta^inf a_1 ... a_r as a signed word: unlike `to_signed_word`'s
+    Delta^-2k p, no cancelling Delta^-1 Delta pair when inf is odd and
+    negative."""
+    d = monoid.ambient_delta(a.matrix).letters
+    head = d if a.inf >= 0 else tuple(-x for x in reversed(d))
+    return head * abs(a.inf) + a.p[len(d) * (2 * a.k + a.inf):]
+
+
 def w_image(a: GroupElement) -> weyl.WElement:
     """Image of the element in the Coxeter group: w0^inf times the factors."""
     t = _tables(a.matrix)

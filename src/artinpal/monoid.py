@@ -6,9 +6,9 @@ basic decision procedure is generator left-extraction: a rewriting scheme,
 run in place over an explicit stack of nested extractions, that rewrites a
 window w[lo:hi] of a list either into s * w'' or, when the generator s is
 not a left divisor of it, into some equal word.  Equality, divisibility,
-starting sets and the normal form are built on it, each on one buffer that
-successive extractions rewrite; least common multiples come from
-signed-word reversing.
+starting sets, the normal form and the palindrome peel are built on it,
+each on one buffer that successive extractions rewrite; least common
+multiples come from signed-word reversing.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import weyl
-from .coxeter import INF, CoxeterMatrix, _alt, is_finite_type, sub_matrix
+from .coxeter import INF, CoxeterMatrix, is_finite_type, sub_matrix, w_word
 from .errors import (
     BudgetExceededError,
     DeltaUndefinedError,
     InvalidBudgetError,
     InvalidWordError,
+    NotPalindromeError,
+    PreconditionError,
 )
 
 
@@ -74,7 +76,7 @@ def _rules(matrix: CoxeterMatrix) -> tuple:
     """rules[x][t] for generators x != t: None when they commute, () when
     their label is inf, else the alternating word (x, t, x, ...) of length m."""
     return ((),) + tuple(
-        (None,) + tuple(None if m <= 2 else () if m == INF else _alt(x, t, m)
+        (None,) + tuple(None if m <= 2 else () if m == INF else w_word(x, t, m)
                         for t, m in enumerate(row, 1))
         for x, row in enumerate(matrix.entries, 1))
 
@@ -216,8 +218,8 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
             m = mat.m(a, b)
             if m == INF:
                 return None
-            seq[i : i + 2] = [x for x in _alt(b, a, m - 1)] + [
-                -x for x in reversed(_alt(a, b, m - 1))
+            seq[i : i + 2] = [x for x in w_word(b, a, m - 1)] + [
+                -x for x in reversed(w_word(a, b, m - 1))
             ]
         i = max(i - 1, 0)
         steps += 1
@@ -294,6 +296,61 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
         lo += len(d.letters)
         out.append(heads)
     return tuple(out)
+
+
+def peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(y, I) with w = y Delta_I rev(y), y given by its letters, for a
+    palindrome w = rev(w) over any matrix; deterministic.
+
+    One list, whose window [lo, hi) holds the palindrome w still to peel,
+    is rewritten in place into equal words.  Loop: if w equals Delta_{S(w)}
+    stop with I = S(w); otherwise take the smallest s finishing the tail
+    Delta_S \\ w, J = block(s), and continue on a = Delta_J \\ w / Delta_J.
+    Delta_S exists because the letters of S have the common multiple w.  A
+    letter finishing the tail finishes w = rev(w), so lies in S; s in S
+    finishes it iff every t in S, hence Delta_S, left-divides
+    w / s = rev(s \\ w).  J = {s} always works; when J = {s, tau(s)}, w, S
+    and the tail are tau-stable, so Delta_J finishes the tail and starts w.
+    a inherits palindromicity (and tau-stability) by two-sided
+    cancellation.  y is the concatenated Delta_J words.
+
+    Every answer spells w, whatever the input: each round rewrites the
+    window into an equal word or its reverse, the stop holds because
+    Delta_S, the lcm of S, left-divides the window, the divisions by
+    Delta_J are extractions, and y Delta_I rev(y) is its own reverse.  So
+    an input that is not a palindrome is never answered; it raises
+    NotPalindromeError when no letter finishes the tail, or
+    PreconditionError, as does a Delta_J that is undefined or does not
+    start and finish w.
+    """
+    mat, rules, buf = w.matrix, _rules(w.matrix), list(w.letters)
+    lo, hi, prefix = 0, len(buf), []
+    while True:
+        s_set = _heads(rules, buf, lo, hi)
+        d = delta(mat, s_set)
+        if d is None:
+            raise DeltaUndefinedError("internal: Delta over the starting set must exist")
+        if len(d.letters) == hi - lo:
+            return tuple(prefix), s_set
+        for s in s_set:
+            # s \ w reversed is w / s on [lo, hi - 1); s goes last and leads
+            # it, so that for J = {s} both extractions below find s in place
+            _extract(rules, buf, s, lo, hi)
+            buf[lo:hi] = buf[lo:hi][::-1]
+            if all(_extract(rules, buf, t, lo, hi - 1)
+                   for t in [t for t in s_set if t != s] + [s]):
+                break
+        else:
+            raise NotPalindromeError("peel needs w = rev(w)")
+        dj = delta(mat, block(s))
+        # Delta_J \ w = a Delta_J, reversed Delta_J a; then a, equal to its reverse
+        for _ in range(2):
+            if dj is None or not _divides(rules, buf, dj.letters, lo, hi):
+                raise PreconditionError(
+                    "peel needs w = rev(w), and Delta_J to start and finish it")
+            lo += len(dj.letters)
+            buf[lo:hi] = buf[lo:hi][::-1]
+        prefix.extend(dj.letters)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable
 
-from . import group, monoid
+from . import group
 from .coxeter import CoxeterMatrix, builtin
 from .errors import InvalidWordError, PreconditionError
 from .group import GroupElement
@@ -74,14 +74,6 @@ def _element_order(name: str, matrix: CoxeterMatrix,
         return sign(x)
 
     return OrderingHandle(name, sign_fn, _group_difference)
-
-
-def _garside_word(x: GroupElement) -> tuple[int, ...]:
-    """Delta^inf a_1 ... a_r: unlike `group.to_signed_word`'s Delta^-2k p,
-    no cancelling Delta^-1 Delta pair when inf is odd and negative."""
-    d = monoid.ambient_delta(x.matrix).letters
-    head = d if x.inf >= 0 else tuple(-a for a in reversed(d))
-    return head * abs(x.inf) + x.p[len(d) * (2 * x.k + x.inf):]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +159,7 @@ def dehornoy_order(matrix: CoxeterMatrix) -> OrderingHandle:
     _require_builtin(matrix, "A")
     n = matrix.rank + 1
     return _element_order("dehornoy", matrix,
-                          lambda x: dehornoy_sign(_garside_word(x), n))
+                          lambda x: dehornoy_sign(group.garside_word(x), n))
 
 
 def dehornoy_compare(x: GroupElement, y: GroupElement) -> Comparison:
@@ -352,7 +344,7 @@ def typeB_order(n: int) -> OrderingHandle:
         raise PreconditionError("type B order needs rank >= 2")
     return _element_order(
         "typeB-embedding", builtin("B", n),
-        lambda x: dehornoy_sign(typeB_embed(_garside_word(x), n), n + 1))
+        lambda x: dehornoy_sign(typeB_embed(group.garside_word(x), n), n + 1))
 
 
 def order_for_matrix(matrix: CoxeterMatrix) -> OrderingHandle:

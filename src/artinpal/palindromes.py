@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import group, monoid, weyl
-from .coxeter import CoxeterMatrix, _alt
+from .coxeter import CoxeterMatrix, w_word
 from .errors import (
     ArtinError,
     BudgetExceededError,
@@ -67,46 +67,12 @@ def _core(x: GroupElement) -> tuple[GroupElement, int]:
 
 
 def _peel(x: GroupElement, block) -> PalDecomposition:
-    """Deterministic decomposition of a palindrome x, peeled off the
-    positive word of its core: one list, whose window [lo, hi) holds the
-    palindrome w still to peel and is rewritten in place into equal words.
-
-    Loop: if w equals Delta_{S(w)} stop with I = S(w); otherwise take the
-    smallest s finishing the tail Delta_S \\ w, J = block(s), and continue
-    on a = Delta_J \\ w / Delta_J.  A letter finishing the tail finishes
-    w = rev(w), so lies in S; s in S finishes it iff every t in S, hence
-    Delta_S, left-divides w / s = rev(s \\ w).  When J = {s, tau(s)}, w, S
-    and the tail are tau-stable, so Delta_J finishes the tail and starts w.
-    a inherits palindromicity (and tau-stability) by two-sided
-    cancellation.  y is Delta^-N times the concatenated Delta_J words.
-    """
+    """Deterministic decomposition of a palindrome x: `monoid.peel` on the
+    positive word of its core, with y = Delta^-N times the peeled letters."""
     mat = x.matrix
     z, half = _core(x)
-    rules, buf = monoid._rules(mat), list(z.p)
-    lo, hi, prefix = 0, len(buf), []
-    while True:
-        s_set = monoid._heads(rules, buf, lo, hi)
-        if len(_delta_word(mat, s_set)) == hi - lo:
-            break
-        for s in s_set:
-            # s \ w reversed is w / s on [lo, hi - 1); s goes last and leads
-            # it, so that for J = {s} both extractions below find s in place
-            monoid._extract(rules, buf, s, lo, hi)
-            buf[lo:hi] = buf[lo:hi][::-1]
-            if all(monoid._extract(rules, buf, t, lo, hi - 1)
-                   for t in [t for t in s_set if t != s] + [s]):
-                break
-        else:
-            raise ArtinError("internal: nonempty tail has a finishing letter")
-        dj = _delta_word(mat, block(s)).letters
-        # Delta_J \ w = a Delta_J, reversed Delta_J a; then a, equal to its reverse
-        for _ in range(2):
-            if not monoid._divides(rules, buf, dj, lo, hi):
-                raise ArtinError("internal: Delta_J starts and finishes w")
-            lo += len(dj)
-            buf[lo:hi] = buf[lo:hi][::-1]
-        prefix.extend(dj)
-    d = PalDecomposition(y=group.make(mat, half, prefix), I=s_set)
+    prefix, subset = monoid.peel(monoid.word(mat, z.p), block)
+    d = PalDecomposition(y=group.make(mat, half, prefix), I=subset)
     if not group.eq(reconstruct(d), x):
         raise ArtinError("internal: decomposition failed to reconstruct")
     return d
@@ -253,8 +219,8 @@ def _flank_words(s: int, t: int, k: int) -> tuple[tuple[int, ...], tuple[int, ..
     """For an odd label m = 2k+1: words D, C with
     Delta_{s,t} = D s rev(D) = C t rev(C) letter by letter."""
     if k % 2 == 0:
-        return _alt(s, t, k), _alt(t, s, k)
-    return _alt(t, s, k), _alt(s, t, k)
+        return w_word(s, t, k), w_word(t, s, k)
+    return w_word(t, s, k), w_word(s, t, k)
 
 
 def tau_symmetrize(d: PalDecomposition) -> PalDecomposition:
@@ -346,20 +312,6 @@ def delta_associated(x: GroupElement) -> GroupElement:
     root = unpal(group.mult(group.inv(d_elt), x))
     if not group.eq(group.mult(group.mult(d_elt, root), group.rev(root)), x):
         raise ArtinError("internal: delta_associated reconstruction")
-    return root
-
-
-def pure_rev_tau_root(x: GroupElement) -> GroupElement:
-    """unpal specialized to tau-invariant input; the root is tau-fixed."""
-    if not group.is_pure(x):
-        raise NotPureError("pure_rev_tau_root needs a pure element")
-    if not group.is_palindrome(x):
-        raise NotPalindromeError("pure_rev_tau_root needs a palindrome")
-    if not group.eq(group.tau(x), x):
-        raise NotTauInvariantError("pure_rev_tau_root needs tau(x) = x")
-    root = unpal(x)
-    if not group.eq(group.tau(root), root):
-        raise ArtinError("internal: tau-invariance must descend to the root")
     return root
 
 

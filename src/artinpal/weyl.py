@@ -214,11 +214,8 @@ def image(rep: RootSystemRep, word) -> WElement:
     involutions), so signs are simply dropped.
     """
     acc = tuple(range(rep.degree))
-    for x in word:
-        g = abs(x)
-        if not 1 <= g <= rep.matrix.rank:
-            raise InvalidWordError(f"letter {x} out of range")
-        acc = compose(acc, rep.simple_reflections[g - 1])
+    for x in rep.matrix.check_word(word):
+        acc = compose(acc, rep.simple_reflections[abs(x) - 1])
     return WElement(acc, ())
 
 

@@ -114,6 +114,13 @@ def test_extract_and_lcm(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_lcm_reversing_budget_exits_3(capsys, tmp_path):
+    mfile = tmp_path / "affine.txt"
+    mfile.write_text("rank 3\nm 1 2 3\nm 2 3 3\nm 1 3 3\n")
+    code, out, err = run(capsys, "--matrix", str(mfile), "lcm", "1", "2 3")
+    assert (code, out) == (3, "") and "budget" in err
+
+
 def test_lcm_default_budget_grows_with_the_label(capsys):
     # lcm(1, 2) in I2(m) is the m-letter Delta, longer than 2 * rank * 2 = 8
     for m in (9, 12):

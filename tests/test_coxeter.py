@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from artinpal.coxeter import (
@@ -14,16 +17,15 @@ from artinpal.coxeter import (
     sub_matrix,
     w_word,
 )
-from artinpal.errors import InvalidMatrixError, InvalidWordError
+from artinpal.errors import ArtinError, InvalidMatrixError, InvalidWordError
 
 
 def test_w_word():
     assert w_word(1, 2, 3) == (1, 2, 1)
     assert w_word(2, 1, 4) == (2, 1, 2, 1)
-    with pytest.raises(ValueError):
-        w_word(1, 2, 1)
-    with pytest.raises(ValueError):
-        w_word(1, 1, 3)
+    # defined for every k >= 0
+    assert w_word(1, 2, 0) == ()
+    assert w_word(1, 2, 1) == (1,)
 
 
 def test_builtin_node_conventions():
@@ -140,6 +142,12 @@ def test_sub_matrix():
         sub_matrix(b4, ())
 
 
+@pytest.mark.parametrize("bad", [1.5, 0, -1, 5, "1"])
+def test_sub_matrix_checks_letters(bad):
+    with pytest.raises(ArtinError):
+        sub_matrix(builtin("A", 3), (1, bad))
+
+
 def test_check_word():
     a2 = builtin("A", 2)
     assert a2.check_word((1, -2, 1)) == (1, -2, 1)
@@ -168,3 +176,65 @@ def test_relations():
     assert rels == [((1, 2, 1, 2), (2, 1, 2, 1))]
     x = parse_matrix("rank 3\nm 1 2 3\nm 2 3 4\nm 1 3 inf\n")
     assert len(x.relations()) == 2  # the inf pair contributes none
+
+
+def _positive_definite(rows) -> bool:
+    """Float Cholesky: every pivot above 1e-9."""
+    n = len(rows)
+    low = [[0.0] * n for _ in range(n)]
+    for k in range(n):
+        pivot = rows[k][k] - sum(x * x for x in low[k][:k])
+        if pivot <= 1e-9:
+            return False
+        low[k][k] = math.sqrt(pivot)
+        for i in range(k + 1, n):
+            dot = sum(a * b for a, b in zip(low[i][:k], low[k][:k]))
+            low[i][k] = (rows[i][k] - dot) / low[k][k]
+    return True
+
+
+def _cosine_form_definite(mat) -> bool:
+    # the diagonal's m = 1 gives -cos(pi) = 1
+    return _positive_definite([[-math.cos(math.pi / m) if m != INF else -1.0
+                                for m in row] for row in mat.entries])
+
+
+def test_finite_type_is_a_positive_definite_cosine_form():
+    """W is finite iff the form with entries -cos(pi / m_ij) is positive
+    definite (Humphreys 1990, section 6.4); checked on every Coxeter
+    matrix of rank <= 4 with labels in {2, 3, 4, 5, 6, inf}."""
+    labels = (2, 3, 4, 5, 6, INF)
+    checked = 0
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for values in itertools.product(labels, repeat=len(pairs)):
+            rows = [[1] * n for _ in range(n)]
+            for (i, j), m in zip(pairs, values):
+                rows[i][j] = rows[j][i] = m
+            mat = CoxeterMatrix(n, tuple(map(tuple, rows)))
+            assert is_finite_type(mat) == _cosine_form_definite(mat), rows
+            checked += 1
+    assert checked == 46_879
+
+
+# Past rank 4, the shapes that rank <= 4 cannot reach: a degree-4 node
+# (D~4), a fork with arms other than D and E (E~6, E~7, E~8), an inner
+# label 4 (F~4) and a label 5 on a chain longer than H4, beside finite
+# neighbours.
+LARGER = {
+    "D~4": "rank 5\nm 1 3 3\nm 2 3 3\nm 3 4 3\nm 3 5 3\n",
+    "E~6": "rank 7\nm 1 2 3\nm 2 3 3\nm 1 4 3\nm 4 5 3\nm 1 6 3\nm 6 7 3\n",
+    "E~7": "rank 8\n" + "".join(f"m {i} {i + 1} 3\n" for i in range(1, 7)) + "m 4 8 3\n",
+    "E~8": "rank 9\n" + "".join(f"m {i} {i + 1} 3\n" for i in range(1, 8)) + "m 3 9 3\n",
+    "F~4": "rank 5\nm 1 2 3\nm 2 3 4\nm 3 4 3\nm 4 5 3\n",
+    "5333": "rank 5\nm 1 2 5\nm 2 3 3\nm 3 4 3\nm 4 5 3\n",
+    "D5": "rank 5\nm 1 2 3\nm 2 3 3\nm 3 4 3\nm 3 5 3\n",
+    "B5": "rank 5\nm 1 2 3\nm 2 3 3\nm 3 4 3\nm 4 5 4\n",
+}
+
+
+@pytest.mark.parametrize("name", [*LARGER, "E6", "E7", "E8", "F4", "H4"])
+def test_finite_type_past_rank_4(name):
+    mat = parse_matrix(LARGER[name]) if name in LARGER else named_matrix(name)
+    assert is_finite_type(mat) == _cosine_form_definite(mat)
+    assert is_finite_type(mat) == (name in ("D5", "B5", "E6", "E7", "E8", "F4", "H4"))

@@ -93,7 +93,7 @@ def test_element_orders(name):
     rng = random.Random(SEED + n)
     for _ in range(6):
         x = group.from_word(mat, signed_word(rng, n, rng.randint(100, 200)))
-        w = orderings._garside_word(x)
+        w = group.garside_word(x)
         if name[0] == "B":
             w = typeB_embed(w, n)
         assert order.sign(x) == referee_sign(w)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from artinpal.errors import (
     DeltaUndefinedError,
     InfiniteTypeError,
     InvalidWordError,
+    NotPalindromeError,
+    PreconditionError,
 )
 from artinpal.monoid import (
     PositiveWord,
@@ -21,16 +24,23 @@ from artinpal.monoid import (
     finishing_set,
     left_extract,
     normal_form,
+    peel,
     rev,
     right_lcm,
     starting_set,
     word,
 )
+from tests.test_decomposition_referee import oracle_peel, palindromic_classes
 
 A2 = coxeter.builtin("A", 2)
 A3 = coxeter.builtin("A", 3)
 B2 = coxeter.builtin("B", 2)
 MIXED = coxeter.parse_matrix("rank 3\nm 1 2 3\nm 2 3 4\nm 1 3 inf\n")
+
+AFFINE = {name: coxeter.parse_matrix(text) for name, text in [
+    ("A~2", "rank 3\nm 1 2 3\nm 2 3 3\nm 1 3 3\n"),
+    ("C~2", "rank 3\nm 1 2 4\nm 2 3 4\n"),
+]}
 
 a3_words = st.lists(st.integers(1, 3), max_size=6).map(
     lambda ls: word(A3, ls)
@@ -187,6 +197,13 @@ def test_right_lcm_budget():
         right_lcm(word(A2, (1, 2)), word(A2, (1,)), budget=1)
 
 
+def test_right_lcm_reversing_stops_in_the_loop():
+    # in affine A~2 reversing 1^-1 2 3 outgrows the default budget, and the
+    # letter and step cap stops it inside the loop
+    with pytest.raises(BudgetExceededError, match="word reversing exceeded"):
+        right_lcm(word(AFFINE["A~2"], (1,)), word(AFFINE["A~2"], (2, 3)))
+
+
 @given(a3_words, a3_words)
 def test_right_lcm_is_common_multiple(u, v):
     d = right_lcm(u, v)
@@ -269,3 +286,45 @@ def test_tau_is_involutive_automorphism(w):
     d = ambient_delta(A3)
     # defining property: w * Delta = Delta * tau(w)
     assert equals(w * d, d * tau_w)
+
+
+@pytest.mark.parametrize("name", ["MIXED", "A~2", "C~2", "free"])
+def test_peel_agrees_with_the_oracle_in_infinite_type(name):
+    """On every palindromic class to length 8, `peel` returns the pair
+    that the peel's rule picks on the oracle's rewriting classes."""
+    mat = {"MIXED": MIXED, "free": coxeter.parse_matrix("rank 2\nm 1 2 inf\n"),
+           **AFFINE}[name]
+    P = oracle.presentation_from_matrix(mat)
+    deltas = oracle.artin_deltas(mat, max_len=8)
+    checked = 0
+    for members in palindromic_classes(P, 8):
+        y, subset = peel(word(mat, members[0]), lambda s: (s,))
+        want_y, want_subset = oracle_peel(P, members[0], deltas, lambda s: (s,))
+        assert oracle.class_of(P, y).canonical == oracle.class_of(P, want_y).canonical, y
+        assert subset == want_subset, members[0]
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("mat", [A3, MIXED], ids=["A3", "MIXED"])
+def test_peel_answers_exactly_the_palindromes(mat):
+    """Every word to length 6: an answer spells w, and only palindromes
+    get one; the others raise PreconditionError."""
+    for n in range(7):
+        for letters in itertools.product(mat.generators, repeat=n):
+            w = word(mat, letters)
+            try:
+                y, subset = peel(w, lambda s: (s,))
+            except PreconditionError:
+                assert not equals(w, rev(w)), letters
+                continue
+            assert equals(word(mat, y + delta(mat, subset).letters + y[::-1]), w)
+
+
+def test_peel_errors():
+    with pytest.raises(NotPalindromeError):
+        peel(word(A3, (1, 2)), lambda s: (s,))
+    with pytest.raises(PreconditionError):  # Delta_{2} does not start 1 1
+        peel(word(A3, (1, 1)), lambda s: (2,))
+    with pytest.raises(PreconditionError):  # no Delta over {1, 3}
+        peel(word(MIXED, (1, 1)), lambda s: (1, 3))

@@ -183,7 +183,7 @@ def test_dehornoy_orders_read_delta_inf_without_a_cancelling_pair(name):
     for _ in range(60):
         x = group.from_word(mat, tuple(rng.choice((1, -1)) * rng.randint(1, n)
                                        for _ in range(rng.randint(0, 12))))
-        old, new = group.to_signed_word(x), orderings._garside_word(x)
+        old, new = group.to_signed_word(x), group.garside_word(x)
         assert group.from_word(mat, new) == x
         if x.inf < 0 and x.inf % 2:
             odd_negative += 1

@@ -24,7 +24,6 @@ from artinpal.palindromes import (
     delta_associated,
     involution_lift,
     pal,
-    pure_rev_tau_root,
     reconstruct,
     tau_symmetrize,
     unpal,
@@ -318,6 +317,14 @@ def test_tau_symmetrize_errors(monkeypatch):
         tau_symmetrize(PalDecomposition(y=group.identity(A3), I=(1,)))
 
 
+@pytest.mark.parametrize("m", [5, 7])
+def test_tau_symmetrize_dihedral_exhausts(m):
+    # as in A2, {1} moves only to {2}; k = (m - 1) / 2 is even for m = 5
+    d = PalDecomposition(y=group.identity(coxeter.builtin("I2", m)), I=(1,))
+    with pytest.raises(SearchExhaustedError):
+        tau_symmetrize(d)
+
+
 def test_delta_associated():
     rng = random.Random(SEED)
     d_elt = group.delta_element(A3)
@@ -332,19 +339,14 @@ def test_delta_associated():
         delta_associated(group.from_word(A3, (1,)))  # rev(tau(x)) != x
 
 
-def test_pure_rev_tau_root():
+def test_unpal_root_of_a_tau_invariant_pure_palindrome_is_tau_fixed():
+    # y = s2 s1 s3 is tau-fixed in A3, so pal(y) is pure, rev- and tau-fixed
     y = group.from_word(A3, (2, 1, 3))
     x = pal(y)
-    root = pure_rev_tau_root(x)
+    assert group.is_pure(x) and group.eq(group.tau(x), x)
+    root = unpal(x)
     assert group.eq(root, y)
     assert group.eq(group.tau(root), root)
-    # purity is checked before palindromicity
-    with pytest.raises(NotPureError):
-        pure_rev_tau_root(group.delta_element(A3))
-    with pytest.raises(NotPalindromeError):
-        pure_rev_tau_root(group.from_word(A3, (1, 1, 2, 2)))
-    with pytest.raises(NotTauInvariantError):
-        pure_rev_tau_root(pal(group.from_word(A3, (1,))))
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "A3"])

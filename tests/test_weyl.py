@@ -1,12 +1,13 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpal import coxeter, group, weyl
-from artinpal.errors import BudgetExceededError, InfiniteTypeError
+from artinpal import coxeter, group, oracle, weyl
+from artinpal.errors import ArtinError, BudgetExceededError, InfiniteTypeError
 from artinpal.weyl import (
     WElement,
     ZPhi,
@@ -123,6 +124,30 @@ def test_image_respects_relations(name):
 def test_image_drops_signs():
     rep = build_root_system(A3)
     assert image(rep, (1, -2, 3)) == image(rep, (-1, 2, -3))
+
+
+@pytest.mark.parametrize("bad", [1.5, 0, 4, -4, "1"])
+def test_image_checks_letters(bad):
+    with pytest.raises(ArtinError):
+        image(build_root_system(A3), (1, bad))
+
+
+def test_g2_label_6():
+    """I2(6) = G2 takes the Cartan label-6 coefficients: 12 roots, |W| = 12
+    as the oracle counts it, and group elements that round-trip."""
+    mat = coxeter.named_matrix("I2(6)")
+    rep = build_root_system(mat)
+    assert rep.degree == 12 and sum(rep.negative) == 6
+    assert len(enumerate_group(rep, 100)) == 12 == oracle.coxeter_order_oracle(mat)
+    rng = random.Random(6)
+    e = group.identity(mat)
+    for _ in range(20):
+        word = [rng.choice((-1, 1)) * rng.randint(1, 2) for _ in range(rng.randint(0, 20))]
+        x = group.from_word(mat, word)
+        assert group.eq(group.from_word(mat, group.to_signed_word(x)), x)
+        assert group.eq(group.mult(x, group.inv(x)), e)
+        assert group.eq(group.rev(group.rev(x)), x)
+        assert group.w_image(x).perm == image(rep, word).perm
 
 
 def test_predicates():
