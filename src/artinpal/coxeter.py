@@ -67,7 +67,10 @@ class CoxeterMatrix:
 
     def check_word(self, word, positive: bool = False) -> tuple[int, ...]:
         """Validate letters and return the word as a tuple of ints."""
-        w = tuple(word)
+        try:
+            w = tuple(word)
+        except TypeError:
+            raise InvalidWordError(f"{word!r} is not a sequence of letters") from None
         for x in w:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
                 raise InvalidWordError(
@@ -130,19 +133,6 @@ def _matrix_from_edges(rank: int, edges: dict[tuple[int, int], int | float],
     return CoxeterMatrix(rank, tuple(tuple(r) for r in rows), name)
 
 
-def sub_matrix(matrix: CoxeterMatrix, subset) -> CoxeterMatrix:
-    """Restriction of a matrix to a generator subset, relabelled 1..|subset|.
-
-    The result may be disconnected; that is fine for parabolic use.  A
-    subset member that is not a generator raises InvalidWordError.
-    """
-    idx = sorted(set(matrix.check_word(subset, positive=True)))
-    if not idx:
-        raise InvalidMatrixError("sub_matrix needs a nonempty subset")
-    rows = tuple(tuple(matrix.m(i, j) for j in idx) for i in idx)
-    return CoxeterMatrix(len(idx), rows)
-
-
 def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
     """Standard Coxeter matrix of a named finite-type diagram.
 
@@ -153,6 +143,8 @@ def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
     n-2 (both n-1 and n join it); E-types follow the Bourbaki numbering
     (chain 1,3,4,...,n with node 2 hanging off node 4).
     """
+    if param is not None and not isinstance(param, int):
+        raise InvalidMatrixError(f"{family!r} needs an int parameter, got {param!r}")
     fam = family.strip().upper()
     if fam == "A":
         if param is None or param < 1:
@@ -191,7 +183,7 @@ def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
         edges.update({(i, i + 1): 3 for i in range(2, n)})
         return _matrix_from_edges(n, edges, fam)
     if fam == "I2":
-        if param is None or param < 5 or param == INF:
+        if param is None or param < 5:
             raise InvalidMatrixError("I2(m) needs a finite m >= 5 (use A2/B2 below)")
         return _matrix_from_edges(2, {(1, 2): param}, f"I2({param})")
     raise InvalidMatrixError(f"unrecognized family {family!r}")

@@ -89,13 +89,8 @@ class _Tables:
             self.compose = compose
             self.times = tuple(itemgetter(*r) for r in self.refl)
             self.ident = rep.identity().perm
-        # w0 is the element whose right descent set is everything
-        full = (1 << n) - 1
-        w0 = self.ident
-        while (m := _mask(self.signs, w0)) != full:
-            w0 = self.times[((m + 1) & ~m).bit_length() - 1](w0)
-        self.top = rep.degree // 2  # the length of Delta
-        self.delta = _Simple(w0, w0, full, full, self.top)
+        self.delta = _longest(self, (1 << n) - 1)
+        self.top, w0 = self.delta.length, self.delta.perm
         # tau is the identity exactly when w0 is central
         c = self.compose
         self.twist = any(c(w0, c(r, w0)) != r for r in self.refl)
@@ -104,6 +99,17 @@ class _Tables:
         # co[s] = Delta * s_(s+1)^-1, with image w0 s
         self.co = tuple(_simple(self, c(w0, r), c(r, w0), self.top - 1)
                         for r in self.refl)
+
+
+def _longest(t: _Tables, mask: int) -> _Simple:
+    """Delta_I, the lift of the longest element w0(I), for the generators I
+    in mask: append the least s in I that is not yet a right descent until
+    all of I are.  w0(I) is an involution with descent sets I on both sides."""
+    w, steps = t.ident, 0
+    while free := mask & ~_mask(t.signs, w):
+        w = t.times[(free & -free).bit_length() - 1](w)
+        steps += 1
+    return _Simple(w, w, mask, mask, steps)
 
 
 @lru_cache(maxsize=None)
@@ -239,8 +245,8 @@ class GroupElement:
 def make(matrix: CoxeterMatrix, k: int, p) -> GroupElement:
     """The element Delta^(-2k) * p for a positive word p, normalized."""
     t = _tables(matrix)
-    if k < 0:
-        raise InvalidWordError("denominator exponent must be >= 0")
+    if not isinstance(k, int) or k < 0:
+        raise InvalidWordError(f"denominator exponent must be an int >= 0, got {k!r}")
     factors: list[_Simple] = []
     inf = -2 * k
     for s in matrix.check_word(p, positive=True):
@@ -284,9 +290,16 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
     return GroupElement(matrix, inf, tuple(factors))
 
 
-def delta_element(matrix: CoxeterMatrix) -> GroupElement:
-    _tables(matrix)  # rejects infinite type
-    return GroupElement(matrix, 1, ())
+def delta_element(matrix: CoxeterMatrix, subset=None) -> GroupElement:
+    """Delta_I for the generators I in subset, Delta when subset is None;
+    the empty subset gives the identity."""
+    t = _tables(matrix)
+    if subset is None:
+        return GroupElement(matrix, 1, ())
+    mask = sum({1 << (s - 1) for s in matrix.check_word(subset, positive=True)})
+    factors: list[_Simple] = []
+    inf = _push(t, factors, _longest(t, mask))
+    return GroupElement(matrix, inf, tuple(factors))
 
 
 def _check_same(a: GroupElement, b: GroupElement):

@@ -1,7 +1,8 @@
 """Positive words and the Artin monoid word problem.
 
 Everything here works for an arbitrary Coxeter matrix (finite labels or
-not); only the fundamental elements need finite-type parabolics.  The
+not), and reads only `coxeter` and `errors`; only the fundamental elements
+need finite-type parabolics.  The
 basic decision procedure is generator left-extraction: a rewriting scheme,
 run in place over an explicit stack of nested extractions, that rewrites a
 window w[lo:hi] of a list either into s * w'' or, when the generator s is
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import weyl
-from .coxeter import INF, CoxeterMatrix, is_finite_type, sub_matrix, w_word
+from .coxeter import INF, CoxeterMatrix, is_finite_type, w_word
 from .errors import (
     BudgetExceededError,
     DeltaUndefinedError,
@@ -190,7 +190,8 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
     with label inf proves no common multiple exists (None).  budget bounds
     the length of the returned multiple; blowing past it (or the internal
     step cap) raises BudgetExceededError, which proves nothing.  A budget
-    below max(len(u), len(v)) raises InvalidBudgetError.
+    below max(len(u), len(v)), or one that is not an int, raises
+    InvalidBudgetError.
     """
     _check_same_matrix(u, v)
     mat = u.matrix
@@ -199,8 +200,9 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
         top = max(m for row in mat.entries for m in row if m != INF)
         budget = 2 * (len(u.letters) + len(v.letters)) * max(mat.rank, top)
         budget = max(budget, len(u.letters), len(v.letters), 4)
-    elif budget < max(len(u.letters), len(v.letters)):
-        raise InvalidBudgetError("budget must be at least max(len(u), len(v))")
+    elif not isinstance(budget, int) or budget < max(len(u.letters), len(v.letters)):
+        raise InvalidBudgetError(
+            f"budget must be an int of at least max(len(u), len(v)), got {budget!r}")
     seq: list[int] = [-x for x in reversed(u.letters)] + list(v.letters)
     max_letters = 4 * budget + len(seq) + 16
     step_cap = 64 * budget + 4096
@@ -241,11 +243,9 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
 def _delta_cached(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> PositiveWord | None:
     if not is_finite_type(matrix, subset):
         return None
-    # partial lcms are Deltas of parabolics, none longer than Delta_I
-    top = weyl.build_root_system(sub_matrix(matrix, subset)).degree // 2
-    d = PositiveWord(matrix, (subset[0],))
+    d = _trusted(matrix, (subset[0],))
     for s in subset[1:]:
-        d = right_lcm(d, PositiveWord(matrix, (s,)), budget=top)
+        d = right_lcm(d, _trusted(matrix, (s,)))
     return d
 
 
@@ -254,9 +254,9 @@ def delta(matrix: CoxeterMatrix, subset) -> PositiveWord | None:
 
     Returns None exactly when the parabolic W_I is infinite, as decided by
     `coxeter.is_finite_type`: Delta_I exists iff W_I is finite
-    (Brieskorn-Saito, Invent. Math. 17 (1972)).  Otherwise the reversing
-    runs with the length of Delta_I as its budget, which no partial lcm
-    exceeds, so a BudgetExceededError would be an internal fault; it is
+    (Brieskorn-Saito, Invent. Math. 17 (1972)).  Otherwise each partial
+    lcm, itself the Delta of a parabolic, runs with `right_lcm`'s default
+    budget, so a BudgetExceededError would be an internal fault; it is
     raised, never read as "no Delta".
     The empty subset yields the empty word.  Memoized per (matrix, subset).
     """
@@ -357,13 +357,11 @@ def peel(w: PositiveWord, block) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
     """The permutation tau with s * Delta = Delta * tau(s); finite type only.
 
-    Entry i-1 holds tau(i): the generator whose reflection is w0 s_i w0,
-    where w0, the longest element of W, is the image of Delta.  Raises
-    InfiniteTypeError for an infinite-type matrix.
+    Entry i-1 holds tau(i), read off that definition: the one-letter
+    quotient Delta \\ (i * Delta).  Raises InfiniteTypeError for an
+    infinite-type matrix.
     """
-    rep = weyl.build_root_system(matrix)
-    w0 = weyl.image(rep, ambient_delta(matrix).letters).perm
-    refl = rep.simple_reflections
-    return tuple(refl.index(weyl.compose(w0, weyl.compose(r, w0))) + 1
-                 for r in refl)
+    d = ambient_delta(matrix)
+    return tuple(divides_left(d, _trusted(matrix, (s,) + d.letters)).letters[0]
+                 for s in matrix.generators)
 

@@ -340,8 +340,8 @@ def typeB_order(n: int) -> OrderingHandle:
     side.  Injectivity of the embedding is classical and consumed as an
     external fact; the defining relations are checked in the tests.
     """
-    if n < 2:
-        raise PreconditionError("type B order needs rank >= 2")
+    if not isinstance(n, int) or n < 2:
+        raise PreconditionError(f"type B order needs an int rank >= 2, got {n!r}")
     return _element_order(
         "typeB-embedding", builtin("B", n),
         lambda x: dehornoy_sign(typeB_embed(group.garside_word(x), n), n + 1))

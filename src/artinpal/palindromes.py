@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import index
 
 from . import group, monoid, weyl
 from .coxeter import CoxeterMatrix, w_word
@@ -41,16 +42,8 @@ class PalDecomposition:
 
 
 def reconstruct(d: PalDecomposition) -> GroupElement:
-    mat = d.y.matrix
-    d_i = _delta_word(mat, d.I)
-    return group.mult(group.mult(d.y, group.from_positive(d_i)), group.rev(d.y))
-
-
-def _delta_word(mat: CoxeterMatrix, subset) -> monoid.PositiveWord:
-    d = monoid.delta(mat, subset)
-    if d is None:
-        raise ArtinError("internal: parabolic delta must exist in finite type")
-    return d
+    d_i = group.delta_element(d.y.matrix, d.I)
+    return group.mult(group.mult(d.y, d_i), group.rev(d.y))
 
 
 def pal(x: GroupElement) -> GroupElement:
@@ -136,9 +129,9 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
                 todo.append(inner)
         cores[z] = group.length(z), s_set, peels
     pairs: dict = {}
-    for z, (n, s_set, peels) in sorted(cores.items(), key=lambda item: item[1][0]):
+    for z, (_, s_set, peels) in sorted(cores.items(), key=lambda item: item[1][0]):
         found: dict = {}  # (y, I) in order of discovery, each once
-        if n == len(_delta_word(mat, s_set)):
+        if z == group.delta_element(mat, s_set):
             found[group.identity(mat), s_set] = None
         for s, inner in peels:
             for y, subset in pairs[inner]:
@@ -153,32 +146,26 @@ def canonical_decompose(x: GroupElement, order, opp: bool = False,
                         budget: int | None = None) -> PalDecomposition:
     """The decomposition minimizing (Delta_I, y) lexicographically under the
     supplied left-ordering handle; opp flips only the Delta_I comparison."""
-    from .orderings import Comparison
-
     cands = core_decompositions(x, budget=budget)
     if not cands:
         raise ArtinError("internal: search returned no decomposition")
     mat = x.matrix
 
-    def delta_elt(d: PalDecomposition) -> GroupElement:
-        return group.from_positive(_delta_word(mat, d.I))
+    def below(a: GroupElement, b: GroupElement) -> int:
+        # a < b exactly when the handle's sign of difference(a, b) is positive
+        return order.sign(order.difference(a, b))
 
     best = cands[0]
-    best_delta = delta_elt(best)
+    best_delta = group.delta_element(mat, best.I)
     for cand in cands[1:]:
-        cd = delta_elt(cand)
-        c = order.compare(cd, best_delta)
-        if opp:
-            c = {Comparison.LESS: Comparison.GREATER,
-                 Comparison.GREATER: Comparison.LESS}.get(c, c)
-        if c is Comparison.LESS:
-            best, best_delta = cand, cd
-        elif c is Comparison.EQUAL:
-            cy = order.compare(cand.y, best.y)
-            if cy is Comparison.LESS:
-                best, best_delta = cand, cd
-            elif cy is Comparison.EQUAL:
+        cd = group.delta_element(mat, cand.I)
+        c = -below(cd, best_delta) if opp else below(cd, best_delta)
+        if not c:
+            c = below(cand.y, best.y)
+            if not c:
                 raise ArtinError("internal: two minimal decompositions")
+        if c > 0:
+            best, best_delta = cand, cd
     return best
 
 
@@ -203,7 +190,7 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
 
 
 def _pairwise_commuting(mat: CoxeterMatrix, subset) -> bool:
-    items = sorted(subset)
+    items = sorted(mat.check_word(subset, positive=True))
     return all(
         mat.m(a, b) == 2 for pos, a in enumerate(items) for b in items[pos + 1:]
     )
@@ -325,8 +312,12 @@ def involution_lift(matrix: CoxeterMatrix, target) -> PalDecomposition:
     Bull. Austral. Math. Soc. 26 (1982); Geck-Pfeiffer (2000), Thm 3.2.9).
     A target outside W raises PreconditionError."""
     rep = weyl.build_root_system(matrix)
-    perm = target.perm if isinstance(target, weyl.WElement) else tuple(target)
-    if len(perm) != rep.degree or set(perm) != set(range(rep.degree)):
+    try:
+        perm = tuple(map(index, target.perm if isinstance(target, weyl.WElement)
+                         else target))
+    except TypeError:
+        perm = ()
+    if sorted(perm) != list(range(rep.degree)):
         raise PreconditionError("involution_lift needs a permutation of the roots")
     if weyl.compose(perm, perm) != rep.identity().perm:
         raise PreconditionError("involution_lift needs an element of order <= 2")
@@ -345,7 +336,7 @@ def involution_lift(matrix: CoxeterMatrix, target) -> PalDecomposition:
         w = weyl.compose(refl[i], weyl.compose(w, refl[i]))
         letters.append(i + 1)
     subset = tuple(i + 1 for i, m in enumerate(minus) if w[i] == m)
-    if weyl.image(rep, _delta_word(matrix, subset).letters).perm != w:
+    if group.w_image(group.delta_element(matrix, subset)).perm != w:
         raise PreconditionError("involution_lift needs an element of W")
     out = PalDecomposition(y=group.make(matrix, 0, letters), I=subset)
     if group.w_image(reconstruct(out)).perm != perm:

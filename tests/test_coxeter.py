@@ -14,10 +14,9 @@ from artinpal.coxeter import (
     parse_matrix,
     parse_word,
     serialize_matrix,
-    sub_matrix,
     w_word,
 )
-from artinpal.errors import ArtinError, InvalidMatrixError, InvalidWordError
+from artinpal.errors import InvalidMatrixError, InvalidWordError
 
 
 def test_w_word():
@@ -130,22 +129,6 @@ def test_matrix_validation():
         CoxeterMatrix(2, ((2, 3), (3, 1)))  # bad diagonal
     with pytest.raises(InvalidMatrixError):
         CoxeterMatrix(1, ((1, 1),))
-
-
-def test_sub_matrix():
-    b4 = builtin("B", 4)
-    s = sub_matrix(b4, (2, 3, 4))
-    assert s == builtin("B", 3)
-    s2 = sub_matrix(b4, (1, 3))
-    assert s2.m(1, 2) == 2  # relabelled, disconnected is fine here
-    with pytest.raises(InvalidMatrixError):
-        sub_matrix(b4, ())
-
-
-@pytest.mark.parametrize("bad", [1.5, 0, -1, 5, "1"])
-def test_sub_matrix_checks_letters(bad):
-    with pytest.raises(ArtinError):
-        sub_matrix(builtin("A", 3), (1, bad))
 
 
 def test_check_word():

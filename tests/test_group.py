@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -269,3 +271,34 @@ def test_both_permutation_representations(name, trivial_tau, rng):
             v, w = monoid.word(mat, v), monoid.word(mat, w)
             assert eq(from_positive(v), from_positive(w)) == monoid.equals(v, w)
         assert eq(*(from_positive(monoid.word(mat, v)) for v in same))
+
+
+def _check_delta_element(mat, subset):
+    d = monoid.delta(mat, subset)
+    x = delta_element(mat, subset)
+    assert eq(x, from_positive(d)), subset
+    # the exact length: the reversing that spells Delta_I ran to the end
+    assert len(d) == group.length(x), subset
+
+
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "D5", "E6", "F4",
+    "H3", "H4", "I2(5)", "I2(7)"])
+def test_delta_element_is_the_lcm_of_its_subset(name):
+    """delta_element(m, I), the lift of w0(I), is the element that
+    `monoid.delta` spells by word reversing, on every subset I."""
+    mat = coxeter.named_matrix(name)
+    for k in range(mat.rank + 1):
+        for subset in itertools.combinations(mat.generators, k):
+            _check_delta_element(mat, subset)
+    assert eq(delta_element(mat, ()), identity(mat))
+    assert eq(delta_element(mat, mat.generators), delta_element(mat))
+
+
+# E7 and E8 by sample; A16 and B12 (272 and 288 roots) hold tuples
+@pytest.mark.parametrize("name", ["E7", "E8", "A16", "B12"])
+def test_delta_element_is_the_lcm_on_sampled_subsets(name, rng):
+    mat = coxeter.named_matrix(name)
+    _check_delta_element(mat, mat.generators)
+    for _ in range(12):
+        _check_delta_element(mat, rng.sample(mat.generators, rng.randint(1, mat.rank)))

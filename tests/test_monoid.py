@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpal import coxeter, monoid, oracle
+from artinpal import coxeter, monoid, oracle, weyl
 from artinpal.errors import (
     BudgetExceededError,
     DeltaUndefinedError,
@@ -276,6 +276,24 @@ def test_tau():
     assert tuple(perm[x - 1] for x in (1, 2)) == (3, 2)
     with pytest.raises(InfiniteTypeError):
         compute_tau_perm(MIXED)
+
+
+@pytest.mark.parametrize("name", [
+    *(f"A{n}" for n in range(1, 9)), *(f"B{n}" for n in range(2, 6)),
+    *(f"D{n}" for n in range(4, 8)), "E6", "E7", "E8", "F4", "H3", "H4",
+    *(f"I2({m})" for m in range(5, 10))])
+def test_tau_is_conjugation_by_the_longest_element(name):
+    """tau(s), read in the monoid from s * Delta = Delta * tau(s), is the
+    generator whose reflection is w0 s w0, where w0 is found in the root
+    system alone: the element that makes every simple root negative."""
+    rep = weyl.build_root_system(coxeter.named_matrix(name))
+    refl, negative = rep.simple_reflections, rep.negative
+    w0 = rep.identity().perm
+    while (i := next((i for i in range(len(refl)) if not negative[w0[i]]),
+                     None)) is not None:
+        w0 = weyl.compose(w0, refl[i])
+    assert compute_tau_perm(rep.matrix) == tuple(
+        refl.index(weyl.compose(w0, weyl.compose(r, w0))) + 1 for r in refl)
 
 
 @given(a3_words)

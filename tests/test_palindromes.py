@@ -7,6 +7,7 @@ import pytest
 from artinpal import coxeter, group, monoid, palindromes, weyl
 from artinpal.errors import (
     BudgetExceededError,
+    InvalidWordError,
     NotPalindromeError,
     NotPureError,
     NotTauInvariantError,
@@ -494,3 +495,15 @@ def test_core_search_never_extracts(monkeypatch):
         assert cands and all(group.eq(reconstruct(d), x) for d in cands)
         best = canonical_decompose(x, order_for_matrix(mat))
         assert best in cands
+
+
+@pytest.mark.parametrize("bad", [1.5, 0, -1, 5, "1"])
+def test_decomposition_subsets_are_checked(bad):
+    """A member of I that is no generator of the matrix raises
+    InvalidWordError wherever a decomposition's I is read."""
+    d = PalDecomposition(group.identity(A3), (1, bad))
+    for call in (tau_symmetrize, check_singleton, reconstruct):
+        with pytest.raises(InvalidWordError):
+            call(d)
+    with pytest.raises(InvalidWordError):
+        group.delta_element(A3, (1, bad))
