@@ -9,13 +9,15 @@ runs `python3 bench/run.py --workload W --seed S --seconds T --trace 0`
 once in each for every seed, parent first on even pair indices and change
 first on odd ones, and appends one JSON line per run.  `summarize` gives,
 per workload and end-to-end metric, the median and quartiles of each side,
-the change/parent ratio of the medians and the number of pairs the change
-won (ties count for neither side), and each side's failed and attempted
-operations and failed share; a workload with no seed run on both sides
-is an error.  BENCH_<n>.json holds these rows under
-a header that names the change, the parent commit and the machine.
-Traced runs (`--trace 1`) go to the same file and are summarized as
-per-layer rows without statistics.
+the change/parent ratio of the medians, the number of pairs the change
+won (ties count for neither side) and whether a gain may be claimed: on
+at least ten pairs, the change wins nine tenths of them and its median is
+better than the parent's by more than the parent's interquartile range.  Each
+workload also gets each side's failed and attempted operations and failed
+share; a workload with no seed run on both sides is an error.
+BENCH_<n>.json holds these rows under a header that names the change,
+the parent commit and the machine.  Traced runs (`--trace 1`) go to the
+same file and are summarized as per-layer rows without statistics.
 """
 
 from __future__ import annotations
@@ -85,12 +87,16 @@ def summarize(args) -> None:
             wins = sum((c > p) if higher else (c < p)
                        for p, c in zip(value["parent"], value["change"]))
             parent, change = quartiles(value["parent"]), quartiles(value["change"])
+            gain = change["median"] - parent["median"] if higher else (
+                parent["median"] - change["median"])
             rows[name] = {
                 "unit": pairs[0]["parent"]["metrics"][name]["unit"],
                 "better": "higher" if higher else "lower",
                 "parent": parent, "change": change,
                 "ratio": change["median"] / parent["median"] if parent["median"] else None,
                 "change_wins": f"{wins}/{len(pairs)}",
+                "claim_holds": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
+                and gain > parent["q3"] - parent["q1"],
             }
         failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
         attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in failed}

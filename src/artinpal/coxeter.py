@@ -143,6 +143,8 @@ def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
     n-2 (both n-1 and n join it); E-types follow the Bourbaki numbering
     (chain 1,3,4,...,n with node 2 hanging off node 4).
     """
+    if not isinstance(family, str):
+        raise InvalidMatrixError(f"a family is named by a string, got {family!r}")
     if param is not None and not isinstance(param, int):
         raise InvalidMatrixError(f"{family!r} needs an int parameter, got {param!r}")
     fam = family.strip().upper()
@@ -194,6 +196,8 @@ _NAME_RE = re.compile(r"^([A-Za-z])\s*(\d+)(?:\s*[(.:]\s*(\d+)\s*\)?)?$")
 
 def named_matrix(name: str) -> CoxeterMatrix:
     """Parse a form name like 'A3', 'F4', 'I2(7)' (also I2.7 / I2:7)."""
+    if not isinstance(name, str):
+        raise InvalidMatrixError(f"a form name is a string, got {name!r}")
     m = _NAME_RE.match(name.strip())
     if not m:
         raise InvalidMatrixError(f"unrecognized form name {name!r}")

@@ -21,6 +21,7 @@ from .coxeter import CoxeterMatrix, w_word
 from .errors import (
     ArtinError,
     BudgetExceededError,
+    InvalidBudgetError,
     NotPalindromeError,
     NotPureError,
     NotTauInvariantError,
@@ -59,12 +60,12 @@ def _core(x: GroupElement) -> tuple[GroupElement, int]:
     return group.mult(x, group.inv(group.mult(shift, shift))), half
 
 
-def _peel(x: GroupElement, block) -> PalDecomposition:
+def _peel(x: GroupElement, tau=None) -> PalDecomposition:
     """Deterministic decomposition of a palindrome x: `monoid.peel` on the
     positive word of its core, with y = Delta^-N times the peeled letters."""
     mat = x.matrix
     z, half = _core(x)
-    prefix, subset = monoid.peel(monoid.word(mat, z.p), block)
+    prefix, subset = monoid.peel(monoid.word(mat, z.p), tau)
     d = PalDecomposition(y=group.make(mat, half, prefix), I=subset)
     if not group.eq(reconstruct(d), x):
         raise ArtinError("internal: decomposition failed to reconstruct")
@@ -75,7 +76,7 @@ def decompose(x: GroupElement) -> PalDecomposition:
     """Some (y, I) with x = y * Delta_I * rev(y); deterministic."""
     if not group.is_palindrome(x):
         raise NotPalindromeError("decompose needs rev(x) = x")
-    return _peel(x, lambda s: (s,))
+    return _peel(x)
 
 
 def unpal(x: GroupElement) -> GroupElement:
@@ -104,8 +105,11 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
     visits the cores shortest first, so the inner cores, two letters
     shorter, are done before z; z lists (e, S(z)) when z = Delta_S(z), then
     (s y', I) for each peel s in order and each (y', I) of its inner core,
-    each pair once.
+    each pair once.  A budget that is not a nonnegative int raises
+    InvalidBudgetError.
     """
+    if budget is not None and (not isinstance(budget, int) or budget < 0):
+        raise InvalidBudgetError(f"budget must be a nonnegative int, got {budget!r}")
     if not group.is_palindrome(x):
         raise NotPalindromeError("decomposition search needs rev(x) = x")
     mat = x.matrix
@@ -181,7 +185,7 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
     if not group.eq(group.tau(x), x):
         raise NotTauInvariantError("decompose_rev_tau needs tau(x) = x")
     perm = monoid.compute_tau_perm(x.matrix)
-    d = _peel(x, lambda s: (s, perm[s - 1]))
+    d = _peel(x, perm)
     if not group.eq(group.tau(d.y), d.y):
         raise ArtinError("internal: rev-tau decomposition tau(y) = y")
     if tuple(sorted(perm[i - 1] for i in d.I)) != d.I:

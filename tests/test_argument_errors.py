@@ -15,6 +15,10 @@ CALLS = {
         monoid.word(A3, (1,)), monoid.word(A3, (2,)), budget="x"),
     "typeB-str-rank": lambda: orderings.typeB_order("3"),
     "builtin-str-rank": lambda: coxeter.builtin("A", "3"),
+    "builtin-int-family": lambda: coxeter.builtin(3, 3),
+    "named-int-name": lambda: coxeter.named_matrix(3),
+    "core-search-str-budget": lambda: palindromes.core_decompositions(
+        group.identity(A3), budget="x"),
     "lift-int-target": lambda: palindromes.involution_lift(A3, 5),
     "delta-int-subset": lambda: group.delta_element(A3, 5),
 }

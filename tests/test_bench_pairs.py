@@ -48,3 +48,26 @@ def test_summarize_workload_without_a_pair(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["summarize", str(path)])
     assert exc.value.code == "summarize: workload pal has no seed run on both sides"
+
+
+def test_summarize_claim_rule(tmp_path, capsys):
+    """A gain holds on 9 of 10 pairs when the medians differ by more than the
+    parent's interquartile range; 8 wins, a gap inside it, or fewer than
+    ten pairs do not."""
+    def pairs(parent, change):
+        return [_record("wp", seed, side, ops, 100, 0)
+                for seed, (p, c) in enumerate(zip(parent, change))
+                for side, ops in (("parent", p), ("change", c))]
+
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # IQR 4.5
+    claims = {
+        "wins 9, gap 7": ([p + 8 for p in parent[:9]] + [18.9], True),
+        "wins 8, gap 6": ([p + 8 for p in parent[:8]] + [17.9, 18.9], False),
+        "wins 10, gap 4": ([p + 4 for p in parent], False),
+    }
+    claims["wins 3 of 3, gap 8"] = ([p + 8 for p in parent[:3]], False)
+    for name, (change, holds) in claims.items():
+        row = _summarize(tmp_path, capsys, pairs(parent, change))["end_to_end"]["wp"]
+        assert row["metrics"]["ops_per_s"]["claim_holds"] is holds, name
+        # latency is 1.0 on both sides: no pair won, so lower-is-better holds no claim
+        assert row["metrics"]["latency_p90_ms"]["claim_holds"] is False

@@ -55,6 +55,10 @@ def test_builtin_rejects():
         builtin("I2", 4)
     with pytest.raises(InvalidMatrixError):
         builtin("Q", 3)
+    with pytest.raises(InvalidMatrixError):  # names are strings
+        builtin(3, 3)
+    with pytest.raises(InvalidMatrixError):
+        named_matrix(3)
 
 
 def test_classify_builtins():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artinpal import coxeter, monoid, oracle, weyl
+from artinpal import coxeter, group, monoid, oracle, palindromes, weyl
 from artinpal.errors import (
+    ArtinError,
     BudgetExceededError,
     DeltaUndefinedError,
     InfiniteTypeError,
@@ -316,7 +317,7 @@ def test_peel_agrees_with_the_oracle_in_infinite_type(name):
     deltas = oracle.artin_deltas(mat, max_len=8)
     checked = 0
     for members in palindromic_classes(P, 8):
-        y, subset = peel(word(mat, members[0]), lambda s: (s,))
+        y, subset = peel(word(mat, members[0]))
         want_y, want_subset = oracle_peel(P, members[0], deltas, lambda s: (s,))
         assert oracle.class_of(P, y).canonical == oracle.class_of(P, want_y).canonical, y
         assert subset == want_subset, members[0]
@@ -332,7 +333,7 @@ def test_peel_answers_exactly_the_palindromes(mat):
         for letters in itertools.product(mat.generators, repeat=n):
             w = word(mat, letters)
             try:
-                y, subset = peel(w, lambda s: (s,))
+                y, subset = peel(w)
             except PreconditionError:
                 assert not equals(w, rev(w)), letters
                 continue
@@ -341,8 +342,133 @@ def test_peel_answers_exactly_the_palindromes(mat):
 
 def test_peel_errors():
     with pytest.raises(NotPalindromeError):
-        peel(word(A3, (1, 2)), lambda s: (s,))
-    with pytest.raises(PreconditionError):  # Delta_{2} does not start 1 1
-        peel(word(A3, (1, 1)), lambda s: (2,))
+        peel(word(A3, (1, 2)))
+    with pytest.raises(PreconditionError):  # Delta_{1, 3} does not start 1 1
+        peel(word(A3, (1, 1)), compute_tau_perm(A3))
     with pytest.raises(PreconditionError):  # no Delta over {1, 3}
-        peel(word(MIXED, (1, 1)), lambda s: (1, 3))
+        peel(word(MIXED, (1, 1)), (3, 2, 1))
+    for tau in ((1, 2), (1, 1, 2), (1, 2, 4), 5):  # not a permutation of 1..3
+        with pytest.raises(ArtinError):
+            peel(word(A3, (1, 2, 1)), tau)
+
+
+def rescanning_peel(w, tau=None):
+    """The peel's loop as it was before it carried S, kept as the reference:
+    every round extracts S(w) afresh from the whole window.  Returns the
+    answer (y, I) and the rounds, each (S, J, a) with a = Delta_J \\ w / Delta_J."""
+    mat, rules, buf = w.matrix, monoid._rules(w.matrix), list(w.letters)
+    lo, hi, prefix, rounds = 0, len(buf), [], []
+    while True:
+        s_set = monoid._heads(rules, buf, lo, hi)
+        if len(delta(mat, s_set).letters) == hi - lo:
+            return (tuple(prefix), s_set), rounds
+        for s in s_set:
+            monoid._extract(rules, buf, s, lo, hi)
+            buf[lo:hi] = buf[lo:hi][::-1]
+            if all(monoid._extract(rules, buf, t, lo, hi - 1)
+                   for t in [t for t in s_set if t != s] + [s]):
+                break
+        else:
+            raise NotPalindromeError("peel needs w = rev(w)")
+        j = {s} if tau is None else {s, tau[s - 1]}
+        dj = delta(mat, j)
+        for _ in range(2):
+            assert monoid._divides(rules, buf, dj.letters, lo, hi)
+            lo += len(dj.letters)
+            buf[lo:hi] = buf[lo:hi][::-1]
+        prefix.extend(dj.letters)
+        rounds.append((s_set, j, word(mat, buf[lo:hi])))
+
+
+def random_palindromes(mat, rng, count, tau=None):
+    """Positive palindromes u Delta_I rev(u).  Without tau, u has 0-12
+    random letters and I is any subset with a Delta; with tau, u is a
+    product of Delta_K for tau-orbits K and I a union of tau-orbits, so
+    that w is tau-stable too."""
+    gens = mat.generators
+    orbits = sorted({tuple(sorted({s, (tau or gens)[s - 1]})) for s in gens})
+    centres = [d.letters for k in range(len(orbits) + 1)
+               for chosen in itertools.combinations(orbits, k)
+               if (d := delta(mat, sum(chosen, ()))) is not None]
+    for _ in range(count):
+        if tau is None:
+            u = tuple(rng.choice(gens) for _ in range(rng.randint(0, 12)))
+        else:
+            u = sum((delta(mat, rng.choice(orbits)).letters
+                     for _ in range(rng.randint(0, 6))), ())
+        yield word(mat, u + rng.choice(centres) + u[::-1])
+
+
+LEMMA_MATRICES = {"A3": A3, "B3": coxeter.builtin("B", 3), "D4": coxeter.builtin("D", 4),
+                  "E6": coxeter.builtin("E6"), "H3": coxeter.builtin("H3"),
+                  "MIXED": MIXED, **AFFINE}
+
+
+@pytest.mark.parametrize("name", list(LEMMA_MATRICES))
+def test_peel_prunes_and_carries_the_starting_set(name):
+    """On every round of the rescanning peel, S(a) is S - J plus the letters
+    of J and of J's neighbours outside S that start a, as `peel` computes
+    it; and `peel` gives the rescanning peel's answer."""
+    mat = LEMMA_MATRICES[name]
+    rng = random.Random(sum(map(ord, name)))
+    taus = [None] if not coxeter.is_finite_type(mat) else [None, compute_tau_perm(mat)]
+    rounds_seen = 0
+    for tau in taus:
+        for w in random_palindromes(mat, rng, 40, tau):
+            answer, rounds = rescanning_peel(w, tau)
+            assert peel(w, tau) == answer, w
+            for s_set, j, a in rounds:
+                tested = [t for t in mat.generators if t in j or t not in s_set
+                          and any(mat.m(t, u) != 2 for u in j)]
+                kept = {t for t in s_set if t not in j}
+                found = {t for t in tested if left_extract(a, t) is not None}
+                assert tuple(sorted(kept | found)) == starting_set(a), (w, s_set, j)
+            rounds_seen += len(rounds)
+    assert rounds_seen > 100
+
+
+@pytest.mark.parametrize("name", ["E6", "H4", "E8"])
+def test_peel_agrees_with_the_rescanning_peel_on_long_cores(name):
+    """Both peels of pal(x) cores, x of 50 signed letters: random for the
+    plain peel, tau-fixed Delta_{s, tau(s)} blocks and their inverses for
+    the rev-tau one (on E6 tau moves letters; on H4 and E8 it is trivial)."""
+    mat = coxeter.named_matrix(name)
+    perm = compute_tau_perm(mat)
+    blocks = [delta(mat, {s, perm[s - 1]}).letters for s in mat.generators]
+    blocks += [tuple(-x for x in reversed(b)) for b in blocks]
+    rng = random.Random(20)
+    for _ in range(2):
+        plain = [rng.choice((1, -1)) * rng.randint(1, mat.rank) for _ in range(50)]
+        fixed: list[int] = []
+        while len(fixed) < 50:
+            fixed += rng.choice(blocks)
+        for letters, tau in ((plain, None), (fixed, perm)):
+            z, _ = palindromes._core(palindromes.pal(group.from_word(mat, letters)))
+            w = word(mat, z.p)
+            assert peel(w, tau) == rescanning_peel(w, tau)[0], (letters, tau)
+
+
+@pytest.mark.parametrize("name, max_len", [("A3", 7), ("A4", 7)])
+def test_rev_tau_peel_off_its_contract_spells_w_or_raises(name, max_len):
+    """On every word that is not a tau-stable palindrome the carry's premise
+    may fail, so an S may be wrong: an answer must still spell w (on A4,
+    1 1 3 3 3 4 3 needs the check of a carried stop), and otherwise the
+    peel raises an ArtinError.  Palindromes that are not tau-stable get
+    answers as well as errors."""
+    mat = coxeter.named_matrix(name)
+    tau = compute_tau_perm(mat)
+    outcomes = {"answered": 0, "raised": 0}
+    for n in range(max_len + 1):
+        for letters in itertools.product(mat.generators, repeat=n):
+            w = word(mat, letters)
+            palindrome = equals(w, rev(w))
+            if palindrome and equals(w, word(mat, (tau[s - 1] for s in letters))):
+                continue
+            try:
+                y, subset = peel(w, tau)
+            except ArtinError:
+                outcomes["raised"] += palindrome
+                continue
+            assert equals(word(mat, y + delta(mat, subset).letters + y[::-1]), w), letters
+            outcomes["answered"] += 1
+    assert min(outcomes.values()) > 0, outcomes

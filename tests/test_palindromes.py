@@ -7,6 +7,7 @@ import pytest
 from artinpal import coxeter, group, monoid, palindromes, weyl
 from artinpal.errors import (
     BudgetExceededError,
+    InvalidBudgetError,
     InvalidWordError,
     NotPalindromeError,
     NotPureError,
@@ -124,6 +125,14 @@ def test_core_decompositions_small():
         core_decompositions(group.from_word(A3, (1, 2)))
     with pytest.raises(BudgetExceededError):
         core_decompositions(group.delta_element(A3), budget=0)
+
+
+@pytest.mark.parametrize("budget", ["x", -1, 1.5])
+def test_search_budget_is_a_nonnegative_int(budget):
+    with pytest.raises(InvalidBudgetError):
+        core_decompositions(group.identity(A3), budget=budget)
+    with pytest.raises(InvalidBudgetError):
+        canonical_decompose(group.identity(A3), dehornoy_order(A3), budget=budget)
 
 
 def test_canonical_decompose():
