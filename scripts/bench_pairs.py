@@ -12,9 +12,12 @@ per workload and end-to-end metric, the median and quartiles of each side,
 the change/parent ratio of the medians, the number of pairs the change
 won (ties count for neither side) and whether a gain may be claimed: on
 at least ten pairs, the change wins nine tenths of them and its median is
-better than the parent's by more than the parent's interquartile range.  Each
-workload also gets each side's failed and attempted operations and failed
-share; a workload with no seed run on both sides is an error.
+better than the parent's by more than the parent's interquartile range.
+`within_bound` applies the rule that every workload must pass: the
+change's median is worse than the parent's by at most the metric's
+`bound` times the parent's median.  Each workload also gets each side's
+failed and attempted operations and failed share; a workload with no seed
+run on both sides is an error.
 BENCH_<n>.json holds these rows under a header that names the change,
 the parent commit and the machine.  Traced runs (`--trace 1`) go to the
 same file and are summarized as per-layer rows without statistics.
@@ -29,10 +32,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-# end-to-end metrics and whether higher is better, read from BENCHMARK.json
+# end-to-end metrics, whether higher is better and the relative bound on a
+# regression, read from BENCHMARK.json
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
-BETTER_HIGHER = {m["name"]: m["better"] == "higher" for m in
-                 json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
+END_TO_END = {m["name"]: (m["better"] == "higher", m["bound"]) for m in
+              json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def seeds(text: str) -> list[int]:
@@ -81,7 +85,7 @@ def summarize(args) -> None:
         pairs = [p for p in by_seed.values() if len(p) == 2]
         if not pairs:
             sys.exit(f"summarize: workload {workload} has no seed run on both sides")
-        for name, higher in BETTER_HIGHER.items():
+        for name, (higher, bound) in END_TO_END.items():
             value = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                      for side in ("parent", "change")}
             wins = sum((c > p) if higher else (c < p)
@@ -97,6 +101,7 @@ def summarize(args) -> None:
                 "change_wins": f"{wins}/{len(pairs)}",
                 "claim_holds": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs)
                 and gain > parent["q3"] - parent["q1"],
+                "within_bound": -gain <= bound * abs(parent["median"]),
             }
         failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
         attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in failed}

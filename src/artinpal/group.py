@@ -10,8 +10,9 @@ A simple element is the positive lift of a Coxeter-group element, stored as
 the permutation by which that element moves the roots, so its descent sets
 are read off root signs: D_R(a) = {s : a(alpha_s) < 0} and
 D_L(a) = {s : a^-1(alpha_s) < 0}.  Multiplying on the right appends a
-factor and restores left-weightedness in one right-to-left pass, sliding
-each generator of D_L(b) \\ D_R(a) across the boundary of a pair (a, b).
+factor and restores left-weightedness in one right-to-left pass.  A pair
+(a, b) is left-weighted by sliding Delta_M, M = D_L(b) \\ D_R(a), across
+its boundary in one step, until M is empty (see `_weight`).
 Delta^-1 moves to the front by tau, a -> w0 a w0, and an inverse letter is
 s^-1 = Delta^-1 * (w0 s).  Equality compares (inf, factors).
 
@@ -35,7 +36,8 @@ from typing import NamedTuple
 
 from . import monoid, weyl
 from .coxeter import CoxeterMatrix, is_finite_type
-from .errors import InfiniteTypeError, InvalidWordError
+from .errors import (InfiniteTypeError, InvalidMatrixError, InvalidWordError,
+                     PreconditionError)
 from .monoid import PositiveWord
 from .weyl import compose
 
@@ -101,10 +103,13 @@ class _Tables:
                         for r in self.refl)
 
 
+@lru_cache(maxsize=4096)
 def _longest(t: _Tables, mask: int) -> _Simple:
     """Delta_I, the lift of the longest element w0(I), for the generators I
     in mask: append the least s in I that is not yet a right descent until
-    all of I are.  w0(I) is an involution with descent sets I on both sides."""
+    all of I are.  w0(I) is an involution with descent sets I on both sides.
+    `_weight` asks for the same few subsets again and again, so the answers
+    are memoised, at most 4096 of them (least recently used go first)."""
     w, steps = t.ident, 0
     while free := mask & ~_mask(t.signs, w):
         w = t.times[(free & -free).bit_length() - 1](w)
@@ -133,24 +138,28 @@ def _complement(t: _Tables, a: _Simple) -> _Simple:
 
 
 def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
-    """Left-weight the pair (a, b): while some generator left-divides b but
-    does not right-divide a, slide it across the boundary."""
-    times, signs = t.times, t.signs
-    perm, binv = a.perm, b.inv
-    moved = []
-    move = b.left & ~a.right
-    while move:
-        s = (move & -move).bit_length() - 1
-        perm, binv = times[s](perm), times[s](binv)
-        moved.append(s)
-        move = _mask(signs, binv) & ~_mask(signs, perm)
-    # the slid word u = s_1 ... s_m; u^-1 = s_m ... s_1 updates the rest
-    u_inv = t.refl[moved[-1]]
-    for s in reversed(moved[:-1]):
-        u_inv = times[s](u_inv)
-    m = len(moved)
-    return (_simple(t, perm, t.compose(u_inv, a.inv), a.length + m),
-            _simple(t, t.compose(u_inv, b.perm), binv, b.length - m))
+    """Left-weight the pair (a, b): while M = D_L(b) \\ D_R(a) is not empty,
+    slide Delta_M across the boundary, a <- a Delta_M and b <- Delta_M \\ b.
+
+    Both stay simple and the product stays the same (Bjorner and Brenti,
+    *Combinatorics of Coxeter Groups*, 2.4): M in D_L(b) makes w0(M) the
+    W_M-part of b, so b = w0(M) b' with lengths adding; M disjoint from
+    D_R(a) makes a the shortest element of a W_M, so a w0(M) is reduced.
+    The loop ends with D_L(b) in D_R(a), and a left-weighted pair is
+    unique: its first factor is the left gcd of Delta and ab.
+    """
+    c, signs = t.compose, t.signs
+    perm, binv, u_inv, m = a.perm, b.inv, t.ident, 0
+    right, left = a.right, b.left
+    while move := left & ~right:
+        d = _longest(t, move)
+        # w0(M) is an involution: its perm is its own inverse
+        perm, binv, u_inv = c(perm, d.perm), c(binv, d.perm), c(d.perm, u_inv)
+        m += d.length
+        right, left = _mask(signs, perm), _mask(signs, binv)
+    a_inv, b_perm = c(u_inv, a.inv), c(u_inv, b.perm)
+    return (_Simple(perm, a_inv, right, _mask(signs, a_inv), a.length + m),
+            _Simple(b_perm, binv, _mask(signs, b_perm), left, b.length - m))
 
 
 def _push(t: _Tables, factors: list, b: _Simple) -> int:
@@ -244,6 +253,7 @@ class GroupElement:
 
 def make(matrix: CoxeterMatrix, k: int, p) -> GroupElement:
     """The element Delta^(-2k) * p for a positive word p, normalized."""
+    _check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
     if not isinstance(k, int) or k < 0:
         raise InvalidWordError(f"denominator exponent must be an int >= 0, got {k!r}")
@@ -259,6 +269,7 @@ def identity(matrix: CoxeterMatrix) -> GroupElement:
 
 
 def from_positive(w: PositiveWord) -> GroupElement:
+    _check_kind(PositiveWord, w)
     return make(w.matrix, 0, w.letters)
 
 
@@ -269,6 +280,7 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
     there, which keeps the factors left-weighted.  Otherwise it becomes
     Delta^-1 * (w0 s), and the Delta^-1 moves to the front through tau.
     """
+    _check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
     factors: list[_Simple] = []
     inf = 0
@@ -293,6 +305,7 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
 def delta_element(matrix: CoxeterMatrix, subset=None) -> GroupElement:
     """Delta_I for the generators I in subset, Delta when subset is None;
     the empty subset gives the identity."""
+    _check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
     if subset is None:
         return GroupElement(matrix, 1, ())
@@ -302,7 +315,18 @@ def delta_element(matrix: CoxeterMatrix, subset=None) -> GroupElement:
     return GroupElement(matrix, inf, tuple(factors))
 
 
+def _check_kind(kind: type, *values) -> None:
+    """Raise an ArtinError unless every value is a kind (a CoxeterMatrix,
+    PositiveWord or GroupElement); each public call checks its arguments
+    here once, before any normal-form work."""
+    for v in values:
+        if not isinstance(v, kind):
+            error = InvalidMatrixError if kind is CoxeterMatrix else PreconditionError
+            raise error(f"expected a {kind.__name__}, got {v!r}")
+
+
 def _check_same(a: GroupElement, b: GroupElement):
+    _check_kind(GroupElement, a, b)
     if a.matrix is not b.matrix and a.matrix != b.matrix:
         raise InvalidWordError("operands live over different matrices")
 
@@ -335,6 +359,7 @@ def mult(a: GroupElement, b: GroupElement) -> GroupElement:
 def inv(a: GroupElement) -> GroupElement:
     """x^-1 = a_r^-1 ... a_1^-1 Delta^-p with a^-1 = Delta^-1 (w0 a^-1); the
     complement of a_j passes the j - 1 + p powers of Delta to its right."""
+    _check_kind(GroupElement, a)
     t = _tables(a.matrix)
     r = len(a.factors)
     factors: list[_Simple] = []
@@ -350,6 +375,7 @@ def inv(a: GroupElement) -> GroupElement:
 def rev(a: GroupElement) -> GroupElement:
     """Anti-automorphism: rev(Delta^p a_1 ... a_r) = Delta^p tau^p(rev(a_r)
     ... rev(a_1)), where rev of a simple element has the inverse image."""
+    _check_kind(GroupElement, a)
     t = _tables(a.matrix)
     factors: list[_Simple] = []
     inf = a.inf
@@ -368,6 +394,7 @@ def rev(a: GroupElement) -> GroupElement:
 
 def tau(a: GroupElement) -> GroupElement:
     """Conjugation by Delta, factor by factor."""
+    _check_kind(GroupElement, a)
     t = _tables(a.matrix)
     if not t.twist:
         return a
@@ -386,6 +413,7 @@ def is_palindrome(a: GroupElement) -> bool:
 def starting_set(a: GroupElement) -> tuple[int, ...]:
     """The generators s with s^-1 * a positive, sorted: all if Delta divides
     a, none if a is not positive, else the first factor's left descents."""
+    _check_kind(GroupElement, a)
     if a.inf:
         return a.matrix.generators if a.inf > 0 else ()
     left = a.factors[0].left if a.factors else 0
@@ -395,12 +423,14 @@ def starting_set(a: GroupElement) -> tuple[int, ...]:
 def length(a: GroupElement) -> int:
     """The exponent sum, inf * |Delta| plus the factor lengths; for a
     positive element, the length of every positive word for it."""
+    _check_kind(GroupElement, a)
     return a.inf * _tables(a.matrix).top + sum(f.length for f in a.factors)
 
 
 def to_signed_word(a: GroupElement) -> tuple[int, ...]:
     """One signed word representing the element: 2k copies of Delta^-1,
     then p."""
+    _check_kind(GroupElement, a)
     d = monoid.ambient_delta(a.matrix).letters
     dinv = tuple(-x for x in reversed(d))
     return dinv * (2 * a.k) + a.p
@@ -410,6 +440,7 @@ def garside_word(a: GroupElement) -> tuple[int, ...]:
     """Delta^inf a_1 ... a_r as a signed word: unlike `to_signed_word`'s
     Delta^-2k p, no cancelling Delta^-1 Delta pair when inf is odd and
     negative."""
+    _check_kind(GroupElement, a)
     d = monoid.ambient_delta(a.matrix).letters
     head = d if a.inf >= 0 else tuple(-x for x in reversed(d))
     return head * abs(a.inf) + a.p[len(d) * (2 * a.k + a.inf):]
@@ -417,6 +448,7 @@ def garside_word(a: GroupElement) -> tuple[int, ...]:
 
 def w_image(a: GroupElement) -> weyl.WElement:
     """Image of the element in the Coxeter group: w0^inf times the factors."""
+    _check_kind(GroupElement, a)
     t = _tables(a.matrix)
     acc = t.delta.perm if a.inf % 2 else t.ident
     for f in a.factors:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import CoxeterMatrix, is_finite_type, parse_word
-from .errors import BudgetExceededError, HandleReductionOverflow, PreconditionError
+from .errors import (BudgetExceededError, HandleReductionOverflow, InvalidBudgetError,
+                     InvalidWordError, PreconditionError)
 
 DEFAULT_CLASS_CAP = 1_000_000
 DEFAULT_LEN_CAP = 12
@@ -66,6 +67,13 @@ class RewriteClass:
     members: frozenset
 
 
+def _check_caps(**caps) -> None:
+    """Every cap is an int >= 0: a cap of another type bounds nothing."""
+    for name, cap in caps.items():
+        if not isinstance(cap, int) or cap < 0:
+            raise InvalidBudgetError(f"{name} must be an int >= 0, got {cap!r}")
+
+
 @lru_cache(maxsize=None)
 def _rewrite_table(P: Presentation):
     """(k, {side of length k: its partner sides}) per side length k."""
@@ -81,6 +89,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
              len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
     """BFS closure of w under single-relation rewrites; deterministic.  A
     closure costs |class| * len(w) * (distinct side lengths) lookups."""
+    _check_caps(class_cap=class_cap, len_cap=len_cap)
     w = P.check_word(w)
     if len(w) > len_cap:
         raise BudgetExceededError(
@@ -117,6 +126,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
 
 def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP,
                   len_cap: int = DEFAULT_LEN_CAP) -> bool:
+    _check_caps(class_cap=class_cap, len_cap=len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
     if len(u) != len(v):
@@ -129,6 +139,7 @@ def divides_left_oracle(P: Presentation, u, v,
                         len_cap: int = DEFAULT_LEN_CAP) -> bool:
     """True iff u * w rewrites to v for some positive w: equivalently, some
     member of v's class carries a prefix equivalent to u."""
+    _check_caps(class_cap=class_cap, len_cap=len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
     if len(u) > len(v):
@@ -325,7 +336,11 @@ def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...]
     letter before i: no letter pops it, so no earlier position could ever
     be on top of the stack again.
     """
+    _check_caps(cap=cap)
     w = list(word)
+    for x in w:
+        if not isinstance(x, int) or x == 0:
+            raise InvalidWordError(f"letter {x!r} is not a braid generator")
     steps = 0
     start = 0
     while True:

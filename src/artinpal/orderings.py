@@ -101,6 +101,8 @@ def dynnikov_action(word, coords) -> tuple[int, ...]:
                     b_i+1 <- b_i - t-
     """
     c = list(coords)
+    if len(c) % 2 or not all(isinstance(v, int) for v in c):
+        raise InvalidWordError(f"coordinates {coords!r} are not an even number of ints")
     n = len(c) // 2
     for x in word:
         if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
@@ -286,6 +288,8 @@ def magnus_sign(word, n: int | None = None) -> Sign:
     X_{i1} ... X_{ik} has coefficient e1 ... ek != 0, so the search stops
     by degree k <= len(word).
     """
+    if n is not None and (not isinstance(n, int) or n < 0):
+        raise InvalidWordError(f"generator count {n!r} is not an integer >= 0")
     for x in word:
         if not isinstance(x, int) or x == 0 or (n is not None and abs(x) > n):
             raise InvalidWordError(f"letter {x!r} is not a generator of F_{n or 'n'}")

@@ -3,10 +3,12 @@ a bare TypeError, and never an answer built from them."""
 
 import pytest
 
-from artinpal import coxeter, group, monoid, orderings, palindromes
+from artinpal import coxeter, group, monoid, oracle, orderings, palindromes
 from artinpal.errors import ArtinError
 
 A3 = coxeter.builtin("A", 3)
+X = group.from_word(A3, (1, -2))
+P = oracle.presentation_from_matrix(A3)
 
 CALLS = {
     "make-str-exponent": lambda: group.make(A3, "1", ()),
@@ -21,6 +23,28 @@ CALLS = {
         group.identity(A3), budget="x"),
     "lift-int-target": lambda: palindromes.involution_lift(A3, 5),
     "delta-int-subset": lambda: group.delta_element(A3, 5),
+    "mult-int-operand": lambda: group.mult(X, 3),
+    "eq-none-operand": lambda: group.eq(X, None),
+    "inv-int": lambda: group.inv(3),
+    "rev-str": lambda: group.rev("a"),
+    "tau-none": lambda: group.tau(None),
+    "starting-set-int": lambda: group.starting_set(5),
+    "length-int": lambda: group.length(5),
+    "w-image-int": lambda: group.w_image(5),
+    "is-pure-int": lambda: group.is_pure(5),
+    "is-palindrome-int": lambda: group.is_palindrome(5),
+    "garside-word-int": lambda: group.garside_word(5),
+    "signed-word-int": lambda: group.to_signed_word(5),
+    "from-positive-tuple": lambda: group.from_positive((1,)),
+    "from-word-none-matrix": lambda: group.from_word(None, (1,)),
+    "identity-none-matrix": lambda: group.identity(None),
+    "handles-float-letter": lambda: oracle.reduce_handles((1.5,)),
+    "handles-zero-letter": lambda: oracle.reduce_handles((0,)),
+    "handles-str-letter": lambda: oracle.reduce_handles(("a",)),
+    "handles-str-cap": lambda: oracle.reduce_handles((1, -1), cap="x"),
+    "class-str-cap": lambda: oracle.class_of(P, (1, 2), class_cap="x"),
+    "magnus-str-rank": lambda: orderings.magnus_sign((1,), "3"),
+    "dynnikov-str-coords": lambda: orderings.dynnikov_action((1,), "0101"),
 }
 
 

@@ -71,3 +71,18 @@ def test_summarize_claim_rule(tmp_path, capsys):
         assert row["metrics"]["ops_per_s"]["claim_holds"] is holds, name
         # latency is 1.0 on both sides: no pair won, so lower-is-better holds no claim
         assert row["metrics"]["latency_p90_ms"]["claim_holds"] is False
+
+
+def test_summarize_within_bound(tmp_path, capsys):
+    """A metric is within its bound (0.25 on ops_per_s and latency) while the
+    change's median is at most a quarter of the parent's median worse; a
+    gain is always within it."""
+    for ops, latency, within in ((76.0, 1.2, True), (74.0, 1.3, False),
+                                 (130.0, 0.5, True)):
+        change = _record("wp", 1, "change", ops, 100, 0)
+        change["result"]["metrics"]["latency_p90_ms"]["value"] = latency
+        rows = _summarize(tmp_path, capsys, [
+            _record("wp", 1, "parent", 100.0, 100, 0), change])["end_to_end"]["wp"]["metrics"]
+        assert rows["ops_per_s"]["within_bound"] is within, ops
+        assert rows["latency_p90_ms"]["within_bound"] is within, latency
+        assert rows["setup_s"]["within_bound"] is True  # 1.0 on both sides

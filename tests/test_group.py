@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -302,3 +304,52 @@ def test_delta_element_is_the_lcm_on_sampled_subsets(name, rng):
     _check_delta_element(mat, mat.generators)
     for _ in range(12):
         _check_delta_element(mat, rng.sample(mat.generators, rng.randint(1, mat.rank)))
+
+
+# sha256 of the normal forms below, recorded with a `_weight` that slid one
+# generator per pass: the left-weighted pair is unique, so a sliding rule
+# may change how a pair is reached but never the result.  A4 to A15 hold
+# `bytes` permutations; A16 and B12 hold tuples.
+PINNED_NORMAL_FORMS = {
+    "A4":
+        "b1ddb975754259277a4eebf02ca9c1d6bc5f4eda5a31f00f54e36b043d3580d7",
+    "D5":
+        "aa86f9bed38b091eba88f5646616226cd3ef1e2099d6cf0f4789b718ddb7091b",
+    "E6":
+        "4662337e77c64ae44192485ef20f7af88d64367806479966f5cd246d6e41d871",
+    "F4":
+        "efef5fd7b80dbe912c7b01ad1d8ad36b7054433ce28582e26d225d442d98257d",
+    "H4":
+        "218691a0c1ee212b9913810781187e692f5804d603b1df84e19a080f25563352",
+    "I2(7)":
+        "172bec81e5304eb233dfc24d6ffb927639619f71ed0ffe758cc281d862e07ed4",
+    "E8":
+        "c34a0a0e8b272072994307c951c940fe036c20cb5683cb29daed874ffed03c51",
+    "A15":
+        "a776a96ca0a5a1b2f4038c27a84cb8941b2828bc1c7215f025469df666bfd750",
+    "A16":
+        "49bdbbfa6e7f1562fc9fcf7ddc8f9d1ef42d4fa93bfbe276833a0d0f8dae4ca4",
+    "B12":
+        "e5d5af40515d513d6a951939e915b8d87e3ab449efc452a55e8190fe126d5f61",
+}
+
+
+def _normal_form_digest(name):
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(f"pinned normal forms {name}")
+    xs = [from_word(mat, [rng.choice((1, -1)) * rng.randint(1, mat.rank)
+                          for _ in range(n)])
+          for n in range(0, 121, 10)]
+    ys = xs + [mult(x, y) for x, y in zip(xs, xs[1:])]
+    ys += [inv(x) for x in xs] + [rev(x) for x in xs]
+    h = hashlib.sha256()
+    for y in ys:
+        h.update(repr((y.key(), y.p)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(PINNED_NORMAL_FORMS))
+def test_normal_forms_are_pinned(name):
+    """key() and p of seeded signed words of lengths 0-120, and of their
+    products, inverses and reverses, hash to the recorded digest."""
+    assert _normal_form_digest(name) == PINNED_NORMAL_FORMS[name]
