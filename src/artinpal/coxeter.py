@@ -361,6 +361,8 @@ def parse_matrix(text: str) -> CoxeterMatrix:
     error even if the values agree, since it usually means a typo.
     The diagram must be connected (an inf entry counts as an edge).
     """
+    if not isinstance(text, str):
+        raise InvalidMatrixError(f"matrix text must be a str, got {text!r}")
     rank = None
     seen: dict[tuple[int, int], int | float] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

@@ -12,9 +12,11 @@ are read off root signs: D_R(a) = {s : a(alpha_s) < 0} and
 D_L(a) = {s : a^-1(alpha_s) < 0}.  Multiplying on the right appends a
 factor and restores left-weightedness in one right-to-left pass.  A pair
 (a, b) is left-weighted by sliding Delta_M, M = D_L(b) \\ D_R(a), across
-its boundary in one step, until M is empty (see `_weight`).
-Delta^-1 moves to the front by tau, a -> w0 a w0, and an inverse letter is
-s^-1 = Delta^-1 * (w0 s).  Equality compares (inf, factors).
+its boundary in one step, until M is empty (see `_weight`).  A Delta that
+a push creates leaves for the front in one step through tau, a -> w0 a w0:
+a Delta = Delta tau(a) (see `_push`).  An inverse letter is s^-1 = Delta^-1
+* (w0 s), and `from_word` reads it in a tau-frame instead of twisting every
+factor.  Equality compares (inf, factors).
 
 With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
 identity past the last root, and f o g is g.translate(f): one C loop per
@@ -67,7 +69,7 @@ class _Tables:
     """Per-matrix tables of the normal form."""
 
     __slots__ = ("signs", "degree", "compose", "refl", "times", "ident", "top",
-                 "delta", "twist", "gens", "co")
+                 "delta", "sigma", "twist", "gens", "co")
 
     def __init__(self, matrix: CoxeterMatrix):
         rep = weyl.build_root_system(matrix)
@@ -80,7 +82,7 @@ class _Tables:
         if rep.degree <= 256:
             # translate needs 256-byte tables; an identity tail keeps two
             # permutations equal exactly when they move the roots alike,
-            # which twist and rev's perm == inv test compare
+            # which sigma and rev's perm == inv test compare
             pad = bytes(range(rep.degree, 256))
             self.refl = tuple(bytes(r) + pad for r in rep.simple_reflections)
             self.compose = lambda f, g: g.translate(f)
@@ -93,9 +95,11 @@ class _Tables:
             self.ident = rep.identity().perm
         self.delta = _longest(self, (1 << n) - 1)
         self.top, w0 = self.delta.length, self.delta.perm
-        # tau is the identity exactly when w0 is central
+        # sigma is tau on the generators, w0 s w0 = s_sigma[s]; tau is the
+        # identity exactly when w0 is central
         c = self.compose
-        self.twist = any(c(w0, c(r, w0)) != r for r in self.refl)
+        self.sigma = tuple(self.refl.index(c(w0, c(r, w0))) for r in self.refl)
+        self.twist = self.sigma != tuple(range(n))
         self.gens = tuple(_Simple(r, r, 1 << s, 1 << s, 1)
                           for s, r in enumerate(self.refl))
         # co[s] = Delta * s_(s+1)^-1, with image w0 s
@@ -164,23 +168,31 @@ def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
 
 def _push(t: _Tables, factors: list, b: _Simple) -> int:
     """Multiply the left-weighted factors by the simple b on the right, in
-    place, and return how many Delta factors left the front.
+    place, and return how many Delta factors left the front (0 or 1).
 
     By the domino rule one right-to-left pass suffices, and it stops at the
-    first pair that is already left-weighted.  Afterwards factors equal to
-    Delta can only lead and factors equal to 1 can only trail.
+    first pair that is already left-weighted.  A pass that makes a factor
+    Delta stops there too: f Delta = Delta tau(f), so the Delta leaves for
+    the front at once and the factors before it become their tau-images,
+    the pairs (Delta, tau(f)) that `_weight` would give at each of them.
+    The pair (tau(f), b') behind them is already left-weighted, and one
+    simple factor makes at most one Delta.  Afterwards factors equal to 1
+    can only trail.
     """
+    i = len(factors)
     factors.append(b)
-    i = len(factors) - 1
-    while i and factors[i].left & ~factors[i - 1].right:
-        factors[i - 1], factors[i] = _weight(t, factors[i - 1], factors[i])
+    a = b
+    while a.length < t.top and i and factors[i].left & ~factors[i - 1].right:
+        a, factors[i] = _weight(t, factors[i - 1], factors[i])
         i -= 1
+        factors[i] = a
+    lead = int(a.length == t.top)
+    if lead:
+        del factors[i]
+        if t.twist:
+            factors[:i] = [_tau(t, f) for f in factors[:i]]
     while factors and not factors[-1].length:
         factors.pop()
-    lead = 0
-    while lead < len(factors) and factors[lead].length == t.top:
-        lead += 1
-    del factors[:lead]
     return lead
 
 
@@ -278,14 +290,23 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
 
     An inverse letter s^-1 whose s right-divides the last factor removes it
     there, which keeps the factors left-weighted.  Otherwise it becomes
-    Delta^-1 * (w0 s), and the Delta^-1 moves to the front through tau.
+    Delta^-1 * (w0 s), and x Delta^-1 = Delta^-1 tau(x).  Instead of
+    twisting every factor, the loop keeps a tau-frame: the stored factors
+    are tau^flip of the true ones.  tau is an automorphism that keeps
+    normal forms, so the stored factors stay a normal form if each letter s
+    is read as sigma^flip(s), and an inverse letter pushes tau^(1-flip) of
+    w0 s, which is co[sigma(s')], and flips the frame; the true factors are
+    tau^flip of the stored ones at the end.
     """
     _check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
+    sigma = t.sigma
     factors: list[_Simple] = []
-    inf = 0
+    inf = flip = 0
     for x in matrix.check_word(word):
         s = abs(x) - 1
+        if flip:
+            s = sigma[s]
         if x > 0:
             inf += _push(t, factors, t.gens[s])
         elif factors and factors[-1].right >> s & 1:
@@ -295,10 +316,10 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
                                        t.compose(t.refl[s], a.inv),
                                        a.length - 1))
         else:
-            inf -= 1
-            if t.twist:
-                factors = [_tau(t, a) for a in factors]
-            inf += _push(t, factors, t.co[s])
+            inf += _push(t, factors, t.co[sigma[s]]) - 1
+            flip ^= 1
+    if flip and t.twist:
+        factors = [_tau(t, a) for a in factors]
     return GroupElement(matrix, inf, tuple(factors))
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import group
 from .coxeter import CoxeterMatrix, builtin
-from .errors import InvalidWordError, PreconditionError
+from .errors import InvalidMatrixError, InvalidWordError, PreconditionError
 from .group import GroupElement
 
 
@@ -148,7 +148,13 @@ def dehornoy_sign(word, n: int) -> Sign:
     return Sign.ZERO
 
 
+def _check_matrix(matrix) -> None:
+    if not isinstance(matrix, CoxeterMatrix):
+        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
+
+
 def _require_builtin(matrix: CoxeterMatrix, family: str):
+    _check_matrix(matrix)
     if matrix.entries != builtin(family, matrix.rank).entries:
         raise PreconditionError(
             f"this order needs the type {family} matrix of matching rank"
@@ -325,6 +331,8 @@ def magnus_order(n: int | None = None) -> OrderingHandle:
 def typeB_embed(word, n: int) -> tuple[int, ...]:
     """Signed word over the type B generators to a braid word on n+1
     strands: generator j < n passes through, generator n doubles."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidWordError(f"type B rank {n!r} is not an integer >= 1")
     out: list[int] = []
     for x in word:
         if not isinstance(x, int) or x == 0 or abs(x) > n:
@@ -356,6 +364,7 @@ def order_for_matrix(matrix: CoxeterMatrix) -> OrderingHandle:
     decides: the Dehornoy order on the type A matrix, the embedding order
     on the type B matrix.  Any other matrix, a renumbered type A or B
     included, raises PreconditionError."""
+    _check_matrix(matrix)
     if matrix.entries == builtin("A", matrix.rank).entries:
         return dehornoy_order(matrix)
     if matrix.rank >= 2 and matrix.entries == builtin("B", matrix.rank).entries:

@@ -42,7 +42,13 @@ class PalDecomposition:
     I: tuple[int, ...]
 
 
+def _check_decomposition(d) -> None:
+    if not isinstance(d, PalDecomposition):
+        raise PreconditionError(f"expected a PalDecomposition, got {d!r}")
+
+
 def reconstruct(d: PalDecomposition) -> GroupElement:
+    _check_decomposition(d)
     d_i = group.delta_element(d.y.matrix, d.I)
     return group.mult(group.mult(d.y, d_i), group.rev(d.y))
 
@@ -149,7 +155,11 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
 def canonical_decompose(x: GroupElement, order, opp: bool = False,
                         budget: int | None = None) -> PalDecomposition:
     """The decomposition minimizing (Delta_I, y) lexicographically under the
-    supplied left-ordering handle; opp flips only the Delta_I comparison."""
+    supplied left-ordering handle; opp flips only the Delta_I comparison.
+    An order without callable sign and difference raises PreconditionError
+    before the search."""
+    if not all(callable(getattr(order, f, None)) for f in ("sign", "difference")):
+        raise PreconditionError(f"expected an ordering handle, got {order!r}")
     cands = core_decompositions(x, budget=budget)
     if not cands:
         raise ArtinError("internal: search returned no decomposition")
@@ -203,6 +213,7 @@ def _pairwise_commuting(mat: CoxeterMatrix, subset) -> bool:
 def check_singleton(d: PalDecomposition) -> bool:
     """True iff d.I is pairwise non-adjacent, so Delta_I is the plain
     product of its generators."""
+    _check_decomposition(d)
     return _pairwise_commuting(d.y.matrix, d.I)
 
 
@@ -228,6 +239,7 @@ def tau_symmetrize(d: PalDecomposition) -> PalDecomposition:
     SearchExhaustedError; popping more than _TAU_STATE_BUDGET states raises
     BudgetExceededError.
     """
+    _check_decomposition(d)
     mat = d.y.matrix
     if not _pairwise_commuting(mat, d.I):
         raise PreconditionError("tau_symmetrize needs pairwise-commuting I")
@@ -292,9 +304,9 @@ def tau_symmetrize(d: PalDecomposition) -> PalDecomposition:
 def delta_associated(x: GroupElement) -> GroupElement:
     """delta with x = Delta * delta * rev(delta), for x with rev(tau(x)) = x
     mapping onto the longest Coxeter element."""
-    mat = x.matrix
     if not group.eq(group.rev(group.tau(x)), x):
         raise PreconditionError("delta_associated needs rev(tau(x)) = x")
+    mat = x.matrix
     d_elt = group.delta_element(mat)
     if group.w_image(x).perm != group.w_image(d_elt).perm:
         raise PreconditionError(

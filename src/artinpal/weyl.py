@@ -17,7 +17,8 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .coxeter import INF, CoxeterMatrix, is_finite_type
-from .errors import BudgetExceededError, InfiniteTypeError, InvalidWordError
+from .errors import (BudgetExceededError, InfiniteTypeError, InvalidBudgetError,
+                     InvalidMatrixError, InvalidWordError, PreconditionError)
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,6 @@ def _dihedral_rep(matrix: CoxeterMatrix, m: int) -> RootSystemRep:
     return RootSystemRep(matrix, (), (s1, s2), tuple(i >= m for i in angles))
 
 
-@lru_cache(maxsize=None)
 def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
     """Closure of the simple roots under the simple reflections, in one pass.
 
@@ -173,7 +173,15 @@ def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
     and permutes the other positive roots (Humphreys, Reflection Groups
     and Coxeter Groups, 1990, sections 1.4 and 5.4), so a new root
     s_i(root k) is negative exactly when root k is negative or is alpha_i.
+    Memoized per matrix.
     """
+    if not isinstance(matrix, CoxeterMatrix):
+        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
+    return _root_system(matrix)
+
+
+@lru_cache(maxsize=None)
+def _root_system(matrix: CoxeterMatrix) -> RootSystemRep:
     if not is_finite_type(matrix):
         raise InfiniteTypeError("root systems exist only for finite type")
     labels = {
@@ -207,12 +215,18 @@ def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
                          tuple(negative))
 
 
+def _check_rep(rep) -> None:
+    if not isinstance(rep, RootSystemRep):
+        raise PreconditionError(f"expected a RootSystemRep, got {rep!r}")
+
+
 def image(rep: RootSystemRep, word) -> WElement:
     """Quotient map: signed word to its Coxeter-group permutation.
 
     Inverse letters map to the same reflection (reflections are
     involutions), so signs are simply dropped.
     """
+    _check_rep(rep)
     acc = tuple(range(rep.degree))
     for x in rep.matrix.check_word(word):
         acc = compose(acc, rep.simple_reflections[abs(x) - 1])
@@ -230,7 +244,11 @@ def is_involution(e: WElement) -> bool:
 
 def enumerate_group(rep: RootSystemRep, cap: int) -> list[WElement]:
     """All of W by breadth-first closure; each element carries one
-    shortest witnessing word.  Raises BudgetExceededError past cap."""
+    shortest witnessing word.  Raises BudgetExceededError past cap, and
+    InvalidBudgetError for a cap that is not an int >= 0."""
+    _check_rep(rep)
+    if not isinstance(cap, int) or cap < 0:
+        raise InvalidBudgetError(f"cap must be an int >= 0, got {cap!r}")
     ident = rep.identity()
     seen = {ident.perm}
     out = [ident]

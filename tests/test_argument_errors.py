@@ -3,7 +3,7 @@ a bare TypeError, and never an answer built from them."""
 
 import pytest
 
-from artinpal import coxeter, group, monoid, oracle, orderings, palindromes
+from artinpal import coxeter, group, monoid, oracle, orderings, palindromes, weyl
 from artinpal.errors import ArtinError
 
 A3 = coxeter.builtin("A", 3)
@@ -45,6 +45,37 @@ CALLS = {
     "class-str-cap": lambda: oracle.class_of(P, (1, 2), class_cap="x"),
     "magnus-str-rank": lambda: orderings.magnus_sign((1,), "3"),
     "dynnikov-str-coords": lambda: orderings.dynnikov_action((1,), "0101"),
+    "peel-list": lambda: monoid.peel([1, 1]),
+    "word-none-letters": lambda: monoid.word(A3, None),
+    "word-none-matrix": lambda: monoid.word(None, (1,)),
+    "monoid-rev-int": lambda: monoid.rev(5),
+    "left-extract-none": lambda: monoid.left_extract(None, 1),
+    "monoid-starting-set-int": lambda: monoid.starting_set(5),
+    "finishing-set-int": lambda: monoid.finishing_set(5),
+    "normal-form-str": lambda: monoid.normal_form("ab"),
+    "divides-left-none": lambda: monoid.divides_left(None, None),
+    "equals-none": lambda: monoid.equals(None, None),
+    "right-lcm-none": lambda: monoid.right_lcm(None, None),
+    "monoid-delta-none-matrix": lambda: monoid.delta(None, (1,)),
+    "ambient-delta-none": lambda: monoid.ambient_delta(None),
+    "tau-perm-none": lambda: monoid.compute_tau_perm(None),
+    "tau-perm-list": lambda: monoid.compute_tau_perm([1]),
+    "root-system-none": lambda: weyl.build_root_system(None),
+    "root-system-list": lambda: weyl.build_root_system([1]),
+    "image-none-rep": lambda: weyl.image(None, (1,)),
+    "enumerate-str-cap": lambda: weyl.enumerate_group(weyl.build_root_system(A3), "x"),
+    "enumerate-none-rep": lambda: weyl.enumerate_group(None, 10),
+    "parse-matrix-none": lambda: coxeter.parse_matrix(None),
+    "order-for-none-matrix": lambda: orderings.order_for_matrix(None),
+    "dehornoy-order-none-matrix": lambda: orderings.dehornoy_order(None),
+    "typeB-embed-str-rank": lambda: orderings.typeB_embed((1,), "3"),
+    "reconstruct-int": lambda: palindromes.reconstruct(5),
+    "check-singleton-int": lambda: palindromes.check_singleton(5),
+    "tau-symmetrize-int": lambda: palindromes.tau_symmetrize(5),
+    "lift-none-matrix": lambda: palindromes.involution_lift(None, ()),
+    "canonical-none-order": lambda: palindromes.canonical_decompose(
+        group.from_word(A3, (2,)), None),
+    "delta-associated-none": lambda: palindromes.delta_associated(None),
 }
 
 

@@ -353,3 +353,47 @@ def test_normal_forms_are_pinned(name):
     """key() and p of seeded signed words of lengths 0-120, and of their
     products, inverses and reverses, hash to the recorded digest."""
     assert _normal_form_digest(name) == PINNED_NORMAL_FORMS[name]
+
+
+@pytest.mark.parametrize("name", ["A4", "E6", "H4", "E8"])
+def test_delta_leaves_in_one_step(name, monkeypatch):
+    """x * x^-1 creates one Delta per factor of x, and each leaves for the
+    front through tau at once: at most one `_weight` call per factor, where
+    walking each Delta to the front took r(r+1)/2."""
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(1)
+    x = from_word(mat, [rng.choice((1, -1)) * rng.randint(1, mat.rank)
+                        for _ in range(400)])
+    y = inv(x)
+    calls = []
+    weight = group._weight
+    monkeypatch.setattr(group, "_weight", lambda *a: calls.append(1) or weight(*a))
+    assert eq(mult(x, y), identity(mat))
+    assert 0 < len(calls) <= len(x.factors)
+
+
+# tau is not the identity on any of these; A16 and I2(129) hold tuples
+@pytest.mark.parametrize("name", ["A4", "D5", "E6", "I2(5)", "I2(129)", "A16"])
+def test_from_word_tau_frame(name):
+    """from_word, which reads inverse letters in a tau-frame, equals the
+    left-to-right product of one-letter elements, which twists eagerly; the
+    words include ones whose non-cancelling inverse letters are odd in
+    number, so that the frame is still flipped at the end."""
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(f"tau frame {name}")
+    gens = {s: make(mat, 0, (s,)) for s in mat.generators}
+    letters = {**gens, **{-s: inv(g) for s, g in gens.items()}}
+    words = [(-1,), (-1, -2), (2, -1)] + [
+        [rng.choice((1, -1, -1)) * rng.randint(1, mat.rank)
+         for _ in range(rng.randint(0, 40))] for _ in range(20)]
+    flipped = 0
+    for w in words:
+        y, odd = identity(mat), 0
+        for x in w:
+            # -s cancels when s right-divides the last factor of the prefix
+            if x < 0 and not (y.factors and y.factors[-1].right >> (-x - 1) & 1):
+                odd ^= 1
+            y = mult(y, letters[x])
+        assert eq(from_word(mat, w), y), w
+        flipped += odd
+    assert 0 < flipped < len(words)
