@@ -20,7 +20,17 @@ def w_word(a: int, b: int, k: int) -> tuple[int, ...]:
     """The alternating word w_k(a, b) = a b a b ... of length k, for any
     k >= 0; the two sides of an Artin relation are w_m(a, b) and w_m(b, a).
     """
+    if not (isinstance(a, int) and isinstance(b, int) and isinstance(k, int)):
+        raise InvalidWordError(f"w_word needs int letters and length, got {(a, b, k)!r}")
     return tuple(a if t % 2 == 0 else b for t in range(k))
+
+
+def _letters(word) -> tuple:
+    """The word as a tuple, or InvalidWordError if it is not iterable."""
+    try:
+        return tuple(word)
+    except TypeError:
+        raise InvalidWordError(f"{word!r} is not a sequence of letters") from None
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,7 @@ class CoxeterMatrix:
 
     def check_word(self, word, positive: bool = False) -> tuple[int, ...]:
         """Validate letters and return the word as a tuple of ints."""
-        try:
-            w = tuple(word)
-        except TypeError:
-            raise InvalidWordError(f"{word!r} is not a sequence of letters") from None
+        w = _letters(word)
         for x in w:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
                 raise InvalidWordError(
@@ -99,6 +106,8 @@ def parse_word(text: str) -> tuple[int, ...]:
     """Shared word syntax: whitespace-separated signed integers, or the
     single token `e` for the empty word.  No matrix check here; callers
     validate letters against their rank."""
+    if not isinstance(text, str):
+        raise InvalidWordError(f"word text must be a str, got {text!r}")
     tokens = text.split()
     if tokens == ["e"]:
         return ()
@@ -116,7 +125,7 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 def format_word(letters) -> str:
     """Inverse of parse_word; the empty word prints as `e`."""
-    letters = tuple(letters)
+    letters = _letters(letters)
     if not letters:
         return "e"
     return " ".join(str(x) for x in letters)
@@ -333,6 +342,7 @@ def classify(matrix: CoxeterMatrix, subset=None) -> list[str] | None:
     back sorted, one per connected component, e.g. ['A1', 'A2', 'B3'].  A
     subset member that is not a generator raises InvalidWordError.
     """
+    _check_matrix(matrix)
     nodes = (matrix.generators if subset is None
              else sorted(set(matrix.check_word(subset, positive=True))))
     if not nodes:
@@ -348,8 +358,13 @@ def classify(matrix: CoxeterMatrix, subset=None) -> list[str] | None:
 
 def is_finite_type(matrix: CoxeterMatrix, subset=None) -> bool:
     """Whether the (parabolic sub)group W_I is finite; the one test of
-    finite type that every module uses."""
+    finite type that every module uses.  `classify` checks the matrix."""
     return classify(matrix, subset) is not None
+
+
+def _check_matrix(matrix) -> None:
+    if not isinstance(matrix, CoxeterMatrix):
+        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
 
 
 def parse_matrix(text: str) -> CoxeterMatrix:
@@ -413,6 +428,7 @@ def parse_matrix(text: str) -> CoxeterMatrix:
 
 def serialize_matrix(matrix: CoxeterMatrix) -> str:
     """Canonical text form: rank line, then sorted 'm i j v' lines for v != 2."""
+    _check_matrix(matrix)
     lines = [f"rank {matrix.rank}"]
     for i in range(1, matrix.rank + 1):
         for j in range(i + 1, matrix.rank + 1):

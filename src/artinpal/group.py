@@ -12,7 +12,7 @@ are read off root signs: D_R(a) = {s : a(alpha_s) < 0} and
 D_L(a) = {s : a^-1(alpha_s) < 0}.  Multiplying on the right appends a
 factor and restores left-weightedness in one right-to-left pass.  A pair
 (a, b) is left-weighted by sliding Delta_M, M = D_L(b) \\ D_R(a), across
-its boundary in one step, until M is empty (see `_weight`).  A Delta that
+its boundary in one step, until M is empty (see `_slide`).  A Delta that
 a push creates leaves for the front in one step through tau, a -> w0 a w0:
 a Delta = Delta tau(a) (see `_push`).  An inverse letter is s^-1 = Delta^-1
 * (w0 s), and `from_word` reads it in a tau-frame instead of twisting every
@@ -22,6 +22,13 @@ With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
 identity past the last root, and f o g is g.translate(f): one C loop per
 composition, whatever the rank.  Larger root systems (A16, B12, D12 and
 I2(129) upwards) keep tuples composed by `weyl.compose`.
+
+The left-weighted pair depends only on the pair, and operations meet the
+same pairs again and again, so `_weight` memoises it per matrix on the
+byte path, keyed by the two permutations.  The memo's simples are shared
+through an intern map keyed the same way, and the two are cleared
+together when either reaches _MEMO_BOUND, near 7 MB per matrix.  Normal
+forms do not change, since a hit returns the unique pair a miss computes.
 
 The attributes k and p give the same element as a fraction: x =
 Delta^(-2k) * p with k = 0 or Delta^2 not left-dividing p.  k is the least
@@ -56,6 +63,10 @@ class _Simple(NamedTuple):
     length: int
 
 
+# entries of `_weight`'s memo, and simples they share, per matrix
+_MEMO_BOUND = 8192
+
+
 def _mask(signs, perm) -> int:
     """Bitmask of the generators s with perm(alpha_s) < 0."""
     return sum(map(getitem, signs, perm))
@@ -69,7 +80,7 @@ class _Tables:
     """Per-matrix tables of the normal form."""
 
     __slots__ = ("signs", "degree", "compose", "refl", "times", "ident", "top",
-                 "delta", "sigma", "twist", "gens", "co")
+                 "delta", "sigma", "twist", "gens", "co", "memo", "simples")
 
     def __init__(self, matrix: CoxeterMatrix):
         rep = weyl.build_root_system(matrix)
@@ -88,11 +99,14 @@ class _Tables:
             self.compose = lambda f, g: g.translate(f)
             self.times = tuple(r.translate for r in self.refl)
             self.ident = bytes(range(256))
+            # `_weight`'s memo and the simples its entries share, by perm
+            self.memo, self.simples = {}, {}
         else:
             self.refl = rep.simple_reflections
             self.compose = compose
             self.times = tuple(itemgetter(*r) for r in self.refl)
             self.ident = rep.identity().perm
+            self.memo = self.simples = None
         self.delta = _longest(self, (1 << n) - 1)
         self.top, w0 = self.delta.length, self.delta.perm
         # sigma is tau on the generators, w0 s w0 = s_sigma[s]; tau is the
@@ -112,7 +126,7 @@ def _longest(t: _Tables, mask: int) -> _Simple:
     """Delta_I, the lift of the longest element w0(I), for the generators I
     in mask: append the least s in I that is not yet a right descent until
     all of I are.  w0(I) is an involution with descent sets I on both sides.
-    `_weight` asks for the same few subsets again and again, so the answers
+    `_slide` asks for the same few subsets again and again, so the answers
     are memoised, at most 4096 of them (least recently used go first)."""
     w, steps = t.ident, 0
     while free := mask & ~_mask(t.signs, w):
@@ -142,6 +156,35 @@ def _complement(t: _Tables, a: _Simple) -> _Simple:
 
 
 def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
+    """The left-weighted pair with the product ab, memoised per matrix.
+
+    The memo maps (a.perm, b.perm) to the pair that `_slide` computes.  It
+    is exact: the perm determines the simple element, and the left-weighted
+    pair is unique, so a hit returns what a miss would compute.  The key's
+    perms and the pair are taken from the table's intern map, so a simple
+    that recurs is stored once.  An interned simple costs about 0.7 kB (two
+    256-byte permutations), an entry about 0.15 kB more.  When the memo
+    holds _MEMO_BOUND entries or the map _MEMO_BOUND simples, both are
+    cleared together, which caps them near 7 MB per matrix.  Above 256
+    roots there is no memo: a tuple's hash is not cached, so every lookup
+    would hash two permutations, and a simple is eight times larger.
+    """
+    memo = t.memo
+    if memo is None:
+        return _slide(t, a, b)
+    pair = memo.get((a.perm, b.perm))
+    if pair is None:
+        if len(memo) >= _MEMO_BOUND or len(t.simples) >= _MEMO_BOUND:
+            memo.clear()
+            t.simples.clear()
+        intern = t.simples.setdefault
+        c, d = _slide(t, a, b)
+        pair = intern(c.perm, c), intern(d.perm, d)
+        memo[intern(a.perm, a).perm, intern(b.perm, b).perm] = pair
+    return pair
+
+
+def _slide(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
     """Left-weight the pair (a, b): while M = D_L(b) \\ D_R(a) is not empty,
     slide Delta_M across the boundary, a <- a Delta_M and b <- Delta_M \\ b.
 

@@ -94,6 +94,19 @@ def _rules(matrix: CoxeterMatrix) -> tuple:
         for x, row in enumerate(matrix.entries, 1))
 
 
+@lru_cache(maxsize=None)
+def _reversals(matrix: CoxeterMatrix) -> tuple:
+    """flips[a][b]: what a^-1 b reverses to, w_(m-1)(b, a) followed by the
+    inverse of w_(m-1)(a, b) (empty when a = b), or None when m = inf."""
+    def flip(a: int, b: int, m) -> tuple[int, ...] | None:
+        if m == INF:
+            return None
+        return w_word(b, a, m - 1) + tuple(-x for x in reversed(w_word(a, b, m - 1)))
+
+    return ((),) + tuple((None,) + tuple(flip(a, b, m) for b, m in enumerate(row, 1))
+                         for a, row in enumerate(matrix.entries, 1))
+
+
 def _extract(rules: tuple, w: list[int], s: int, lo: int, hi: int) -> bool:
     """Left-extraction in place: rewrite the window w[lo:hi] into an equal
     word starting with s and return True, or return False if s does not
@@ -220,6 +233,7 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
         raise InvalidBudgetError(
             f"budget must be an int of at least max(len(u), len(v)), got {budget!r}")
     seq: list[int] = [-x for x in reversed(u.letters)] + list(v.letters)
+    flips = _reversals(mat)
     max_letters = 4 * budget + len(seq) + 16
     step_cap = 64 * budget + 4096
     steps = 0
@@ -229,16 +243,10 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
             i += 1
         if i >= len(seq) - 1:
             break
-        a, b = -seq[i], seq[i + 1]
-        if a == b:
-            del seq[i : i + 2]
-        else:
-            m = mat.m(a, b)
-            if m == INF:
-                return None
-            seq[i : i + 2] = [x for x in w_word(b, a, m - 1)] + [
-                -x for x in reversed(w_word(a, b, m - 1))
-            ]
+        flip = flips[-seq[i]][seq[i + 1]]
+        if flip is None:
+            return None
+        seq[i : i + 2] = flip
         i = max(i - 1, 0)
         steps += 1
         if len(seq) > max_letters or steps > step_cap:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .coxeter import CoxeterMatrix, is_finite_type, parse_word
 from .errors import (BudgetExceededError, HandleReductionOverflow, InvalidBudgetError,
-                     InvalidWordError, PreconditionError)
+                     InvalidMatrixError, InvalidWordError, PreconditionError)
 
 DEFAULT_CLASS_CAP = 1_000_000
 DEFAULT_LEN_CAP = 12
@@ -55,6 +55,7 @@ class Presentation:
 def presentation_from_matrix(matrix: CoxeterMatrix) -> Presentation:
     """The Artin presentation: one alternating-word relation per finite
     off-diagonal label."""
+    _check_matrix(matrix)
     return Presentation(matrix.rank, tuple(matrix.relations()))
 
 
@@ -65,6 +66,16 @@ class RewriteClass:
 
     canonical: tuple[int, ...]
     members: frozenset
+
+
+def _check_matrix(matrix) -> None:
+    if not isinstance(matrix, CoxeterMatrix):
+        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
+
+
+def _check_presentation(P) -> None:
+    if not isinstance(P, Presentation):
+        raise PreconditionError(f"expected a Presentation, got {P!r}")
 
 
 def _check_caps(**caps) -> None:
@@ -89,6 +100,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
              len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
     """BFS closure of w under single-relation rewrites; deterministic.  A
     closure costs |class| * len(w) * (distinct side lengths) lookups."""
+    _check_presentation(P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     w = P.check_word(w)
     if len(w) > len_cap:
@@ -126,6 +138,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
 
 def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP,
                   len_cap: int = DEFAULT_LEN_CAP) -> bool:
+    _check_presentation(P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
@@ -139,6 +152,7 @@ def divides_left_oracle(P: Presentation, u, v,
                         len_cap: int = DEFAULT_LEN_CAP) -> bool:
     """True iff u * w rewrites to v for some positive w: equivalently, some
     member of v's class carries a prefix equivalent to u."""
+    _check_presentation(P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
@@ -154,6 +168,7 @@ def square_free_oracle(P: Presentation, w,
                        len_cap: int = DEFAULT_LEN_CAP) -> bool:
     """True iff no member of w's class contains an adjacent repeated
     letter."""
+    _check_presentation(P)
     w = P.check_word(w)
     return not any(
         any(m[i] == m[i + 1] for i in range(len(m) - 1))
@@ -186,6 +201,7 @@ def artin_deltas(matrix: CoxeterMatrix,
     every finite-type subset whose Delta_I has at most max_len letters (by
     default the longest word the oracle classes).  The words come from the
     oracle's own `_greedy_delta`, memoized, never from the monoid."""
+    _check_matrix(matrix)
     out: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     subsets: list[tuple[int, ...]] = [()]
     for g in matrix.generators:
@@ -209,6 +225,7 @@ def all_pal_decompositions(P: Presentation, p, deltas,
     and ends with s.  Results are deduplicated by the canonical form of y
     and sorted; every y is reported as one concrete word.
     """
+    _check_presentation(P)
     p = P.check_word(p)
     delta_by_len: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for subset, word in deltas.items():
@@ -254,6 +271,7 @@ def enumerate_classes(P: Presentation, length: int,
                       len_cap: int = DEFAULT_LEN_CAP):
     """Partition of all length-L words into rewriting classes, as a sorted
     tuple of sorted member tuples."""
+    _check_presentation(P)
     if length > len_cap:
         raise BudgetExceededError(
             f"length {length} exceeds the cap {len_cap}"
@@ -289,6 +307,7 @@ def coxeter_order_oracle(matrix: CoxeterMatrix,
     word is reduced iff its braid class contains no square s*s.  The
     quotient relation s^2 = e never has to be written down.
     """
+    _check_matrix(matrix)
     if not is_finite_type(matrix):
         raise PreconditionError("order counting needs a finite-type matrix")
     P = presentation_from_matrix(matrix)
@@ -337,7 +356,10 @@ def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...]
     be on top of the stack again.
     """
     _check_caps(cap=cap)
-    w = list(word)
+    try:
+        w = list(word)
+    except TypeError:
+        raise InvalidWordError(f"{word!r} is not a sequence of letters") from None
     for x in w:
         if not isinstance(x, int) or x == 0:
             raise InvalidWordError(f"letter {x!r} is not a braid generator")
@@ -380,6 +402,8 @@ def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...]
 def parse_presentation(text: str) -> Presentation:
     """`gens N` on the first significant line, then `rel w = w` lines in
     the shared word syntax, positive letters only."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"presentation text must be a str, got {text!r}")
     ngens = None
     relations = []
     for lineno, raw in enumerate(text.splitlines(), 1):

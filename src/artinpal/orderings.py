@@ -80,6 +80,14 @@ def _element_order(name: str, matrix: CoxeterMatrix,
 # Dehornoy order: Dynnikov coordinates
 
 
+def _letters(word) -> tuple:
+    """The word as a tuple, or InvalidWordError if it is not iterable."""
+    try:
+        return tuple(word)
+    except TypeError:
+        raise InvalidWordError(f"{word!r} is not a sequence of letters") from None
+
+
 def dynnikov_action(word, coords) -> tuple[int, ...]:
     """Act by a braid word on (a_1, b_1, ..., a_n, b_n), n = len(coords) // 2.
 
@@ -100,6 +108,7 @@ def dynnikov_action(word, coords) -> tuple[int, ...]:
                     a_i+1 <- a_i+1 - b_i+1- - (b_i- - t)-
                     b_i+1 <- b_i - t-
     """
+    word = _letters(word)
     c = list(coords)
     if len(c) % 2 or not all(isinstance(v, int) for v in c):
         raise InvalidWordError(f"coordinates {coords!r} are not an even number of ints")
@@ -171,6 +180,8 @@ def dehornoy_order(matrix: CoxeterMatrix) -> OrderingHandle:
 
 
 def dehornoy_compare(x: GroupElement, y: GroupElement) -> Comparison:
+    if not (isinstance(x, GroupElement) and isinstance(y, GroupElement)):
+        raise PreconditionError(f"expected two GroupElements, got {x!r} and {y!r}")
     if x.matrix != y.matrix:
         raise PreconditionError("operands live over different matrices")
     return dehornoy_order(x.matrix).compare(x, y)
@@ -183,7 +194,7 @@ def dehornoy_compare(x: GroupElement, y: GroupElement) -> Comparison:
 def free_reduce(word) -> tuple[int, ...]:
     """Cancel adjacent inverse pairs until none remain."""
     out: list[int] = []
-    for x in word:
+    for x in _letters(word):
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -296,6 +307,7 @@ def magnus_sign(word, n: int | None = None) -> Sign:
     """
     if n is not None and (not isinstance(n, int) or n < 0):
         raise InvalidWordError(f"generator count {n!r} is not an integer >= 0")
+    word = _letters(word)
     for x in word:
         if not isinstance(x, int) or x == 0 or (n is not None and abs(x) > n):
             raise InvalidWordError(f"letter {x!r} is not a generator of F_{n or 'n'}")
@@ -334,7 +346,7 @@ def typeB_embed(word, n: int) -> tuple[int, ...]:
     if not isinstance(n, int) or n < 1:
         raise InvalidWordError(f"type B rank {n!r} is not an integer >= 1")
     out: list[int] = []
-    for x in word:
+    for x in _letters(word):
         if not isinstance(x, int) or x == 0 or abs(x) > n:
             raise InvalidWordError(f"letter {x!r} out of range for type B rank {n}")
         out.append(x)
@@ -398,10 +410,17 @@ def sppc_check(order: OrderingHandle, involution, sampler,
     sampler is any iterable of elements acceptable to the order's sign
     function; the first few violating samples are kept for diagnosis.
     """
+    if not isinstance(order, OrderingHandle) or not callable(involution):
+        raise PreconditionError(
+            f"expected an OrderingHandle and a callable, got {order!r} and {involution!r}")
+    try:
+        samples = iter(sampler)
+    except TypeError:
+        raise PreconditionError(f"sampler {sampler!r} is not iterable") from None
     total = 0
     violations = 0
     examples: list = []
-    for x in sampler:
+    for x in samples:
         total += 1
         if order.sign(x) != order.sign(involution(x)):
             violations += 1

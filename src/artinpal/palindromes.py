@@ -91,7 +91,7 @@ def unpal(x: GroupElement) -> GroupElement:
         raise NotPalindromeError("unpal needs rev(x) = x")
     if not group.is_pure(x):
         raise NotPureError("unpal needs trivial Coxeter image")
-    d = decompose(x)
+    d = _peel(x)
     if d.I:
         raise ArtinError("internal: pure palindromes decompose with I empty")
     if not group.eq(pal(d.y), x):

@@ -122,7 +122,9 @@ def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     """(f o g)(x) = f(g(x)) on indices.
 
     Every permutation here has degree at least 2 (A1 has two roots), so
-    itemgetter always returns a tuple.
+    itemgetter always returns a tuple.  Unchecked: the group core composes
+    through it once per product above 256 roots, and the public calls of
+    this module check their arguments before they compose.
     """
     return itemgetter(*g)(f)
 
@@ -233,12 +235,19 @@ def image(rep: RootSystemRep, word) -> WElement:
     return WElement(acc, ())
 
 
+def _check_element(e) -> None:
+    if not isinstance(e, WElement):
+        raise PreconditionError(f"expected a WElement, got {e!r}")
+
+
 def is_identity(e: WElement) -> bool:
+    _check_element(e)
     return e.perm == tuple(range(len(e.perm)))
 
 
 def is_involution(e: WElement) -> bool:
     """Order exactly 2."""
+    _check_element(e)
     return not is_identity(e) and compose(e.perm, e.perm) == tuple(range(len(e.perm)))
 
 

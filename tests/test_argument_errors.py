@@ -76,6 +76,33 @@ CALLS = {
     "canonical-none-order": lambda: palindromes.canonical_decompose(
         group.from_word(A3, (2,)), None),
     "delta-associated-none": lambda: palindromes.delta_associated(None),
+    "parse-word-none": lambda: coxeter.parse_word(None),
+    "is-finite-type-none": lambda: coxeter.is_finite_type(None),
+    "classify-none": lambda: coxeter.classify(None),
+    "serialize-matrix-none": lambda: coxeter.serialize_matrix(None),
+    "format-word-none": lambda: coxeter.format_word(None),
+    "w-word-none": lambda: coxeter.w_word(None, None, None),
+    "is-identity-none": lambda: weyl.is_identity(None),
+    "is-involution-none": lambda: weyl.is_involution(None),
+    "dehornoy-sign-none-word": lambda: orderings.dehornoy_sign(None, 5),
+    "magnus-sign-none-word": lambda: orderings.magnus_sign(None),
+    "free-reduce-none": lambda: orderings.free_reduce(None),
+    "typeB-embed-none-word": lambda: orderings.typeB_embed(None, 5),
+    "dehornoy-compare-none": lambda: orderings.dehornoy_compare(None, None),
+    "sppc-check-none": lambda: orderings.sppc_check(None, None, None),
+    "sppc-check-none-sampler": lambda: orderings.sppc_check(
+        orderings.magnus_order(), lambda w: w, None),
+    "presentation-none-matrix": lambda: oracle.presentation_from_matrix(None),
+    "class-of-none": lambda: oracle.class_of(None, (1,)),
+    "handles-none-word": lambda: oracle.reduce_handles(None),
+    "parse-presentation-none": lambda: oracle.parse_presentation(None),
+    "enumerate-classes-none": lambda: oracle.enumerate_classes(None, 5),
+    "artin-deltas-none": lambda: oracle.artin_deltas(None),
+    "coxeter-order-none": lambda: oracle.coxeter_order_oracle(None),
+    "equals-oracle-none": lambda: oracle.equals_oracle(None, (1,), (1,)),
+    "divides-oracle-none": lambda: oracle.divides_left_oracle(None, (1,), (1,)),
+    "square-free-none": lambda: oracle.square_free_oracle(None, (1,)),
+    "pal-decompositions-none": lambda: oracle.all_pal_decompositions(None, (1,), {}),
 }
 
 

@@ -397,3 +397,96 @@ def test_from_word_tau_frame(name):
         assert eq(from_word(mat, w), y), w
         flipped += odd
     assert 0 < flipped < len(words)
+
+
+def _clear_weight_memo(mat):
+    t = group._tables(mat)
+    if t.memo is not None:
+        t.memo.clear()
+        t.simples.clear()
+
+
+# I2(129) holds tuples, where `_weight` keeps no memo
+@pytest.mark.parametrize("name", ["A4", "D5", "E6", "H4", "E8", "I2(5)", "I2(129)"])
+def test_weight_memo_is_exact(name):
+    """from_word, inv, mult and rev give the same normal forms with
+    `_weight`'s memo cleared before each call as with it warm, and again
+    once every pair is a hit."""
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(f"weight memo {name}")
+    words = [[rng.choice((1, -1)) * rng.randint(1, mat.rank)
+              for _ in range(rng.randint(0, 60))] for _ in range(12)]
+
+    def keys(cold):
+        out = []
+
+        def call(op, *args):
+            if cold:
+                _clear_weight_memo(mat)
+            y = op(*args)
+            out.append(y.key())
+            return y
+
+        xs = [call(from_word, mat, w) for w in words]
+        for x, y in zip(xs, xs[1:]):
+            call(mult, x, y)
+            call(inv, x)
+            call(rev, x)
+        return out
+
+    cold = keys(True)
+    assert keys(False) == cold
+    assert keys(False) == cold
+    memo = group._tables(mat).memo
+    assert memo is None if name == "I2(129)" else len(memo) > 0
+
+
+def test_weight_memo_stays_within_its_bound():
+    """Three times the bound of distinct pairs through one table: the memo
+    never holds more than the bound, and the simples it shares are cleared
+    with it, so there are never more than four per entry."""
+    mat = coxeter.named_matrix("E6")
+    t = group._tables(mat)
+    bound = group._MEMO_BOUND
+    rng = random.Random("weight memo bound")
+    simples = {}
+    for _ in range(60):
+        x = make(mat, 0, [rng.randint(1, mat.rank) for _ in range(30)])
+        simples.update((f.perm, f) for f in x.factors)
+    assert len(simples) ** 2 >= 3 * bound
+    _clear_weight_memo(mat)
+    sizes = []
+    for a in simples.values():
+        for b in simples.values():
+            group._weight(t, a, b)
+            assert len(t.simples) <= 4 * len(t.memo)
+            sizes.append(len(t.memo))
+    assert max(sizes) == bound
+    # filled to the bound and cleared at least twice
+    assert sum(m < n for n, m in zip(sizes, sizes[1:])) >= 2
+
+
+def test_weight_memo_bounds_its_simples(monkeypatch):
+    """The interned simples count against the same bound: pairs that each
+    bring new simples clear the memo once the intern map is full, long
+    before the memo itself is."""
+    monkeypatch.setattr(group, "_MEMO_BOUND", 64)
+    mat = coxeter.named_matrix("E8")
+    t = group._tables(mat)
+    rng = random.Random("weight memo simples")
+    simples = {}
+    for _ in range(40):
+        x = make(mat, 0, [rng.randint(1, mat.rank) for _ in range(40)])
+        simples.update((f.perm, f) for f in x.factors)
+    simples = list(simples.values())
+    assert len(simples) >= 4 * 64
+    _clear_weight_memo(mat)
+    entries, interned = [], []
+    for a, b in zip(simples, simples[1:]):
+        group._weight(t, a, b)
+        entries.append(len(t.memo))
+        interned.append(len(t.simples))
+    # a miss adds at most four simples after the check
+    assert max(interned) < 64 + 4 and max(entries) < 64
+    assert sum(m < n for n, m in zip(entries, entries[1:])) >= 2
+    _clear_weight_memo(mat)
