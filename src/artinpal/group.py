@@ -25,10 +25,19 @@ I2(129) upwards) keep tuples composed by `weyl.compose`.
 
 The left-weighted pair depends only on the pair, and operations meet the
 same pairs again and again, so `_weight` memoises it per matrix on the
-byte path, keyed by the two permutations.  The memo's simples are shared
-through an intern map keyed the same way, and the two are cleared
-together when either reaches _MEMO_BOUND, near 7 MB per matrix.  Normal
-forms do not change, since a hit returns the unique pair a miss computes.
+byte path, keyed by the two permutations; `_tau` memoises the tau-image of
+a simple the same way, keyed by its permutation.  The memos' simples are
+shared through an intern map keyed the same way, and the three are
+cleared together when any reaches _MEMO_BOUND, near 8 MB per matrix.
+Normal forms do not change, since a hit returns the unique answer a miss
+computes.
+
+`peel` finds a witness z = y Delta_I rev(y) for a positive palindrome z by
+the deterministic loop of `monoid.peel`, on the normal form instead of on
+a word: each round reads S and a finishing set off first factors and
+cuts Delta_J off both ends of z by an exact right and left division, which
+change only the factors near that end.  The answer spells z because every
+step is an equality, so it needs no check afterwards.
 
 The attributes k and p give the same element as a fraction: x =
 Delta^(-2k) * p with k = 0 or Delta^2 not left-dividing p.  k is the least
@@ -46,7 +55,7 @@ from typing import NamedTuple
 from . import monoid, weyl
 from .coxeter import CoxeterMatrix, is_finite_type
 from .errors import (InfiniteTypeError, InvalidMatrixError, InvalidWordError,
-                     PreconditionError)
+                     NotPalindromeError, PreconditionError)
 from .monoid import PositiveWord
 from .weyl import compose
 
@@ -63,7 +72,8 @@ class _Simple(NamedTuple):
     length: int
 
 
-# entries of `_weight`'s memo, and simples they share, per matrix
+# entries of `_weight`'s and `_tau`'s memos, and simples they share, per
+# matrix
 _MEMO_BOUND = 8192
 
 
@@ -80,7 +90,8 @@ class _Tables:
     """Per-matrix tables of the normal form."""
 
     __slots__ = ("signs", "degree", "compose", "refl", "times", "ident", "top",
-                 "delta", "sigma", "twist", "gens", "co", "memo", "simples")
+                 "delta", "sigma", "twist", "gens", "co", "memo", "taus",
+                 "simples")
 
     def __init__(self, matrix: CoxeterMatrix):
         rep = weyl.build_root_system(matrix)
@@ -99,14 +110,15 @@ class _Tables:
             self.compose = lambda f, g: g.translate(f)
             self.times = tuple(r.translate for r in self.refl)
             self.ident = bytes(range(256))
-            # `_weight`'s memo and the simples its entries share, by perm
-            self.memo, self.simples = {}, {}
+            # `_weight`'s and `_tau`'s memos and the simples they share,
+            # by perm
+            self.memo, self.taus, self.simples = {}, {}, {}
         else:
             self.refl = rep.simple_reflections
             self.compose = compose
             self.times = tuple(itemgetter(*r) for r in self.refl)
             self.ident = rep.identity().perm
-            self.memo = self.simples = None
+            self.memo = self.taus = self.simples = None
         self.delta = _longest(self, (1 << n) - 1)
         self.top, w0 = self.delta.length, self.delta.perm
         # sigma is tau on the generators, w0 s w0 = s_sigma[s]; tau is the
@@ -142,10 +154,29 @@ def _tables(matrix: CoxeterMatrix) -> _Tables:
     return _Tables(matrix)
 
 
+def _room(t: _Tables) -> None:
+    """Clear the memos and the simples they share once any reaches
+    _MEMO_BOUND; a miss calls this before it adds to them."""
+    if max(len(t.memo), len(t.taus), len(t.simples)) >= _MEMO_BOUND:
+        t.memo.clear()
+        t.taus.clear()
+        t.simples.clear()
+
+
 def _tau(t: _Tables, a: _Simple) -> _Simple:
-    """Delta^-1 a Delta, image w0 a w0."""
-    w0, c = t.delta.perm, t.compose
-    return _simple(t, c(w0, c(a.perm, w0)), c(w0, c(a.inv, w0)), a.length)
+    """Delta^-1 a Delta, image w0 a w0, memoised per matrix by perm like
+    `_weight`'s pairs, with key and value interned."""
+    taus = t.taus
+    b = None if taus is None else taus.get(a.perm)
+    if b is None:
+        w0, c = t.delta.perm, t.compose
+        b = _simple(t, c(w0, c(a.perm, w0)), c(w0, c(a.inv, w0)), a.length)
+        if taus is not None:
+            _room(t)
+            intern = t.simples.setdefault
+            b = intern(b.perm, b)
+            taus[intern(a.perm, a).perm] = b
+    return b
 
 
 def _complement(t: _Tables, a: _Simple) -> _Simple:
@@ -163,9 +194,9 @@ def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
     pair is unique, so a hit returns what a miss would compute.  The key's
     perms and the pair are taken from the table's intern map, so a simple
     that recurs is stored once.  An interned simple costs about 0.7 kB (two
-    256-byte permutations), an entry about 0.15 kB more.  When the memo
-    holds _MEMO_BOUND entries or the map _MEMO_BOUND simples, both are
-    cleared together, which caps them near 7 MB per matrix.  Above 256
+    256-byte permutations), an entry about 0.15 kB more.  When this memo,
+    `_tau`'s or the map reaches _MEMO_BOUND, all three are cleared
+    together (`_room`), which caps them near 8 MB per matrix.  Above 256
     roots there is no memo: a tuple's hash is not cached, so every lookup
     would hash two permutations, and a simple is eight times larger.
     """
@@ -174,9 +205,7 @@ def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
         return _slide(t, a, b)
     pair = memo.get((a.perm, b.perm))
     if pair is None:
-        if len(memo) >= _MEMO_BOUND or len(t.simples) >= _MEMO_BOUND:
-            memo.clear()
-            t.simples.clear()
+        _room(t)
         intern = t.simples.setdefault
         c, d = _slide(t, a, b)
         pair = intern(c.perm, c), intern(d.perm, d)
@@ -209,7 +238,7 @@ def _slide(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
             _Simple(b_perm, binv, _mask(signs, b_perm), left, b.length - m))
 
 
-def _push(t: _Tables, factors: list, b: _Simple) -> int:
+def _push(t: _Tables, factors: list, b: _Simple, behind: bool = False) -> int:
     """Multiply the left-weighted factors by the simple b on the right, in
     place, and return how many Delta factors left the front (0 or 1).
 
@@ -221,6 +250,11 @@ def _push(t: _Tables, factors: list, b: _Simple) -> int:
     The pair (tau(f), b') behind them is already left-weighted, and one
     simple factor makes at most one Delta.  Afterwards factors equal to 1
     can only trail.
+
+    With behind, the factors behind that Delta become their tau-images
+    instead, the short side of the list: f Delta g = Delta tau(f) g =
+    Delta tau(f tau(g)), so the product is then Delta^lead times tau^lead
+    of the factors, for a caller that keeps them in a tau-frame.
     """
     i = len(factors)
     factors.append(b)
@@ -233,9 +267,41 @@ def _push(t: _Tables, factors: list, b: _Simple) -> int:
     if lead:
         del factors[i]
         if t.twist:
-            factors[:i] = [_tau(t, f) for f in factors[:i]]
+            part = slice(i, None) if behind else slice(i)
+            factors[part] = [_tau(t, f) for f in factors[part]]
     while factors and not factors[-1].length:
         factors.pop()
+    return lead
+
+
+def _front(t: _Tables, factors: list, a: _Simple) -> int:
+    """Multiply the left-weighted factors by the simple a on the left, in
+    place, and return how many Delta factors it makes at the front (0 or 1).
+
+    One left-to-right pass: (a, f_1) becomes the left-weighted (c_1, d_1),
+    then (d_1, f_2) becomes (c_2, d_2), and so on.  c_1, the left gcd of
+    Delta and a f_1, is that of Delta and a x for x = f_1 ... f_r: a simple
+    e that left-divides Delta and a x has a simple right lcm a u with a, u
+    left-divides x and so f_1, the left gcd of Delta and x, and e left-
+    divides a f_1.  So each c_i heads what is left.  The pass stops at a
+    d_i equal to 1, or at the first pair (d_i, f_(i+1)) that is already
+    left-weighted, behind which nothing changes.  Only c_1 can be Delta:
+    a x = Delta^2 w would give x = (a^-1 Delta) Delta w, so Delta would
+    left-divide x.
+    """
+    if not a.length:
+        return 0
+    factors.insert(0, a)
+    i = 0
+    while i + 1 < len(factors) and factors[i + 1].left & ~factors[i].right:
+        factors[i], factors[i + 1] = _weight(t, factors[i], factors[i + 1])
+        i += 1
+        if not factors[i].length:
+            del factors[i]
+            break
+    lead = int(factors[0].length == t.top)
+    if lead:
+        del factors[0]
     return lead
 
 
@@ -472,6 +538,119 @@ def is_pure(a: GroupElement) -> bool:
 
 def is_palindrome(a: GroupElement) -> bool:
     return eq(a, rev(a))
+
+
+def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
+    """(y, I) with z = y Delta_I rev(y), for a positive palindrome z;
+    deterministic: the answer of `monoid.peel` on any word for z.
+
+    The loop of `monoid.peel`, on the normal form.  S = S(z) is every
+    generator when inf > 0, else the left descents of the first factor.
+    While length(z) > |Delta_S|, take the least s in S that finishes the
+    tail Delta_S^-1 z, and cut Delta_J, J = {s} or {s, tau(s)}, off both
+    ends of z.  tau, with tau(s) at index s - 1, promises tau(z) = z.
+    - The tail of a palindrome finishes with S(z Delta_S^-1), as
+      rev(Delta_S^-1 z) = z Delta_S^-1; it is read on a copy of the
+      factors.  No copy is needed when the least s in S right-divides the
+      last factor and z has two factors or inf > 0: z s^-1 keeps the first
+      factor, so Delta_S left-divides it, and s finishes the tail.
+    - A right division by Delta_J that right-divides the last factor
+      shrinks it, and the pair before it stays left-weighted.  Otherwise
+      z Delta_J^-1 = z (Delta_J^-1 Delta) Delta^-1: one `_push`, then a
+      step back by Delta.
+    - A left division by Delta_J that left-divides the first factor
+      shrinks it, and `_front` left-weights the pairs behind it.
+      Otherwise Delta_J^-1 = Delta^-1 (Delta Delta_J^-1), and `_front`
+      puts the complement in front.
+
+    The factors live in a tau-frame, as in `from_word`: z = Delta^inf
+    tau^flip(factors).  The Delta^-1 of a right division flips the frame,
+    and a Delta that its push makes leaves by twisting the few factors
+    behind it, so a round twists only the factors it changes.  Descent
+    sets of the true first and last factors are read off their
+    tau-images, as D_L(tau(a)) is sigma(D_L(a)).
+
+    Every step is an exact quotient, so an answer always spells z; as
+    y Delta_I rev(y) is a palindrome, an input that is not one gets none.
+    A round with no s raises NotPalindromeError, and a quotient that is
+    not positive PreconditionError, as do a z that is not a positive
+    element and a tau that does not permute the generators.
+    """
+    _check_kind(GroupElement, z)
+    mat = z.matrix
+    if tau is not None and (sorted(mat.check_word(tau, positive=True))
+                            != list(mat.generators)):
+        raise PreconditionError("peel needs tau to permute the generators")
+    if z.inf < 0:
+        raise PreconditionError("peel needs a positive element")
+    t = _tables(mat)
+    full = (1 << mat.rank) - 1
+
+    def twist(a: _Simple, odd: int) -> _Simple:
+        return _tau(t, a) if odd & 1 and t.twist else a
+
+    def heads(inf: int, factors: list, odd: int) -> int:
+        # S(Delta^inf tau^odd(factors)) as a bitmask; D_L(tau(a)) is
+        # sigma(D_L(a))
+        if inf or not factors:
+            return full if inf > 0 else 0
+        return twist(factors[0], odd).left
+
+    def right(factors: list, d: _Simple, inf: int, flip: int) -> tuple[int, int]:
+        # z d^-1 in place, from z = Delta^inf tau^flip(factors)
+        e, c = twist(d, flip), t.compose
+        if factors and not e.left & ~factors[-1].right:
+            # a left-weighted pair stays so when its second factor shrinks
+            a = factors.pop()
+            if a.length > e.length:
+                factors.append(_simple(t, c(a.perm, e.inv), c(e.perm, a.inv),
+                                       a.length - e.length))
+            return inf, flip
+        # z d^-1 = z (d^-1 Delta) Delta^-1, and d^-1 Delta = tau(Delta d^-1)
+        lead = _push(t, factors, twist(_complement(t, d), flip ^ 1), behind=True)
+        return inf + lead - 1, flip ^ 1 ^ lead
+
+    def left(factors: list, d: _Simple, inf: int, flip: int) -> int:
+        # d^-1 z in place; d^-1 Delta^inf = Delta^inf tau^inf(d)^-1
+        e, c = twist(d, inf + flip), t.compose
+        if factors and not e.left & ~factors[0].left:
+            a = factors.pop(0)
+            return inf + _front(t, factors, _simple(
+                t, c(e.inv, a.perm), c(a.inv, e.perm), a.length - e.length))
+        # d^-1 = Delta^-1 (Delta d^-1)
+        return inf - 1 + _front(t, factors, twist(_complement(t, d), inf + flip))
+
+    inf, flip, factors, size = z.inf, 0, list(z.factors), length(z)
+    y: list[_Simple] = []
+    y_inf = 0
+    while True:
+        s_set = heads(inf, factors, flip)
+        d = _longest(t, s_set)
+        if d.length == size:
+            subset = tuple(s + 1 for s in range(mat.rank) if s_set >> s & 1)
+            return GroupElement(mat, y_inf, tuple(y)), subset
+        least = s_set & -s_set
+        if (len(factors) > 1 or inf and factors) and least & twist(
+                factors[-1], flip).right:
+            # z = Delta^inf a_1 ... a_r with least s in D_R(a_r): z s^-1
+            # keeps a_1, so Delta_S left-divides it, and s finishes the tail
+            ends = least
+        else:
+            # the tail Delta_S^-1 z finishes with S(z Delta_S^-1)
+            rest = factors.copy()
+            rest_inf, rest_flip = right(rest, d, inf, flip)
+            ends = s_set & heads(rest_inf, rest, rest_flip)
+        if not ends:
+            raise NotPalindromeError("peel needs z = rev(z)")
+        s = (ends & -ends).bit_length() - 1
+        dj = _longest(t, 1 << s if tau is None else 1 << s | 1 << tau[s] - 1)
+        inf, flip = right(factors, dj, inf, flip)
+        inf = left(factors, dj, inf, flip)
+        if inf < 0:
+            raise PreconditionError(
+                "peel needs z = rev(z), and Delta_J to start and finish it")
+        size -= 2 * dj.length
+        y_inf += _push(t, y, dj)
 
 
 def starting_set(a: GroupElement) -> tuple[int, ...]:

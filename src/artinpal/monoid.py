@@ -413,9 +413,11 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
     """The permutation tau with s * Delta = Delta * tau(s); finite type only.
 
-    Entry i-1 holds tau(i), read off that definition: the one-letter
-    quotient Delta \\ (i * Delta).  Raises InfiniteTypeError for an
-    infinite-type matrix.
+    Entry i-1 holds tau(i), read off that definition: i * Delta is a right
+    multiple of Delta, so it is the right lcm of Delta and i * Delta, and
+    `right_lcm` spells it Delta's letters and then tau(i), by reversing,
+    without extraction.  Raises InfiniteTypeError for an infinite-type
+    matrix.
     """
     _check_kind(CoxeterMatrix, matrix)
     return _tau_perm(matrix)
@@ -424,6 +426,6 @@ def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
     d = ambient_delta(matrix)
-    return tuple(divides_left(d, _trusted(matrix, (s,) + d.letters)).letters[0]
+    return tuple(right_lcm(d, _trusted(matrix, (s,) + d.letters)).letters[-1]
                  for s in matrix.generators)
 

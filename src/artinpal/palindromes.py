@@ -1,13 +1,15 @@
 """Palindromization x -> x*rev(x), its inverse on pure palindromes, and
 decompositions x = y * Delta_I * rev(y).
 
-Every routine reduces group-level input to a positive palindromic word by
-clearing denominators with a central power of Delta: if x = Delta^(-2k) p,
-the smallest even N >= k makes z = Delta^(2N) x positive, Delta^N central
-and rev-fixed, and any positive decomposition z = u Delta_I rev(u) shifts
-back to x = (Delta^(-N) u) Delta_I rev(Delta^(-N) u).  The peel and the
-decomposition search below therefore only ever touch positive words and
-elements.
+Every routine reduces group-level input to a positive palindromic element
+by clearing denominators with a central power of Delta: if x = Delta^(-2k)
+p, the smallest even N >= k makes z = Delta^(2N) x positive, Delta^N
+central and rev-fixed, and any positive decomposition z = u Delta_I rev(u)
+shifts back to x = (Delta^(-N) u) Delta_I rev(Delta^(-N) u).  The peel
+(`group.peel`) and the decomposition search below therefore only ever
+touch positive elements, on their Garside normal forms; none of them
+extracts.  The peel's every step is an exact quotient, so its answer
+spells z and is not checked again.
 """
 
 from __future__ import annotations
@@ -67,15 +69,11 @@ def _core(x: GroupElement) -> tuple[GroupElement, int]:
 
 
 def _peel(x: GroupElement, tau=None) -> PalDecomposition:
-    """Deterministic decomposition of a palindrome x: `monoid.peel` on the
-    positive word of its core, with y = Delta^-N times the peeled letters."""
-    mat = x.matrix
+    """Deterministic decomposition of a palindrome x: `group.peel` of its
+    core z = Delta^(2N) x, whose answer spells z, with y = Delta^-N u."""
     z, half = _core(x)
-    prefix, subset = monoid.peel(monoid.word(mat, z.p), tau)
-    d = PalDecomposition(y=group.make(mat, half, prefix), I=subset)
-    if not group.eq(reconstruct(d), x):
-        raise ArtinError("internal: decomposition failed to reconstruct")
-    return d
+    u, subset = group.peel(z, tau)
+    return PalDecomposition(y=group.mult(group.make(x.matrix, half, ()), u), I=subset)
 
 
 def decompose(x: GroupElement) -> PalDecomposition:

@@ -46,6 +46,10 @@ CALLS = {
     "magnus-str-rank": lambda: orderings.magnus_sign((1,), "3"),
     "dynnikov-str-coords": lambda: orderings.dynnikov_action((1,), "0101"),
     "peel-list": lambda: monoid.peel([1, 1]),
+    "group-peel-none": lambda: group.peel(None),
+    "group-peel-int": lambda: group.peel(5),
+    "group-peel-negative": lambda: group.peel(group.from_word(A3, (-1,))),
+    "group-peel-bad-tau": lambda: group.peel(group.from_word(A3, (2,)), (1, 1, 3)),
     "word-none-letters": lambda: monoid.word(A3, None),
     "word-none-matrix": lambda: monoid.word(None, (1,)),
     "monoid-rev-int": lambda: monoid.rev(5),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artinpal import coxeter, group, monoid, weyl
-from artinpal.errors import InfiniteTypeError, InvalidWordError
+from artinpal.errors import ArtinError, InfiniteTypeError, InvalidWordError
 from artinpal.group import (
     GroupElement,
     delta_element,
@@ -490,3 +490,139 @@ def test_weight_memo_bounds_its_simples(monkeypatch):
     assert max(interned) < 64 + 4 and max(entries) < 64
     assert sum(m < n for n, m in zip(entries, entries[1:])) >= 2
     _clear_weight_memo(mat)
+
+
+PEEL_TYPES = ["A3", "A4", "B3", "D4", "D5", "E6", "F4", "H3", "H4", "E8", "I2(5)"]
+
+
+def _peel_cores(mat, rng, count, max_len):
+    """Positive palindromes Delta^(2N) pal(x): x random signed words, and
+    products of tau-fixed Delta_{s, tau(s)} blocks and their inverses, whose
+    cores are tau-fixed as well."""
+    perm = monoid.compute_tau_perm(mat)
+    blocks = [monoid.delta(mat, {s, perm[s - 1]}).letters for s in mat.generators]
+    blocks += [tuple(-x for x in reversed(b)) for b in blocks]
+    shift = make(mat, 2, ())  # Delta^-4, central
+    plain, fixed = [], []
+    for _ in range(count):
+        n = rng.randint(0, max_len)
+        w: list[int] = []
+        while len(w) < n:
+            w += rng.choice(blocks)
+        for out, letters in ((plain, [rng.choice((1, -1)) * rng.randint(1, mat.rank)
+                                      for _ in range(n)]), (fixed, w)):
+            x = from_word(mat, letters)
+            z = mult(x, rev(x))
+            while z.inf < 0:
+                z = mult(z, inv(shift))
+            out.append(z)
+    return plain, fixed, perm
+
+
+@pytest.mark.parametrize("name", PEEL_TYPES)
+def test_peel_matches_the_word_peel(name):
+    """`peel` on the normal form gives `monoid.peel`'s answer on a word for
+    the same palindrome: seeded pal(x) cores without tau, and tau-fixed
+    cores with and without it."""
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(f"group peel {name}")
+    plain, fixed, perm = _peel_cores(mat, rng, 6, 24)
+    runs = [(z, None) for z in plain + fixed] + [(z, perm) for z in fixed]
+    for z, tau_perm in runs:
+        y, subset = group.peel(z, tau_perm)
+        letters, want = monoid.peel(monoid.word(mat, z.p), tau_perm)
+        assert subset == want and eq(y, make(mat, 0, letters)), (z, tau_perm)
+        assert eq(mult(mult(y, delta_element(mat, subset)), rev(y)), z)
+        if tau_perm is not None:
+            assert eq(tau(y), y)
+
+
+@pytest.mark.parametrize("name", ["A3", "A4"])
+def test_peel_on_every_short_word(name):
+    """Every positive word to length 6 that is no palindrome makes `peel`
+    raise an ArtinError; every palindrome gets `monoid.peel`'s answer, with
+    and without tau when it is tau-fixed."""
+    mat = coxeter.named_matrix(name)
+    perm = monoid.compute_tau_perm(mat)
+    raised = answered = 0
+    for n in range(7):
+        for letters in itertools.product(mat.generators, repeat=n):
+            z = make(mat, 0, letters)
+            if is_palindrome(z):
+                fixed = eq(tau(z), z)
+                for tau_perm in (None, perm) if fixed else (None,):
+                    y, subset = group.peel(z, tau_perm)
+                    word_y, want = monoid.peel(monoid.word(mat, letters), tau_perm)
+                    assert subset == want and eq(y, make(mat, 0, word_y)), letters
+                answered += 1
+                continue
+            with pytest.raises(ArtinError):
+                group.peel(z)
+            raised += 1
+    assert raised > 800 and answered > 100
+
+
+def _clear_memos(mat):
+    t = group._tables(mat)
+    if t.memo is not None:
+        for memo in (t.memo, t.taus, t.simples):
+            memo.clear()
+
+
+# tau is not the identity on any of these; I2(129) holds tuples
+@pytest.mark.parametrize("name", ["A4", "D5", "E6", "I2(5)", "I2(129)"])
+def test_tau_memo_is_exact(name):
+    """tau, inv, mult, rev, from_word and peel give the same keys with the
+    memos cleared before each call as with them warm."""
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(f"tau memo {name}")
+    words = [[rng.choice((1, -1, -1)) * rng.randint(1, mat.rank)
+              for _ in range(rng.randint(0, 40))] for _ in range(10)]
+
+    def keys(cold):
+        out = []
+
+        def call(op, *args):
+            if cold:
+                _clear_memos(mat)
+            y = op(*args)
+            out.append(y[0].key() + (y[1],) if isinstance(y, tuple) else y.key())
+            return y
+
+        xs = [call(from_word, mat, w) for w in words]
+        for x, y in zip(xs, xs[1:]):
+            call(tau, x)
+            call(mult, call(inv, x), y)
+            p = call(mult, x, call(rev, x))
+            if p.inf >= 0:
+                call(group.peel, p)
+        return out
+
+    cold = keys(True)
+    assert keys(False) == cold
+    taus = group._tables(mat).taus
+    assert taus is None if name == "I2(129)" else len(taus) > 0
+
+
+def test_tau_memo_stays_within_its_bound(monkeypatch):
+    """Many more distinct simples than the bound through `_tau`: its memo
+    never holds more than the bound, nor the intern map more than the bound
+    plus the two simples a miss adds, and both are cleared again and
+    again."""
+    monkeypatch.setattr(group, "_MEMO_BOUND", 32)
+    mat = coxeter.named_matrix("E6")
+    t = group._tables(mat)
+    rng = random.Random("tau memo bound")
+    simples = {}
+    for _ in range(30):
+        x = make(mat, 0, [rng.randint(1, mat.rank) for _ in range(30)])
+        simples.update((f.perm, f) for f in x.factors)
+    assert len(simples) >= 4 * 32
+    _clear_memos(mat)
+    sizes = []
+    for a in simples.values():
+        assert group._tau(t, group._tau(t, a)) == a
+        assert len(t.taus) <= 32 and len(t.simples) <= 32 + 2
+        sizes.append(len(t.taus))
+    assert sum(m < n for n, m in zip(sizes, sizes[1:])) >= 2
+    _clear_memos(mat)

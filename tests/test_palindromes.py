@@ -516,3 +516,28 @@ def test_decomposition_subsets_are_checked(bad):
             call(d)
     with pytest.raises(InvalidWordError):
         group.delta_element(A3, (1, bad))
+
+
+def test_peels_never_extract(monkeypatch):
+    """decompose, unpal and decompose_rev_tau peel on the normal form, and
+    tau's permutation comes from reversing: no call reaches extraction,
+    also with the permutation's cache cold."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the peel reached extraction")
+
+    monkeypatch.setattr(monoid, "_extract", refuse)
+    monoid._tau_perm.cache_clear()
+    rng = random.Random(SEED)
+    for name in ("A3", "B3", "D5", "E6", "H4"):
+        mat = coxeter.named_matrix(name)
+        for _ in range(4):
+            x = group.from_word(mat, random_signed_word(rng, mat.rank, 12))
+            p = pal(x)
+            assert group.eq(unpal(p), x)
+            assert group.eq(reconstruct(decompose(p)), p)
+    for yw, subset in (((2, -1, -3), (1, 3)), ((1, 3, -2), (2,)), ((), (1, 2, 3))):
+        x = reconstruct(PalDecomposition(y=group.from_word(A3, yw), I=subset))
+        assert group.eq(reconstruct(decompose_rev_tau(x)), x)
+    for call in (decompose, unpal):
+        with pytest.raises(NotPalindromeError):
+            call(group.from_word(A3, (1, 2)))
