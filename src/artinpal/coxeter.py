@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidMatrixError, InvalidWordError
+from .errors import InvalidMatrixError, InvalidWordError, PreconditionError
 
 INF = float("inf")
 
@@ -342,7 +342,7 @@ def classify(matrix: CoxeterMatrix, subset=None) -> list[str] | None:
     back sorted, one per connected component, e.g. ['A1', 'A2', 'B3'].  A
     subset member that is not a generator raises InvalidWordError.
     """
-    _check_matrix(matrix)
+    check_kind(CoxeterMatrix, matrix)
     nodes = (matrix.generators if subset is None
              else sorted(set(matrix.check_word(subset, positive=True))))
     if not nodes:
@@ -362,9 +362,14 @@ def is_finite_type(matrix: CoxeterMatrix, subset=None) -> bool:
     return classify(matrix, subset) is not None
 
 
-def _check_matrix(matrix) -> None:
-    if not isinstance(matrix, CoxeterMatrix):
-        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
+def check_kind(kind: type, *values) -> None:
+    """Raise an ArtinError unless every value is an instance of kind: a
+    wrong matrix raises InvalidMatrixError, a wrong value of any other kind
+    PreconditionError.  Every module checks its public arguments here."""
+    for v in values:
+        if not isinstance(v, kind):
+            error = InvalidMatrixError if kind is CoxeterMatrix else PreconditionError
+            raise error(f"expected a {kind.__name__}, got {v!r}")
 
 
 def parse_matrix(text: str) -> CoxeterMatrix:
@@ -428,7 +433,7 @@ def parse_matrix(text: str) -> CoxeterMatrix:
 
 def serialize_matrix(matrix: CoxeterMatrix) -> str:
     """Canonical text form: rank line, then sorted 'm i j v' lines for v != 2."""
-    _check_matrix(matrix)
+    check_kind(CoxeterMatrix, matrix)
     lines = [f"rank {matrix.rank}"]
     for i in range(1, matrix.rank + 1):
         for j in range(i + 1, matrix.rank + 1):

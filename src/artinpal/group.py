@@ -53,9 +53,9 @@ from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from . import monoid, weyl
-from .coxeter import CoxeterMatrix, is_finite_type
-from .errors import (InfiniteTypeError, InvalidMatrixError, InvalidWordError,
-                     NotPalindromeError, PreconditionError)
+from .coxeter import CoxeterMatrix, check_kind, is_finite_type
+from .errors import (InfiniteTypeError, InvalidWordError, NotPalindromeError,
+                     PreconditionError)
 from .monoid import PositiveWord
 from .weyl import compose
 
@@ -374,7 +374,7 @@ class GroupElement:
 
 def make(matrix: CoxeterMatrix, k: int, p) -> GroupElement:
     """The element Delta^(-2k) * p for a positive word p, normalized."""
-    _check_kind(CoxeterMatrix, matrix)
+    check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
     if not isinstance(k, int) or k < 0:
         raise InvalidWordError(f"denominator exponent must be an int >= 0, got {k!r}")
@@ -390,7 +390,7 @@ def identity(matrix: CoxeterMatrix) -> GroupElement:
 
 
 def from_positive(w: PositiveWord) -> GroupElement:
-    _check_kind(PositiveWord, w)
+    check_kind(PositiveWord, w)
     return make(w.matrix, 0, w.letters)
 
 
@@ -407,7 +407,7 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
     w0 s, which is co[sigma(s')], and flips the frame; the true factors are
     tau^flip of the stored ones at the end.
     """
-    _check_kind(CoxeterMatrix, matrix)
+    check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
     sigma = t.sigma
     factors: list[_Simple] = []
@@ -435,7 +435,7 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
 def delta_element(matrix: CoxeterMatrix, subset=None) -> GroupElement:
     """Delta_I for the generators I in subset, Delta when subset is None;
     the empty subset gives the identity."""
-    _check_kind(CoxeterMatrix, matrix)
+    check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
     if subset is None:
         return GroupElement(matrix, 1, ())
@@ -445,18 +445,8 @@ def delta_element(matrix: CoxeterMatrix, subset=None) -> GroupElement:
     return GroupElement(matrix, inf, tuple(factors))
 
 
-def _check_kind(kind: type, *values) -> None:
-    """Raise an ArtinError unless every value is a kind (a CoxeterMatrix,
-    PositiveWord or GroupElement); each public call checks its arguments
-    here once, before any normal-form work."""
-    for v in values:
-        if not isinstance(v, kind):
-            error = InvalidMatrixError if kind is CoxeterMatrix else PreconditionError
-            raise error(f"expected a {kind.__name__}, got {v!r}")
-
-
 def _check_same(a: GroupElement, b: GroupElement):
-    _check_kind(GroupElement, a, b)
+    check_kind(GroupElement, a, b)
     if a.matrix is not b.matrix and a.matrix != b.matrix:
         raise InvalidWordError("operands live over different matrices")
 
@@ -489,7 +479,7 @@ def mult(a: GroupElement, b: GroupElement) -> GroupElement:
 def inv(a: GroupElement) -> GroupElement:
     """x^-1 = a_r^-1 ... a_1^-1 Delta^-p with a^-1 = Delta^-1 (w0 a^-1); the
     complement of a_j passes the j - 1 + p powers of Delta to its right."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     t = _tables(a.matrix)
     r = len(a.factors)
     factors: list[_Simple] = []
@@ -505,7 +495,7 @@ def inv(a: GroupElement) -> GroupElement:
 def rev(a: GroupElement) -> GroupElement:
     """Anti-automorphism: rev(Delta^p a_1 ... a_r) = Delta^p tau^p(rev(a_r)
     ... rev(a_1)), where rev of a simple element has the inverse image."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     t = _tables(a.matrix)
     factors: list[_Simple] = []
     inf = a.inf
@@ -524,7 +514,7 @@ def rev(a: GroupElement) -> GroupElement:
 
 def tau(a: GroupElement) -> GroupElement:
     """Conjugation by Delta, factor by factor."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     t = _tables(a.matrix)
     if not t.twist:
         return a
@@ -576,7 +566,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     not positive PreconditionError, as do a z that is not a positive
     element and a tau that does not permute the generators.
     """
-    _check_kind(GroupElement, z)
+    check_kind(GroupElement, z)
     mat = z.matrix
     if tau is not None and (sorted(mat.check_word(tau, positive=True))
                             != list(mat.generators)):
@@ -656,7 +646,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
 def starting_set(a: GroupElement) -> tuple[int, ...]:
     """The generators s with s^-1 * a positive, sorted: all if Delta divides
     a, none if a is not positive, else the first factor's left descents."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     if a.inf:
         return a.matrix.generators if a.inf > 0 else ()
     left = a.factors[0].left if a.factors else 0
@@ -666,14 +656,14 @@ def starting_set(a: GroupElement) -> tuple[int, ...]:
 def length(a: GroupElement) -> int:
     """The exponent sum, inf * |Delta| plus the factor lengths; for a
     positive element, the length of every positive word for it."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     return a.inf * _tables(a.matrix).top + sum(f.length for f in a.factors)
 
 
 def to_signed_word(a: GroupElement) -> tuple[int, ...]:
     """One signed word representing the element: 2k copies of Delta^-1,
     then p."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     d = monoid.ambient_delta(a.matrix).letters
     dinv = tuple(-x for x in reversed(d))
     return dinv * (2 * a.k) + a.p
@@ -683,7 +673,7 @@ def garside_word(a: GroupElement) -> tuple[int, ...]:
     """Delta^inf a_1 ... a_r as a signed word: unlike `to_signed_word`'s
     Delta^-2k p, no cancelling Delta^-1 Delta pair when inf is odd and
     negative."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     d = monoid.ambient_delta(a.matrix).letters
     head = d if a.inf >= 0 else tuple(-x for x in reversed(d))
     return head * abs(a.inf) + a.p[len(d) * (2 * a.k + a.inf):]
@@ -691,7 +681,7 @@ def garside_word(a: GroupElement) -> tuple[int, ...]:
 
 def w_image(a: GroupElement) -> weyl.WElement:
     """Image of the element in the Coxeter group: w0^inf times the factors."""
-    _check_kind(GroupElement, a)
+    check_kind(GroupElement, a)
     t = _tables(a.matrix)
     acc = t.delta.perm if a.inf % 2 else t.ident
     for f in a.factors:

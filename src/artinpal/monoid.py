@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coxeter import INF, CoxeterMatrix, is_finite_type, w_word
+from .coxeter import INF, CoxeterMatrix, check_kind, is_finite_type, w_word
 from .errors import (
     BudgetExceededError,
     DeltaUndefinedError,
     InvalidBudgetError,
-    InvalidMatrixError,
     InvalidWordError,
     NotPalindromeError,
     PreconditionError,
@@ -37,7 +36,7 @@ class PositiveWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        _check_kind(CoxeterMatrix, self.matrix)
+        check_kind(CoxeterMatrix, self.matrix)
         object.__setattr__(self, "letters",
                            self.matrix.check_word(self.letters, positive=True))
 
@@ -57,16 +56,6 @@ class PositiveWord:
         return f"<{body}>"
 
 
-def _check_kind(kind: type, *values) -> None:
-    """Raise an ArtinError unless every value is a kind (a CoxeterMatrix or
-    PositiveWord); each public call checks its arguments here once, before
-    any extraction."""
-    for v in values:
-        if not isinstance(v, kind):
-            error = InvalidMatrixError if kind is CoxeterMatrix else PreconditionError
-            raise error(f"expected a {kind.__name__}, got {v!r}")
-
-
 def _trusted(matrix: CoxeterMatrix, letters: tuple[int, ...]) -> PositiveWord:
     """A PositiveWord from letters known to be valid, without the check."""
     w = object.__new__(PositiveWord)
@@ -80,7 +69,7 @@ def word(matrix: CoxeterMatrix, letters) -> PositiveWord:
 
 def rev(w: PositiveWord) -> PositiveWord:
     """Reverse the reading of the word; an anti-automorphism."""
-    _check_kind(PositiveWord, w)
+    check_kind(PositiveWord, w)
     return _trusted(w.matrix, w.letters[::-1])
 
 
@@ -158,7 +147,7 @@ def _extract(rules: tuple, w: list[int], s: int, lo: int, hi: int) -> bool:
 
 def left_extract(w: PositiveWord, s: int) -> PositiveWord | None:
     """If s left-divides w, return some w'' with w = s * w''; else None."""
-    _check_kind(PositiveWord, w)
+    check_kind(PositiveWord, w)
     w.matrix.check_word((s,), positive=True)
     return divides_left(_trusted(w.matrix, (s,)), w)
 
@@ -175,7 +164,7 @@ def _divides(rules: tuple, w: list[int], letters, lo: int, hi: int) -> bool:
 
 def starting_set(w: PositiveWord) -> tuple[int, ...]:
     """Generators that left-divide w, sorted."""
-    _check_kind(PositiveWord, w)
+    check_kind(PositiveWord, w)
     return _heads(_rules(w.matrix), list(w.letters), 0, len(w.letters))
 
 
@@ -185,7 +174,7 @@ def finishing_set(w: PositiveWord) -> tuple[int, ...]:
 
 
 def _check_same_matrix(u: PositiveWord, v: PositiveWord):
-    _check_kind(PositiveWord, u, v)
+    check_kind(PositiveWord, u, v)
     if u.matrix is not v.matrix and u.matrix != v.matrix:
         raise InvalidWordError("operands live over different matrices")
 
@@ -284,7 +273,7 @@ def delta(matrix: CoxeterMatrix, subset) -> PositiveWord | None:
     raised, never read as "no Delta".
     The empty subset yields the empty word.  Memoized per (matrix, subset).
     """
-    _check_kind(CoxeterMatrix, matrix)
+    check_kind(CoxeterMatrix, matrix)
     idx = tuple(sorted(set(matrix.check_word(subset, positive=True))))
     if not idx:
         return PositiveWord(matrix, ())
@@ -293,7 +282,7 @@ def delta(matrix: CoxeterMatrix, subset) -> PositiveWord | None:
 
 def ambient_delta(matrix: CoxeterMatrix) -> PositiveWord:
     """Delta over all generators; raises for infinite type."""
-    _check_kind(CoxeterMatrix, matrix)
+    check_kind(CoxeterMatrix, matrix)
     d = delta(matrix, matrix.generators)
     if d is None:
         raise DeltaUndefinedError(
@@ -311,7 +300,7 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
     whenever two generators left-divide w they admit a common multiple
     (namely w), so Delta_{S(w)} always exists and divides w.
     """
-    _check_kind(PositiveWord, w)
+    check_kind(PositiveWord, w)
     rules, buf = _rules(w.matrix), list(w.letters)
     out, lo, hi = [], 0, len(buf)
     while lo < hi:
@@ -369,7 +358,7 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Delta_S that is undefined or does not divide w, or a tau that does not
     permute the generators.
     """
-    _check_kind(PositiveWord, w)
+    check_kind(PositiveWord, w)
     mat, rules, buf = w.matrix, _rules(w.matrix), list(w.letters)
     if tau is not None and (sorted(mat.check_word(tau, positive=True))
                             != list(mat.generators)):
@@ -419,7 +408,7 @@ def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:
     without extraction.  Raises InfiniteTypeError for an infinite-type
     matrix.
     """
-    _check_kind(CoxeterMatrix, matrix)
+    check_kind(CoxeterMatrix, matrix)
     return _tau_perm(matrix)
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coxeter import CoxeterMatrix, is_finite_type, parse_word
+from .coxeter import CoxeterMatrix, check_kind, is_finite_type, parse_word
 from .errors import (BudgetExceededError, HandleReductionOverflow, InvalidBudgetError,
-                     InvalidMatrixError, InvalidWordError, PreconditionError)
+                     InvalidWordError, PreconditionError)
 
 DEFAULT_CLASS_CAP = 1_000_000
 DEFAULT_LEN_CAP = 12
@@ -55,7 +55,7 @@ class Presentation:
 def presentation_from_matrix(matrix: CoxeterMatrix) -> Presentation:
     """The Artin presentation: one alternating-word relation per finite
     off-diagonal label."""
-    _check_matrix(matrix)
+    check_kind(CoxeterMatrix, matrix)
     return Presentation(matrix.rank, tuple(matrix.relations()))
 
 
@@ -66,16 +66,6 @@ class RewriteClass:
 
     canonical: tuple[int, ...]
     members: frozenset
-
-
-def _check_matrix(matrix) -> None:
-    if not isinstance(matrix, CoxeterMatrix):
-        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
-
-
-def _check_presentation(P) -> None:
-    if not isinstance(P, Presentation):
-        raise PreconditionError(f"expected a Presentation, got {P!r}")
 
 
 def _check_caps(**caps) -> None:
@@ -100,7 +90,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
              len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
     """BFS closure of w under single-relation rewrites; deterministic.  A
     closure costs |class| * len(w) * (distinct side lengths) lookups."""
-    _check_presentation(P)
+    check_kind(Presentation, P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     w = P.check_word(w)
     if len(w) > len_cap:
@@ -138,7 +128,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
 
 def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP,
                   len_cap: int = DEFAULT_LEN_CAP) -> bool:
-    _check_presentation(P)
+    check_kind(Presentation, P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
@@ -152,7 +142,7 @@ def divides_left_oracle(P: Presentation, u, v,
                         len_cap: int = DEFAULT_LEN_CAP) -> bool:
     """True iff u * w rewrites to v for some positive w: equivalently, some
     member of v's class carries a prefix equivalent to u."""
-    _check_presentation(P)
+    check_kind(Presentation, P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
@@ -168,7 +158,7 @@ def square_free_oracle(P: Presentation, w,
                        len_cap: int = DEFAULT_LEN_CAP) -> bool:
     """True iff no member of w's class contains an adjacent repeated
     letter."""
-    _check_presentation(P)
+    check_kind(Presentation, P)
     w = P.check_word(w)
     return not any(
         any(m[i] == m[i + 1] for i in range(len(m) - 1))
@@ -201,7 +191,7 @@ def artin_deltas(matrix: CoxeterMatrix,
     every finite-type subset whose Delta_I has at most max_len letters (by
     default the longest word the oracle classes).  The words come from the
     oracle's own `_greedy_delta`, memoized, never from the monoid."""
-    _check_matrix(matrix)
+    check_kind(CoxeterMatrix, matrix)
     out: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     subsets: list[tuple[int, ...]] = [()]
     for g in matrix.generators:
@@ -225,7 +215,7 @@ def all_pal_decompositions(P: Presentation, p, deltas,
     and ends with s.  Results are deduplicated by the canonical form of y
     and sorted; every y is reported as one concrete word.
     """
-    _check_presentation(P)
+    check_kind(Presentation, P)
     p = P.check_word(p)
     delta_by_len: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for subset, word in deltas.items():
@@ -271,7 +261,7 @@ def enumerate_classes(P: Presentation, length: int,
                       len_cap: int = DEFAULT_LEN_CAP):
     """Partition of all length-L words into rewriting classes, as a sorted
     tuple of sorted member tuples."""
-    _check_presentation(P)
+    check_kind(Presentation, P)
     if length > len_cap:
         raise BudgetExceededError(
             f"length {length} exceeds the cap {len_cap}"
@@ -307,7 +297,7 @@ def coxeter_order_oracle(matrix: CoxeterMatrix,
     word is reduced iff its braid class contains no square s*s.  The
     quotient relation s^2 = e never has to be written down.
     """
-    _check_matrix(matrix)
+    check_kind(CoxeterMatrix, matrix)
     if not is_finite_type(matrix):
         raise PreconditionError("order counting needs a finite-type matrix")
     P = presentation_from_matrix(matrix)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import group
-from .coxeter import CoxeterMatrix, builtin
-from .errors import InvalidMatrixError, InvalidWordError, PreconditionError
+from .coxeter import CoxeterMatrix, builtin, check_kind
+from .errors import InvalidWordError, PreconditionError
 from .group import GroupElement
 
 
@@ -157,13 +157,8 @@ def dehornoy_sign(word, n: int) -> Sign:
     return Sign.ZERO
 
 
-def _check_matrix(matrix) -> None:
-    if not isinstance(matrix, CoxeterMatrix):
-        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
-
-
 def _require_builtin(matrix: CoxeterMatrix, family: str):
-    _check_matrix(matrix)
+    check_kind(CoxeterMatrix, matrix)
     if matrix.entries != builtin(family, matrix.rank).entries:
         raise PreconditionError(
             f"this order needs the type {family} matrix of matching rank"
@@ -191,10 +186,20 @@ def dehornoy_compare(x: GroupElement, y: GroupElement) -> Comparison:
 # Magnus order: power series with noncommuting indeterminates
 
 
+def _free_letters(word, n: int | None = None) -> tuple[int, ...]:
+    """The word as a tuple of free-group letters: nonzero ints, of absolute
+    value at most n when n is given, or InvalidWordError."""
+    word = _letters(word)
+    for x in word:
+        if not isinstance(x, int) or x == 0 or (n is not None and abs(x) > n):
+            raise InvalidWordError(f"letter {x!r} is not a generator of F_{n or 'n'}")
+    return word
+
+
 def free_reduce(word) -> tuple[int, ...]:
     """Cancel adjacent inverse pairs until none remain."""
     out: list[int] = []
-    for x in _letters(word):
+    for x in _free_letters(word):
         if out and out[-1] == -x:
             out.pop()
         else:
@@ -206,7 +211,7 @@ def exponent_sums(word) -> dict[int, int]:
     """Generator index -> signed letter count; indices with sum 0 included
     when they occur."""
     sums: dict[int, int] = {}
-    for x in word:
+    for x in _free_letters(word):
         g = abs(x)
         sums[g] = sums.get(g, 0) + (1 if x > 0 else -1)
     return sums
@@ -281,11 +286,11 @@ class SeriesTrunc:
 
 
 def magnus_image(word, degree: int) -> SeriesTrunc:
-    """mu(word) truncated at the given total degree."""
+    """mu(word) truncated at the given total degree, an int >= 0."""
+    if not isinstance(degree, int) or degree < 0:
+        raise InvalidWordError(f"degree {degree!r} is not an integer >= 0")
     acc = SeriesTrunc.one(degree)
-    for x in word:
-        if not isinstance(x, int) or x == 0:
-            raise InvalidWordError(f"letter {x!r} is not a free-group letter")
+    for x in _free_letters(word):
         acc = acc * SeriesTrunc.generator(abs(x), 1 if x > 0 else -1, degree)
     return acc
 
@@ -307,11 +312,7 @@ def magnus_sign(word, n: int | None = None) -> Sign:
     """
     if n is not None and (not isinstance(n, int) or n < 0):
         raise InvalidWordError(f"generator count {n!r} is not an integer >= 0")
-    word = _letters(word)
-    for x in word:
-        if not isinstance(x, int) or x == 0 or (n is not None and abs(x) > n):
-            raise InvalidWordError(f"letter {x!r} is not a generator of F_{n or 'n'}")
-    w = free_reduce(word)
+    w = free_reduce(_free_letters(word, n))
     if not w:
         return Sign.ZERO
     sums = exponent_sums(w)
@@ -376,7 +377,7 @@ def order_for_matrix(matrix: CoxeterMatrix) -> OrderingHandle:
     decides: the Dehornoy order on the type A matrix, the embedding order
     on the type B matrix.  Any other matrix, a renumbered type A or B
     included, raises PreconditionError."""
-    _check_matrix(matrix)
+    check_kind(CoxeterMatrix, matrix)
     if matrix.entries == builtin("A", matrix.rank).entries:
         return dehornoy_order(matrix)
     if matrix.rank >= 2 and matrix.entries == builtin("B", matrix.rank).entries:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
-from .coxeter import INF, CoxeterMatrix, is_finite_type
+from .coxeter import CoxeterMatrix, check_kind, is_finite_type
 from .errors import (BudgetExceededError, InfiniteTypeError, InvalidBudgetError,
-                     InvalidMatrixError, InvalidWordError, PreconditionError)
+                     InvalidWordError)
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,7 @@ def build_root_system(matrix: CoxeterMatrix) -> RootSystemRep:
     s_i(root k) is negative exactly when root k is negative or is alpha_i.
     Memoized per matrix.
     """
-    if not isinstance(matrix, CoxeterMatrix):
-        raise InvalidMatrixError(f"expected a CoxeterMatrix, got {matrix!r}")
+    check_kind(CoxeterMatrix, matrix)
     return _root_system(matrix)
 
 
@@ -217,37 +216,27 @@ def _root_system(matrix: CoxeterMatrix) -> RootSystemRep:
                          tuple(negative))
 
 
-def _check_rep(rep) -> None:
-    if not isinstance(rep, RootSystemRep):
-        raise PreconditionError(f"expected a RootSystemRep, got {rep!r}")
-
-
 def image(rep: RootSystemRep, word) -> WElement:
     """Quotient map: signed word to its Coxeter-group permutation.
 
     Inverse letters map to the same reflection (reflections are
     involutions), so signs are simply dropped.
     """
-    _check_rep(rep)
+    check_kind(RootSystemRep, rep)
     acc = tuple(range(rep.degree))
     for x in rep.matrix.check_word(word):
         acc = compose(acc, rep.simple_reflections[abs(x) - 1])
     return WElement(acc, ())
 
 
-def _check_element(e) -> None:
-    if not isinstance(e, WElement):
-        raise PreconditionError(f"expected a WElement, got {e!r}")
-
-
 def is_identity(e: WElement) -> bool:
-    _check_element(e)
+    check_kind(WElement, e)
     return e.perm == tuple(range(len(e.perm)))
 
 
 def is_involution(e: WElement) -> bool:
     """Order exactly 2."""
-    _check_element(e)
+    check_kind(WElement, e)
     return not is_identity(e) and compose(e.perm, e.perm) == tuple(range(len(e.perm)))
 
 
@@ -255,7 +244,7 @@ def enumerate_group(rep: RootSystemRep, cap: int) -> list[WElement]:
     """All of W by breadth-first closure; each element carries one
     shortest witnessing word.  Raises BudgetExceededError past cap, and
     InvalidBudgetError for a cap that is not an int >= 0."""
-    _check_rep(rep)
+    check_kind(RootSystemRep, rep)
     if not isinstance(cap, int) or cap < 0:
         raise InvalidBudgetError(f"cap must be an int >= 0, got {cap!r}")
     ident = rep.identity()

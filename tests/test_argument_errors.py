@@ -107,6 +107,14 @@ CALLS = {
     "divides-oracle-none": lambda: oracle.divides_left_oracle(None, (1,), (1,)),
     "square-free-none": lambda: oracle.square_free_oracle(None, (1,)),
     "pal-decompositions-none": lambda: oracle.all_pal_decompositions(None, (1,), {}),
+    "decompose-int": lambda: palindromes.decompose(5),
+    "unpal-int": lambda: palindromes.unpal(5),
+    "exponent-sums-none": lambda: orderings.exponent_sums(None),
+    "exponent-sums-float-letter": lambda: orderings.exponent_sums((1.5,)),
+    "free-reduce-str": lambda: orderings.free_reduce("ab"),
+    "free-reduce-float-letter": lambda: orderings.free_reduce((1.5,)),
+    "magnus-image-none-degree": lambda: orderings.magnus_image((1, 2), None),
+    "magnus-image-negative-degree": lambda: orderings.magnus_image((1, 2), -1),
 }
 
 
