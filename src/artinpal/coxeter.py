@@ -124,8 +124,12 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def format_word(letters) -> str:
-    """Inverse of parse_word; the empty word prints as `e`."""
+    """Inverse of parse_word; the empty word prints as `e`.  Every letter
+    must be a nonzero int, so that parse_word reads the text back."""
     letters = _letters(letters)
+    for x in letters:
+        if not isinstance(x, int) or x == 0:
+            raise InvalidWordError(f"letter {x!r} is not a nonzero int")
     if not letters:
         return "e"
     return " ".join(str(x) for x in letters)

@@ -12,16 +12,25 @@ are read off root signs: D_R(a) = {s : a(alpha_s) < 0} and
 D_L(a) = {s : a^-1(alpha_s) < 0}.  Multiplying on the right appends a
 factor and restores left-weightedness in one right-to-left pass.  A pair
 (a, b) is left-weighted by sliding Delta_M, M = D_L(b) \\ D_R(a), across
-its boundary in one step, until M is empty (see `_slide`).  A Delta that
-a push creates leaves for the front in one step through tau, a -> w0 a w0:
-a Delta = Delta tau(a) (see `_push`).  An inverse letter is s^-1 = Delta^-1
-* (w0 s), and `from_word` reads it in a tau-frame instead of twisting every
-factor.  Equality compares (inf, factors).
+its boundary in one step, until M is empty (see `_slide`).  The blocks
+compose into one running permutation u, one composition each; the descent
+sets of (a u, u^-1 b) are read at u's n simple-root images through a,
+b^-1 and a 0/1 sign table of the roots, and the pair and u^-1 are formed
+once at the end.  A Delta that a push creates leaves for the front in one
+step through tau, a -> w0 a w0: a Delta = Delta tau(a) (see `_push`).  An
+inverse letter is s^-1 = Delta^-1 * (w0 s), and `from_word` reads it in a
+tau-frame instead of twisting every factor; `mult` and `rev` keep the same
+frame, so a Delta that leaves twists only the factors behind it, and `inv`
+takes each complement on the side that needs no twist.  Equality compares
+(inf, factors).
 
 With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
 identity past the last root, and f o g is g.translate(f): one C loop per
-composition, whatever the rank.  Larger root systems (A16, B12, D12 and
-I2(129) upwards) keep tuples composed by `weyl.compose`.
+composition, whatever the rank, and f^-1 is bytes.maketrans(f, identity).
+A descent set is the n bytes of 0/1 signs at the simple-root images, one
+more translate, looked up in a table of bitmasks filled on first sight
+(`_Bits`).  Larger root systems (A16, B12, D12 and I2(129) upwards) keep
+tuples composed by `weyl.compose`, and run the same slide on them.
 
 The left-weighted pair depends only on the pair, and operations meet the
 same pairs again and again, so `_weight` memoises it per matrix on the
@@ -49,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import monoid, weyl
@@ -73,52 +82,83 @@ class _Simple(NamedTuple):
 
 
 # entries of `_weight`'s and `_tau`'s memos, and simples they share, per
-# matrix
+# matrix; also the bound of the descent-set table of `_Bits`
 _MEMO_BOUND = 8192
 
 
-def _mask(signs, perm) -> int:
-    """Bitmask of the generators s with perm(alpha_s) < 0."""
-    return sum(map(getitem, signs, perm))
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class _Bits(dict):
+    """Descent sets as bitmasks, keyed by the n bytes of 0/1 signs of the
+    simple roots' images: filled on first sight, so it holds only the sets
+    that occur (at most 2^n), and cleared at _MEMO_BOUND.  A miss reads the
+    signs as binary digits, generator 1 last."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: bytes) -> int:
+        if len(self) >= _MEMO_BOUND:
+            self.clear()
+        self[key] = mask = int(key.translate(_DIGITS)[::-1], 2)
+        return mask
 
 
 def _simple(t: _Tables, perm, inv, length: int) -> _Simple:
-    return _Simple(perm, inv, _mask(t.signs, perm), _mask(t.signs, inv), length)
+    return _Simple(perm, inv, t.mask(perm), t.mask(inv), length)
 
 
 class _Tables:
     """Per-matrix tables of the normal form."""
 
-    __slots__ = ("signs", "degree", "compose", "refl", "times", "ident", "top",
-                 "delta", "sigma", "twist", "gens", "co", "memo", "taus",
-                 "simples")
+    __slots__ = ("degree", "bits", "compose", "inverse", "mask", "masks",
+                 "refl", "times", "ident", "top", "delta", "sigma", "twist",
+                 "gens", "co", "memo", "taus", "simples")
 
     def __init__(self, matrix: CoxeterMatrix):
         rep = weyl.build_root_system(matrix)
         n = matrix.rank
-        # signs[s][j] is bit s if root j is negative
-        self.signs = tuple(tuple(1 << s if x else 0 for x in rep.negative)
-                           for s in range(n))
         self.degree = rep.degree
-        # compose(f, g) = f o g and times[s](f) = f o s_(s+1)
+        # compose(f, g) = f o g, times[s](f) = f o s_(s+1), inverse(f) =
+        # f^-1, mask(f) = D_R(f), the s with f(alpha_s) < 0, and masks(f, g,
+        # u) = (D_R(f o u), D_R(g o u)), read at u's simple-root images: neg
+        # is the 0/1 sign table of the roots, and bits the descent sets
+        self.bits = bits = _Bits()
         if rep.degree <= 256:
             # translate needs 256-byte tables; an identity tail keeps two
             # permutations equal exactly when they move the roots alike,
             # which sigma and rev's perm == inv test compare
             pad = bytes(range(rep.degree, 256))
             self.refl = tuple(bytes(r) + pad for r in rep.simple_reflections)
+            self.ident = ident = bytes(range(256))
+            neg = bytes(rep.negative) + bytes(len(pad))
             self.compose = lambda f, g: g.translate(f)
+            self.inverse = lambda f: bytes.maketrans(f, ident)
+            self.mask = lambda f: bits[f[:n].translate(neg)]
+
+            def masks(f, g, u):
+                h = u[:n]
+                return (bits[h.translate(f).translate(neg)],
+                        bits[h.translate(g).translate(neg)])
             self.times = tuple(r.translate for r in self.refl)
-            self.ident = bytes(range(256))
             # `_weight`'s and `_tau`'s memos and the simples they share,
             # by perm
             self.memo, self.taus, self.simples = {}, {}, {}
         else:
             self.refl = rep.simple_reflections
-            self.compose = compose
-            self.times = tuple(itemgetter(*r) for r in self.refl)
             self.ident = rep.identity().perm
+            sign = bytes(rep.negative).__getitem__
+            self.compose = compose
+            self.inverse = lambda f: tuple(sorted(range(len(f)), key=f.__getitem__))
+            self.mask = lambda f: bits[bytes(map(sign, f[:n]))]
+
+            def masks(f, g, u):
+                h = u[:n]
+                return (bits[bytes(map(sign, map(f.__getitem__, h)))],
+                        bits[bytes(map(sign, map(g.__getitem__, h)))])
+            self.times = tuple(itemgetter(*r) for r in self.refl)
             self.memo = self.taus = self.simples = None
+        self.masks = masks
         self.delta = _longest(self, (1 << n) - 1)
         self.top, w0 = self.delta.length, self.delta.perm
         # sigma is tau on the generators, w0 s w0 = s_sigma[s]; tau is the
@@ -141,7 +181,7 @@ def _longest(t: _Tables, mask: int) -> _Simple:
     `_slide` asks for the same few subsets again and again, so the answers
     are memoised, at most 4096 of them (least recently used go first)."""
     w, steps = t.ident, 0
-    while free := mask & ~_mask(t.signs, w):
+    while free := mask & ~t.mask(w):
         w = t.times[(free & -free).bit_length() - 1](w)
         steps += 1
     return _Simple(w, w, mask, mask, steps)
@@ -179,17 +219,22 @@ def _tau(t: _Tables, a: _Simple) -> _Simple:
     return b
 
 
-def _complement(t: _Tables, a: _Simple) -> _Simple:
-    """The simple element with a^-1 = Delta^-1 * it, image w0 a^-1."""
-    w0 = t.delta.perm
-    return _simple(t, t.compose(w0, a.inv), t.compose(a.perm, w0),
-                   t.top - a.length)
+def _complement(t: _Tables, a: _Simple, right: int = 0) -> _Simple:
+    """The simple element with a^-1 = Delta^-1 * it, image w0 a^-1; with
+    right, the one with a^-1 = it * Delta^-1, image a^-1 w0, which is the
+    tau-image of the first."""
+    w0, c = t.delta.perm, t.compose
+    if right:
+        return _simple(t, c(a.inv, w0), c(w0, a.perm), t.top - a.length)
+    return _simple(t, c(w0, a.inv), c(a.perm, w0), t.top - a.length)
 
 
 def _weight(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
     """The left-weighted pair with the product ab, memoised per matrix.
 
-    The memo maps (a.perm, b.perm) to the pair that `_slide` computes.  It
+    The memo maps (a.perm, b.perm) to the pair that `_slide` computes; a
+    miss slides Delta_M blocks on one running permutation, one composition
+    per block, with the descent sets read through the sign table.  It
     is exact: the perm determines the simple element, and the left-weighted
     pair is unique, so a hit returns what a miss would compute.  The key's
     perms and the pair are taken from the table's intern map, so a simple
@@ -223,19 +268,31 @@ def _slide(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
     D_R(a) makes a the shortest element of a W_M, so a w0(M) is reduced.
     The loop ends with D_L(b) in D_R(a), and a left-weighted pair is
     unique: its first factor is the left gcd of Delta and ab.
+
+    The blocks run on one permutation, u = Delta_M1 ... Delta_Mk, one
+    composition each.  The pair after them is (a u, u^-1 b), and its
+    descent sets D_R(a u) and D_L(u^-1 b) = D_R(b^-1 u) are read at u's
+    simple-root images, through a and b^-1 and then the sign table
+    (`_Tables.masks`): n entries each, where forming a u and b^-1 u would
+    cost a whole permutation each.  a u, u^-1 b, their inverses and u^-1
+    are formed once, after the last block.
     """
-    c, signs = t.compose, t.signs
-    perm, binv, u_inv, m = a.perm, b.inv, t.ident, 0
-    right, left = a.right, b.left
+    c, masks = t.compose, t.masks
+    u = u_inv = None
+    m, right, left = 0, a.right, b.left
     while move := left & ~right:
         d = _longest(t, move)
-        # w0(M) is an involution: its perm is its own inverse
-        perm, binv, u_inv = c(perm, d.perm), c(binv, d.perm), c(d.perm, u_inv)
+        # each w0(M) is an involution: its perm is its own inverse, and
+        # so is u after one block
+        u, u_inv = (d.perm, d.perm) if u is None else (c(u, d.perm), None)
         m += d.length
-        right, left = _mask(signs, perm), _mask(signs, binv)
+        right, left = masks(a.perm, b.inv, u)
+    if u is None:
+        return a, b
+    u_inv = u_inv or t.inverse(u)
     a_inv, b_perm = c(u_inv, a.inv), c(u_inv, b.perm)
-    return (_Simple(perm, a_inv, right, _mask(signs, a_inv), a.length + m),
-            _Simple(b_perm, binv, _mask(signs, b_perm), left, b.length - m))
+    return (_Simple(c(a.perm, u), a_inv, right, t.mask(a_inv), a.length + m),
+            _Simple(b_perm, c(b.inv, u), t.mask(b_perm), left, b.length - m))
 
 
 def _push(t: _Tables, factors: list, b: _Simple, behind: bool = False) -> int:
@@ -249,7 +306,7 @@ def _push(t: _Tables, factors: list, b: _Simple, behind: bool = False) -> int:
     the pairs (Delta, tau(f)) that `_weight` would give at each of them.
     The pair (tau(f), b') behind them is already left-weighted, and one
     simple factor makes at most one Delta.  Afterwards factors equal to 1
-    can only trail.
+    can only trail, and they go before any factor is twisted.
 
     With behind, the factors behind that Delta become their tau-images
     instead, the short side of the list: f Delta g = Delta tau(f) g =
@@ -266,11 +323,11 @@ def _push(t: _Tables, factors: list, b: _Simple, behind: bool = False) -> int:
     lead = int(a.length == t.top)
     if lead:
         del factors[i]
-        if t.twist:
-            part = slice(i, None) if behind else slice(i)
-            factors[part] = [_tau(t, f) for f in factors[part]]
     while factors and not factors[-1].length:
         factors.pop()
+    if lead and t.twist:
+        part = slice(i, None) if behind else slice(i)
+        factors[part] = [_tau(t, f) for f in factors[part]]
     return lead
 
 
@@ -314,7 +371,7 @@ def _reduced_word(t: _Tables, a: _Simple) -> tuple[int, ...]:
         s = (left & -left).bit_length() - 1
         out.append(s + 1)
         inv = t.times[s](inv)
-        left = _mask(t.signs, inv)
+        left = t.mask(inv)
     return tuple(out)
 
 
@@ -373,16 +430,14 @@ class GroupElement:
 
 
 def make(matrix: CoxeterMatrix, k: int, p) -> GroupElement:
-    """The element Delta^(-2k) * p for a positive word p, normalized."""
+    """The element Delta^(-2k) * p for a positive word p, normalized: p read
+    by `from_word`, and Delta^(-2k), which is central, put in front."""
     check_kind(CoxeterMatrix, matrix)
-    t = _tables(matrix)
+    _tables(matrix)
     if not isinstance(k, int) or k < 0:
         raise InvalidWordError(f"denominator exponent must be an int >= 0, got {k!r}")
-    factors: list[_Simple] = []
-    inf = -2 * k
-    for s in matrix.check_word(p, positive=True):
-        inf += _push(t, factors, t.gens[s - 1])
-    return GroupElement(matrix, inf, tuple(factors))
+    x = from_word(matrix, matrix.check_word(p, positive=True))
+    return GroupElement(matrix, x.inf - 2 * k, x.factors)
 
 
 def identity(matrix: CoxeterMatrix) -> GroupElement:
@@ -404,8 +459,10 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
     are tau^flip of the true ones.  tau is an automorphism that keeps
     normal forms, so the stored factors stay a normal form if each letter s
     is read as sigma^flip(s), and an inverse letter pushes tau^(1-flip) of
-    w0 s, which is co[sigma(s')], and flips the frame; the true factors are
-    tau^flip of the stored ones at the end.
+    w0 s, which is co[sigma(s')], and flips the frame.  A Delta that a push
+    makes leaves by twisting the factors behind it and flips the frame too
+    (`_push` with behind).  The true factors are tau^flip of the stored
+    ones at the end.
     """
     check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
@@ -417,7 +474,8 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
         if flip:
             s = sigma[s]
         if x > 0:
-            inf += _push(t, factors, t.gens[s])
+            lead = _push(t, factors, t.gens[s], behind=True)
+            inf, flip = inf + lead, flip ^ lead
         elif factors and factors[-1].right >> s & 1:
             a = factors.pop()
             if a.length > 1:
@@ -425,8 +483,8 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
                                        t.compose(t.refl[s], a.inv),
                                        a.length - 1))
         else:
-            inf += _push(t, factors, t.co[sigma[s]]) - 1
-            flip ^= 1
+            lead = _push(t, factors, t.co[sigma[s]], behind=True)
+            inf, flip = inf + lead - 1, flip ^ 1 ^ lead
     if flip and t.twist:
         factors = [_tau(t, a) for a in factors]
     return GroupElement(matrix, inf, tuple(factors))
@@ -458,57 +516,69 @@ def eq(a: GroupElement, b: GroupElement) -> bool:
 
 
 def mult(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Delta^p x * Delta^q y = Delta^(p+q) tau^q(x) y: shift a's factors
-    past Delta^q, then append b's."""
+    """Delta^p x * Delta^q y = Delta^(p+q) tau^q(x) y.
+
+    The factors live in a tau-frame, as in `from_word`: they start as x,
+    with the frame flipped by q, and each factor of y is pushed as its
+    image in the frame.  A Delta that a push makes leaves by twisting the
+    factors behind it and flips the frame (`_push` with behind), so x is
+    twisted at most once, at the end, and not at every Delta.
+    """
     _check_same(a, b)
     t = _tables(a.matrix)
     factors = list(a.factors)
-    if b.inf % 2 and t.twist:
-        factors = [_tau(t, f) for f in factors]
-    inf = a.inf + b.inf
+    inf, flip, rest = a.inf + b.inf, b.inf & 1, ()
     for j, f in enumerate(b.factors):
-        if factors and f.left & ~factors[-1].right:
-            inf += _push(t, factors, f)
-        else:
-            # the rest of b is left-weighted and holds no 1 and no Delta
-            factors.extend(b.factors[j:])
+        g = _tau(t, f) if flip and t.twist else f
+        if not (factors and g.left & ~factors[-1].right):
+            # the rest of y is left-weighted and holds no 1 and no Delta:
+            # it goes after the frame is left
+            rest = b.factors[j:]
             break
-    return GroupElement(a.matrix, inf, tuple(factors))
+        lead = _push(t, factors, g, behind=True)
+        inf, flip = inf + lead, flip ^ lead
+    if flip and t.twist:
+        factors = [_tau(t, e) for e in factors]
+    return GroupElement(a.matrix, inf, tuple(factors) + rest)
 
 
 def inv(a: GroupElement) -> GroupElement:
     """x^-1 = a_r^-1 ... a_1^-1 Delta^-p with a^-1 = Delta^-1 (w0 a^-1); the
-    complement of a_j passes the j - 1 + p powers of Delta to its right."""
+    complement of a_j passes the j - 1 + p powers of Delta to its right,
+    which twist it when odd.  tau(w0 a^-1) = a^-1 w0, the complement on the
+    right, so that one is taken instead and no factor is twisted."""
     check_kind(GroupElement, a)
     t = _tables(a.matrix)
     r = len(a.factors)
     factors: list[_Simple] = []
     inf = -a.inf - r
     for j in range(r, 0, -1):
-        c = _complement(t, a.factors[j - 1])
-        if t.twist and (j - 1 + a.inf) % 2:
-            c = _tau(t, c)
+        c = _complement(t, a.factors[j - 1], (j - 1 + a.inf) & 1)
         inf += _push(t, factors, c)
     return GroupElement(a.matrix, inf, tuple(factors))
 
 
 def rev(a: GroupElement) -> GroupElement:
     """Anti-automorphism: rev(Delta^p a_1 ... a_r) = Delta^p tau^p(rev(a_r)
-    ... rev(a_1)), where rev of a simple element has the inverse image."""
+    ... rev(a_1)), where rev of a simple element has the inverse image.
+    The factors live in a tau-frame, as in `mult`: the rev(a_j) are pushed
+    as they are, the frame starts flipped by p, and the factors are twisted
+    once at the end."""
     check_kind(GroupElement, a)
     t = _tables(a.matrix)
     factors: list[_Simple] = []
-    inf = a.inf
+    inf, flip = a.inf, a.inf & 1
     for f in reversed(a.factors):
         # a factor whose image is an involution is its own reverse: reuse it
         g = f if f.perm == f.inv else _Simple(f.inv, f.perm, f.left, f.right,
                                                f.length)
-        if t.twist and a.inf % 2:
-            g = _tau(t, g)
         if factors and g.left & ~factors[-1].right:
-            inf += _push(t, factors, g)
+            lead = _push(t, factors, g, behind=True)
+            inf, flip = inf + lead, flip ^ lead
         else:
             factors.append(g)  # already left-weighted, and neither 1 nor Delta
+    if flip and t.twist:
+        factors = [_tau(t, f) for f in factors]
     return GroupElement(a.matrix, inf, tuple(factors))
 
 
@@ -597,7 +667,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
                                        a.length - e.length))
             return inf, flip
         # z d^-1 = z (d^-1 Delta) Delta^-1, and d^-1 Delta = tau(Delta d^-1)
-        lead = _push(t, factors, twist(_complement(t, d), flip ^ 1), behind=True)
+        lead = _push(t, factors, _complement(t, d, flip ^ 1), behind=True)
         return inf + lead - 1, flip ^ 1 ^ lead
 
     def left(factors: list, d: _Simple, inf: int, flip: int) -> int:
@@ -608,7 +678,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
             return inf + _front(t, factors, _simple(
                 t, c(e.inv, a.perm), c(a.inv, e.perm), a.length - e.length))
         # d^-1 = Delta^-1 (Delta d^-1)
-        return inf - 1 + _front(t, factors, twist(_complement(t, d), inf + flip))
+        return inf - 1 + _front(t, factors, _complement(t, d, (inf + flip) & 1))
 
     inf, flip, factors, size = z.inf, 0, list(z.factors), length(z)
     y: list[_Simple] = []
@@ -631,14 +701,14 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
             rest_inf, rest_flip = right(rest, d, inf, flip)
             ends = s_set & heads(rest_inf, rest, rest_flip)
         if not ends:
-            raise NotPalindromeError("peel needs z = rev(z)")
+            raise NotPalindromeError("peel needs a palindrome")
         s = (ends & -ends).bit_length() - 1
         dj = _longest(t, 1 << s if tau is None else 1 << s | 1 << tau[s] - 1)
         inf, flip = right(factors, dj, inf, flip)
         inf = left(factors, dj, inf, flip)
         if inf < 0:
             raise PreconditionError(
-                "peel needs z = rev(z), and Delta_J to start and finish it")
+                "peel needs a palindrome that Delta_J starts and finishes")
         size -= 2 * dj.length
         y_inf += _push(t, y, dj)
 

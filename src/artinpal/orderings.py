@@ -295,6 +295,11 @@ def magnus_image(word, degree: int) -> SeriesTrunc:
     return acc
 
 
+def _check_count(n) -> None:
+    if n is not None and (not isinstance(n, int) or n < 0):
+        raise InvalidWordError(f"generator count {n!r} is not an integer >= 0")
+
+
 def magnus_sign(word, n: int | None = None) -> Sign:
     """Sign of a free-group word: the sign of the first nonzero coefficient
     of mu(word) - 1 in the graded-lexicographic monomial order.
@@ -310,8 +315,7 @@ def magnus_sign(word, n: int | None = None) -> Sign:
     X_{i1} ... X_{ik} has coefficient e1 ... ek != 0, so the search stops
     by degree k <= len(word).
     """
-    if n is not None and (not isinstance(n, int) or n < 0):
-        raise InvalidWordError(f"generator count {n!r} is not an integer >= 0")
+    _check_count(n)
     w = free_reduce(_free_letters(word, n))
     if not w:
         return Sign.ZERO
@@ -332,6 +336,7 @@ def _free_difference(x, y) -> tuple[int, ...]:
 
 def magnus_order(n: int | None = None) -> OrderingHandle:
     """The Magnus order on a free group; elements are signed word tuples."""
+    _check_count(n)
     return OrderingHandle(
         "magnus", lambda w: magnus_sign(w, n), _free_difference
     )

@@ -68,6 +68,14 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_non_palindrome_message_names_no_variable(capsys):
+    """decompose and unpal pass on the peel's message for a non-palindrome,
+    which names no variable of the peel, so it reads right for both."""
+    for command in ("decompose", "unpal"):
+        code, out, err = run(capsys, "--type", "A3", command, "1 2")
+        assert (code, out, err) == (3, "", "error: peel needs a palindrome\n")
+
+
 def test_domain_errors_exit_3(capsys):
     code, _, err = run(capsys, "--type", "A3", "unpal", "1")
     assert code == 3 and err.startswith("error:")

@@ -372,6 +372,92 @@ def test_delta_leaves_in_one_step(name, monkeypatch):
     assert 0 < len(calls) <= len(x.factors)
 
 
+@pytest.mark.parametrize("name", ["A4", "E6"])
+def test_mult_inv_rev_tau_frame(name, monkeypatch):
+    """mult, inv and rev keep their factors in a tau-frame, so x * x^-1 and
+    rev(x) make at most two `_tau` calls per factor of x, where twisting
+    every factor before each Delta that leaves took r(r-1)/2."""
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(1)
+    x = from_word(mat, [rng.choice((1, -1)) * rng.randint(1, mat.rank)
+                        for _ in range(400)])
+    calls = []
+    twist = group._tau
+    monkeypatch.setattr(group, "_tau", lambda *a: calls.append(1) or twist(*a))
+    assert eq(mult(x, inv(x)), identity(mat))
+    assert len(calls) <= 2 * len(x.factors)
+    calls.clear()
+    y = rev(x)
+    assert len(calls) <= 2 * len(x.factors)
+    assert eq(rev(y), x)
+
+
+def _simples(mat):
+    """Every simple element, 1 and Delta included."""
+    t = group._tables(mat)
+    rep = weyl.build_root_system(mat)
+    out = []
+    for w in weyl.enumerate_group(rep, 10 ** 4):
+        x = make(mat, 0, w.word)
+        out.append(x.factors[0] if x.factors else t.delta if x.inf else
+                   group._Simple(t.ident, t.ident, 0, 0, 0))
+    return out
+
+
+def _sampled_simples(mat, rng, words):
+    """The simples in the normal forms of seeded positive words, and their
+    complements, which are long."""
+    t = group._tables(mat)
+    out = {}
+    for _ in range(words):
+        x = make(mat, 0, [rng.randint(1, mat.rank) for _ in range(rng.randint(1, 60))])
+        for f in x.factors:
+            for e in (f, group._complement(t, f)):
+                out[e.perm] = e
+    return list(out.values())
+
+
+def _check_weighted(mat, pairs):
+    """`_weight` of each pair gives a left-weighted pair of simples with the
+    same lengths and the same product, as extraction finds."""
+    t = group._tables(mat)
+    rep = weyl.build_root_system(mat)
+    _clear_memos(mat)
+    for a, b in pairs:
+        c, d = group._weight(t, a, b)
+        assert not d.left & ~c.right, (a, b)
+        assert c.length + d.length == a.length + b.length, (a, b)
+        for f in (c, d):
+            w = group._reduced_word(t, f)
+            assert len(w) == f.length
+            assert tuple(weyl.image(rep, w).perm) == tuple(f.perm[:t.degree])
+        words = [monoid.word(mat, group._reduced_word(t, e) + group._reduced_word(t, f))
+                 for e, f in ((c, d), (a, b))]
+        assert monoid.equals(*words), (a, b)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "I2(7)"])
+def test_weight_on_every_pair_of_simples(name):
+    """The slide, refereed on every pair of simples: the pair it returns is
+    left-weighted, the lengths add, each factor's reduced word has its
+    permutation, and extraction, which shares no code with the core, finds
+    the products equal."""
+    mat = coxeter.named_matrix(name)
+    simples = _simples(mat)
+    _check_weighted(mat, itertools.product(simples, repeat=2))
+
+
+# A16 holds tuples
+@pytest.mark.parametrize("name", ["H3", "E8", "A16"])
+def test_weight_on_sampled_pairs_of_simples(name):
+    """The same referee on 2,000 seeded pairs of simples."""
+    mat = coxeter.named_matrix(name)
+    rng = random.Random(f"weight referee {name}")
+    simples = _sampled_simples(mat, rng, 100)
+    _check_weighted(mat, [(rng.choice(simples), rng.choice(simples))
+                          for _ in range(2000)])
+
+
 # tau is not the identity on any of these; A16 and I2(129) hold tuples
 @pytest.mark.parametrize("name", ["A4", "D5", "E6", "I2(5)", "I2(129)", "A16"])
 def test_from_word_tau_frame(name):
@@ -464,6 +550,23 @@ def test_weight_memo_stays_within_its_bound():
     assert max(sizes) == bound
     # filled to the bound and cleared at least twice
     assert sum(m < n for n, m in zip(sizes, sizes[1:])) >= 2
+
+
+def test_descent_table_fills_on_first_sight(monkeypatch):
+    """The descent sets are filled in as they are seen, not built for all
+    2^15 subsets of A15's generators up front, and the table is cleared at
+    the bound without changing a normal form."""
+    mat = coxeter.named_matrix("A15")
+    assert len(group._Tables(mat).bits) < 2 ** 8
+    t = group._tables(mat)
+    rng = random.Random("descent table")
+    word = [rng.choice((1, -1)) * rng.randint(1, mat.rank) for _ in range(200)]
+    x = from_word(mat, word)
+    monkeypatch.setattr(group, "_MEMO_BOUND", 64)
+    t.bits.clear()
+    _clear_memos(mat)
+    assert from_word(mat, word).key() == x.key()
+    assert 0 < len(t.bits) <= 64
 
 
 def test_weight_memo_bounds_its_simples(monkeypatch):
