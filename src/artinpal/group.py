@@ -17,12 +17,15 @@ compose into one running permutation u, one composition each; the descent
 sets of (a u, u^-1 b) are read at u's n simple-root images through a,
 b^-1 and a 0/1 sign table of the roots, and the pair and u^-1 are formed
 once at the end.  A Delta that a push creates leaves for the front in one
-step through tau, a -> w0 a w0: a Delta = Delta tau(a) (see `_push`).  An
-inverse letter is s^-1 = Delta^-1 * (w0 s), and `from_word` reads it in a
-tau-frame instead of twisting every factor; `mult` and `rev` keep the same
-frame, so a Delta that leaves twists only the factors behind it, and `inv`
-takes each complement on the side that needs no twist.  Equality compares
-(inf, factors).
+step through tau, a -> w0 a w0: f Delta g = Delta tau(f tau(g)).  Each
+caller of `_push` keeps its factors in a tau-frame, Delta^inf
+tau^flip(factors), so that Delta twists only the factors behind it and
+flips the frame, and the true factors are twisted once at the end
+(`_unframe`).
+An inverse letter is s^-1 = Delta^-1 * (w0 s), which flips the frame of
+`from_word` as well.  `rev` makes no Delta, and `inv` writes the normal
+form directly, each complement taken on the side that needs no twist.
+Equality compares (inf, factors).
 
 With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
 identity past the last root, and f o g is g.translate(f): one C loop per
@@ -219,6 +222,13 @@ def _tau(t: _Tables, a: _Simple) -> _Simple:
     return b
 
 
+def _unframe(t: _Tables, factors, flip: int) -> tuple[_Simple, ...]:
+    """The factors tau^flip(factors) of a tau-frame, as a tuple."""
+    if flip & 1 and t.twist:
+        return tuple(_tau(t, f) for f in factors)
+    return tuple(factors)
+
+
 def _complement(t: _Tables, a: _Simple, right: int = 0) -> _Simple:
     """The simple element with a^-1 = Delta^-1 * it, image w0 a^-1; with
     right, the one with a^-1 = it * Delta^-1, image a^-1 w0, which is the
@@ -295,23 +305,21 @@ def _slide(t: _Tables, a: _Simple, b: _Simple) -> tuple[_Simple, _Simple]:
             _Simple(b_perm, c(b.inv, u), t.mask(b_perm), left, b.length - m))
 
 
-def _push(t: _Tables, factors: list, b: _Simple, behind: bool = False) -> int:
+def _push(t: _Tables, factors: list, b: _Simple) -> int:
     """Multiply the left-weighted factors by the simple b on the right, in
-    place, and return how many Delta factors left the front (0 or 1).
+    place, and return how many Delta factors left the front (0 or 1); the
+    product is then Delta^lead times tau^lead of the factors, for a caller
+    that keeps them in a tau-frame.
 
     By the domino rule one right-to-left pass suffices, and it stops at the
     first pair that is already left-weighted.  A pass that makes a factor
-    Delta stops there too: f Delta = Delta tau(f), so the Delta leaves for
-    the front at once and the factors before it become their tau-images,
-    the pairs (Delta, tau(f)) that `_weight` would give at each of them.
-    The pair (tau(f), b') behind them is already left-weighted, and one
-    simple factor makes at most one Delta.  Afterwards factors equal to 1
-    can only trail, and they go before any factor is twisted.
-
-    With behind, the factors behind that Delta become their tau-images
-    instead, the short side of the list: f Delta g = Delta tau(f) g =
-    Delta tau(f tau(g)), so the product is then Delta^lead times tau^lead
-    of the factors, for a caller that keeps them in a tau-frame.
+    Delta stops there too, and the Delta leaves for the front at once:
+    f Delta g = Delta tau(f) g = Delta tau(f tau(g)), so the factors behind
+    it, the short side of the list, become their tau-images.  The pair
+    (tau(f), b') that the Delta leaves is already left-weighted, tau keeps
+    pairs left-weighted, and one simple factor makes at most one Delta.
+    Afterwards factors equal to 1 can only trail, and they go before any
+    factor is twisted.
     """
     i = len(factors)
     factors.append(b)
@@ -326,28 +334,25 @@ def _push(t: _Tables, factors: list, b: _Simple, behind: bool = False) -> int:
     while factors and not factors[-1].length:
         factors.pop()
     if lead and t.twist:
-        part = slice(i, None) if behind else slice(i)
-        factors[part] = [_tau(t, f) for f in factors[part]]
+        factors[i:] = [_tau(t, f) for f in factors[i:]]
     return lead
 
 
-def _front(t: _Tables, factors: list, a: _Simple) -> int:
+def _front(t: _Tables, factors: list, a: _Simple) -> None:
     """Multiply the left-weighted factors by the simple a on the left, in
-    place, and return how many Delta factors it makes at the front (0 or 1).
+    place, for a product that Delta does not left-divide.
 
     One left-to-right pass: (a, f_1) becomes the left-weighted (c_1, d_1),
     then (d_1, f_2) becomes (c_2, d_2), and so on.  c_1, the left gcd of
     Delta and a f_1, is that of Delta and a x for x = f_1 ... f_r: a simple
     e that left-divides Delta and a x has a simple right lcm a u with a, u
     left-divides x and so f_1, the left gcd of Delta and x, and e left-
-    divides a f_1.  So each c_i heads what is left.  The pass stops at a
-    d_i equal to 1, or at the first pair (d_i, f_(i+1)) that is already
-    left-weighted, behind which nothing changes.  Only c_1 can be Delta:
-    a x = Delta^2 w would give x = (a^-1 Delta) Delta w, so Delta would
-    left-divide x.
+    divides a f_1.  So each c_i heads what is left, and none is Delta.  The
+    pass stops at a d_i equal to 1, or at the first pair (d_i, f_(i+1))
+    that is already left-weighted, behind which nothing changes.
     """
     if not a.length:
-        return 0
+        return
     factors.insert(0, a)
     i = 0
     while i + 1 < len(factors) and factors[i + 1].left & ~factors[i].right:
@@ -356,10 +361,6 @@ def _front(t: _Tables, factors: list, a: _Simple) -> int:
         if not factors[i].length:
             del factors[i]
             break
-    lead = int(factors[0].length == t.top)
-    if lead:
-        del factors[0]
-    return lead
 
 
 def _reduced_word(t: _Tables, a: _Simple) -> tuple[int, ...]:
@@ -461,8 +462,8 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
     is read as sigma^flip(s), and an inverse letter pushes tau^(1-flip) of
     w0 s, which is co[sigma(s')], and flips the frame.  A Delta that a push
     makes leaves by twisting the factors behind it and flips the frame too
-    (`_push` with behind).  The true factors are tau^flip of the stored
-    ones at the end.
+    (`_push`).  The true factors are tau^flip of the stored ones at the
+    end.
     """
     check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
@@ -474,7 +475,7 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
         if flip:
             s = sigma[s]
         if x > 0:
-            lead = _push(t, factors, t.gens[s], behind=True)
+            lead = _push(t, factors, t.gens[s])
             inf, flip = inf + lead, flip ^ lead
         elif factors and factors[-1].right >> s & 1:
             a = factors.pop()
@@ -483,11 +484,9 @@ def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
                                        t.compose(t.refl[s], a.inv),
                                        a.length - 1))
         else:
-            lead = _push(t, factors, t.co[sigma[s]], behind=True)
+            lead = _push(t, factors, t.co[sigma[s]])
             inf, flip = inf + lead - 1, flip ^ 1 ^ lead
-    if flip and t.twist:
-        factors = [_tau(t, a) for a in factors]
-    return GroupElement(matrix, inf, tuple(factors))
+    return GroupElement(matrix, inf, _unframe(t, factors, flip))
 
 
 def delta_element(matrix: CoxeterMatrix, subset=None) -> GroupElement:
@@ -521,8 +520,8 @@ def mult(a: GroupElement, b: GroupElement) -> GroupElement:
     The factors live in a tau-frame, as in `from_word`: they start as x,
     with the frame flipped by q, and each factor of y is pushed as its
     image in the frame.  A Delta that a push makes leaves by twisting the
-    factors behind it and flips the frame (`_push` with behind), so x is
-    twisted at most once, at the end, and not at every Delta.
+    factors behind it and flips the frame (`_push`), so x is twisted at
+    most once, at the end, and not at every Delta.
     """
     _check_same(a, b)
     t = _tables(a.matrix)
@@ -535,51 +534,47 @@ def mult(a: GroupElement, b: GroupElement) -> GroupElement:
             # it goes after the frame is left
             rest = b.factors[j:]
             break
-        lead = _push(t, factors, g, behind=True)
+        lead = _push(t, factors, g)
         inf, flip = inf + lead, flip ^ lead
-    if flip and t.twist:
-        factors = [_tau(t, e) for e in factors]
-    return GroupElement(a.matrix, inf, tuple(factors) + rest)
+    return GroupElement(a.matrix, inf, _unframe(t, factors, flip) + rest)
 
 
 def inv(a: GroupElement) -> GroupElement:
     """x^-1 = a_r^-1 ... a_1^-1 Delta^-p with a^-1 = Delta^-1 (w0 a^-1); the
     complement of a_j passes the j - 1 + p powers of Delta to its right,
     which twist it when odd.  tau(w0 a^-1) = a^-1 w0, the complement on the
-    right, so that one is taken instead and no factor is twisted."""
+    right, so that one is taken instead and no factor is twisted.
+
+    The normal form is Delta^(-p-r) and the complements as they come:
+    D_R(w0 b^-1) is the complement of D_L(b), and D_L(w0 a^-1) is sigma of
+    the complement of D_R(a), so with the twists of neighbours one apart
+    the complements of (a_(j+1), a_j) are left-weighted because (a_j,
+    a_(j+1)) is; and no a_j is 1 or Delta, so no complement is either."""
     check_kind(GroupElement, a)
-    t = _tables(a.matrix)
-    r = len(a.factors)
-    factors: list[_Simple] = []
-    inf = -a.inf - r
-    for j in range(r, 0, -1):
-        c = _complement(t, a.factors[j - 1], (j - 1 + a.inf) & 1)
-        inf += _push(t, factors, c)
-    return GroupElement(a.matrix, inf, tuple(factors))
+    t, r = _tables(a.matrix), len(a.factors)
+    return GroupElement(a.matrix, -a.inf - r, tuple(
+        _complement(t, a.factors[j], (j + a.inf) & 1) for j in range(r - 1, -1, -1)))
 
 
 def rev(a: GroupElement) -> GroupElement:
     """Anti-automorphism: rev(Delta^p a_1 ... a_r) = Delta^p tau^p(rev(a_r)
     ... rev(a_1)), where rev of a simple element has the inverse image.
     The factors live in a tau-frame, as in `mult`: the rev(a_j) are pushed
-    as they are, the frame starts flipped by p, and the factors are twisted
-    once at the end."""
+    as they are and twisted by tau^p once at the end.  No push makes a
+    Delta, as Delta^k left-divides rev(x) exactly when Delta^k right-divides
+    x, and Delta right-divides a_1 ... a_r only if it left-divides it."""
     check_kind(GroupElement, a)
     t = _tables(a.matrix)
     factors: list[_Simple] = []
-    inf, flip = a.inf, a.inf & 1
     for f in reversed(a.factors):
         # a factor whose image is an involution is its own reverse: reuse it
         g = f if f.perm == f.inv else _Simple(f.inv, f.perm, f.left, f.right,
                                                f.length)
         if factors and g.left & ~factors[-1].right:
-            lead = _push(t, factors, g, behind=True)
-            inf, flip = inf + lead, flip ^ lead
+            _push(t, factors, g)
         else:
             factors.append(g)  # already left-weighted, and neither 1 nor Delta
-    if flip and t.twist:
-        factors = [_tau(t, f) for f in factors]
-    return GroupElement(a.matrix, inf, tuple(factors))
+    return GroupElement(a.matrix, a.inf, _unframe(t, factors, a.inf))
 
 
 def tau(a: GroupElement) -> GroupElement:
@@ -588,7 +583,7 @@ def tau(a: GroupElement) -> GroupElement:
     t = _tables(a.matrix)
     if not t.twist:
         return a
-    return GroupElement(a.matrix, a.inf, tuple(_tau(t, f) for f in a.factors))
+    return GroupElement(a.matrix, a.inf, _unframe(t, a.factors, 1))
 
 
 def is_pure(a: GroupElement) -> bool:
@@ -621,14 +616,15 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     - A left division by Delta_J that left-divides the first factor
       shrinks it, and `_front` left-weights the pairs behind it.
       Otherwise Delta_J^-1 = Delta^-1 (Delta Delta_J^-1), and `_front`
-      puts the complement in front.
+      puts the complement in front.  Neither makes a Delta.
 
     The factors live in a tau-frame, as in `from_word`: z = Delta^inf
     tau^flip(factors).  The Delta^-1 of a right division flips the frame,
     and a Delta that its push makes leaves by twisting the few factors
     behind it, so a round twists only the factors it changes.  Descent
     sets of the true first and last factors are read off their
-    tau-images, as D_L(tau(a)) is sigma(D_L(a)).
+    tau-images, as D_L(tau(a)) is sigma(D_L(a)).  y, the product of the
+    Delta_J, is kept in a tau-frame as well and twisted once at the end.
 
     Every step is an exact quotient, so an answer always spells z; as
     y Delta_I rev(y) is a palindrome, an input that is not one gets none.
@@ -667,20 +663,27 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
                                        a.length - e.length))
             return inf, flip
         # z d^-1 = z (d^-1 Delta) Delta^-1, and d^-1 Delta = tau(Delta d^-1)
-        lead = _push(t, factors, _complement(t, d, flip ^ 1), behind=True)
+        lead = _push(t, factors, _complement(t, d, flip ^ 1))
         return inf + lead - 1, flip ^ 1 ^ lead
 
     def left(factors: list, d: _Simple, inf: int, flip: int) -> int:
-        # d^-1 z in place; d^-1 Delta^inf = Delta^inf tau^inf(d)^-1
+        # d^-1 z in place; d^-1 Delta^inf = Delta^inf tau^inf(d)^-1.  For
+        # the factors x, Delta left-divides neither e^-1 x nor Delta e^-1 x:
+        # that would make Delta, or e, left-divide x, and e = Delta_J
+        # left-divides x only when J lies in D_L of its first factor
         e, c = twist(d, inf + flip), t.compose
         if factors and not e.left & ~factors[0].left:
             a = factors.pop(0)
-            return inf + _front(t, factors, _simple(
-                t, c(e.inv, a.perm), c(a.inv, e.perm), a.length - e.length))
+            _front(t, factors, _simple(t, c(e.inv, a.perm), c(a.inv, e.perm),
+                                       a.length - e.length))
+            return inf
         # d^-1 = Delta^-1 (Delta d^-1)
-        return inf - 1 + _front(t, factors, _complement(t, d, (inf + flip) & 1))
+        _front(t, factors, _complement(t, d, (inf + flip) & 1))
+        return inf - 1
 
     inf, flip, factors, size = z.inf, 0, list(z.factors), length(z)
+    # the product of the Delta_J is Delta^y_inf tau^y_inf(y): a tau-frame
+    # whose flip is y_inf's parity, as every push onto it is positive
     y: list[_Simple] = []
     y_inf = 0
     while True:
@@ -688,7 +691,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
         d = _longest(t, s_set)
         if d.length == size:
             subset = tuple(s + 1 for s in range(mat.rank) if s_set >> s & 1)
-            return GroupElement(mat, y_inf, tuple(y)), subset
+            return GroupElement(mat, y_inf, _unframe(t, y, y_inf)), subset
         least = s_set & -s_set
         if (len(factors) > 1 or inf and factors) and least & twist(
                 factors[-1], flip).right:
@@ -710,7 +713,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
             raise PreconditionError(
                 "peel needs a palindrome that Delta_J starts and finishes")
         size -= 2 * dj.length
-        y_inf += _push(t, y, dj)
+        y_inf += _push(t, y, twist(dj, y_inf))
 
 
 def starting_set(a: GroupElement) -> tuple[int, ...]:

@@ -298,7 +298,8 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
     words are equal in the monoid iff their sequences agree, so the
     sequence is a complete, hashable invariant.  Total for any matrix:
     whenever two generators left-divide w they admit a common multiple
-    (namely w), so Delta_{S(w)} always exists and divides w.
+    (namely w), so Delta_{S(w)} always exists and divides w; extracting
+    its letters rewrites the window to start with it.
     """
     check_kind(PositiveWord, w)
     rules, buf = _rules(w.matrix), list(w.letters)
@@ -306,9 +307,7 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
     while lo < hi:
         heads = _heads(rules, buf, lo, hi)
         d = delta(w.matrix, heads)
-        if d is None or not _divides(rules, buf, d.letters, lo, hi):
-            raise DeltaUndefinedError(
-                "internal: Delta over the starting set must exist and divide the word")
+        _divides(rules, buf, d.letters, lo, hi)
         lo += len(d.letters)
         out.append(heads)
     return tuple(out)
@@ -319,44 +318,29 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     palindrome w = rev(w) over any matrix; deterministic.
 
     One list, whose window [lo, hi) holds the palindrome w still to peel,
-    is rewritten in place into equal words.  Loop: if w equals Delta_{S(w)}
-    stop with I = S(w); otherwise take the smallest s finishing the tail
-    Delta_S \\ w, and continue on a = Delta_J \\ w / Delta_J for J = {s},
-    or J = {s, tau(s)} when tau is given (tau(s) at index s - 1).  Delta_S
-    exists because the letters of S have the common multiple w.  A letter
-    finishing the tail finishes w = rev(w), so lies in S; s in S finishes
-    it iff every t in S, hence Delta_S, left-divides w / s = rev(s \\ w).
-    With tau the caller promises tau(w) = w: then S and the tail are
-    tau-stable, so tau(s) finishes the tail too, and so does their right
-    lcm Delta_J.  Either way Delta_J finishes the tail, hence w, and starts
-    w = rev(w).  a inherits palindromicity (and tau-stability) by two-sided
-    cancellation.  y is the concatenated Delta_J words.
-
-    Only the first round extracts every letter of the window.  Later
-    rounds read S(a) off S = S(w) and J, and extract only the letters of J
-    and the neighbours of J outside S, by two lemmas:
-    - prune: a letter t outside S that commutes with every letter of J is
-      outside S(a), for a = t a' would give w = Delta_J t a' Delta_J =
-      t Delta_J a' Delta_J, so t in S;
-    - carry: if Delta_J finishes the tail, w = Delta_S T' Delta_J, and
-      cancelling Delta_J on the right of w = Delta_J a Delta_J leaves
-      a = (Delta_J \\ Delta_S) T'.  For t in S - J, w0(J) t is reduced in
-      W_S, so Delta_J t left-divides Delta_S and t left-divides a: S - J
-      lies in S(a).
-    Prune needs S exact; carry needs its premise, which holds for a
-    palindrome that keeps the contract.  So every S is exact on such
-    input, and on other input a round whose S was carried extracts Delta_S
-    from the window before it stops.
+    is rewritten in place into equal words.  Loop: extract S = S(w) from
+    the window; if w equals Delta_S stop with I = S; otherwise take the
+    smallest s finishing the tail Delta_S \\ w, and continue on
+    a = Delta_J \\ w / Delta_J for J = {s}, or J = {s, tau(s)} when tau is
+    given (tau(s) at index s - 1).  Delta_S exists and left-divides w
+    because the letters of S have the common multiple w, so w equals it
+    when the lengths agree.  A letter finishing the tail finishes
+    w = rev(w), so lies in S; s in S finishes it iff every t in S, hence
+    Delta_S, left-divides w / s = rev(s \\ w).  With tau the caller
+    promises tau(w) = w: then S and the tail are tau-stable, so tau(s)
+    finishes the tail too, and so does their right lcm Delta_J.  Either
+    way Delta_J finishes the tail, hence w, and starts w = rev(w).  a
+    inherits palindromicity (and tau-stability) by two-sided cancellation.
+    y is the concatenated Delta_J words.
 
     Every answer spells w, whatever the input: each round rewrites the
-    window into an equal word or its reverse, the stop holds because
-    Delta_S left-divides the window (as the lcm of the exact first S, or by
-    extraction), the divisions by Delta_J are extractions, and
-    y Delta_I rev(y) is its own reverse.  So an input that is not a
-    palindrome is never answered; it raises NotPalindromeError when no
-    letter finishes the tail, or PreconditionError, as does a Delta_J or
-    Delta_S that is undefined or does not divide w, or a tau that does not
-    permute the generators.
+    window into an equal word or its reverse, the divisions by Delta_J are
+    extractions, and y Delta_I rev(y) is its own reverse.  So an input that
+    is not a palindrome is never answered; it raises NotPalindromeError
+    when no letter finishes the tail, or PreconditionError, as does a
+    Delta_J that is undefined or does not divide w, or a tau that does not
+    permute the generators.  This is the peel for any matrix, and the
+    reference of `group.peel`.
     """
     check_kind(PositiveWord, w)
     mat, rules, buf = w.matrix, _rules(w.matrix), list(w.letters)
@@ -364,13 +348,9 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
                             != list(mat.generators)):
         raise PreconditionError("peel needs tau to permute the generators")
     lo, hi, prefix = 0, len(buf), []
-    s_set, carried = _heads(rules, buf, lo, hi), False
     while True:
-        d = delta(mat, s_set)
-        if d is None or len(d.letters) == hi - lo:
-            # an exact S has a Delta_S that divides the window
-            if d is None or carried and not _divides(rules, buf, d.letters, lo, hi):
-                raise PreconditionError("peel needs w = rev(w), and tau(w) = w with tau")
+        s_set = _heads(rules, buf, lo, hi)
+        if len(delta(mat, s_set).letters) == hi - lo:
             return tuple(prefix), s_set
         for s in s_set:
             # s \ w reversed is w / s on [lo, hi - 1); s goes last and leads
@@ -392,11 +372,6 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
             lo += len(dj.letters)
             buf[lo:hi] = buf[lo:hi][::-1]
         prefix.extend(dj.letters)
-        tested = [t for t in mat.generators if t in j or t not in s_set
-                  and any(mat.m(t, u) != 2 for u in j)]
-        s_set = tuple(sorted([t for t in s_set if t not in j]
-                             + [t for t in tested if _extract(rules, buf, t, lo, hi)]))
-        carried = True
 
 
 def compute_tau_perm(matrix: CoxeterMatrix) -> tuple[int, ...]:

@@ -17,8 +17,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .coxeter import CoxeterMatrix, check_kind, is_finite_type
-from .errors import (BudgetExceededError, InfiniteTypeError, InvalidBudgetError,
-                     InvalidWordError)
+from .errors import BudgetExceededError, InfiniteTypeError, InvalidBudgetError
 
 
 @dataclass(frozen=True)
@@ -68,40 +67,24 @@ class ZPhi:
         return f"({self.a}+{self.b}phi)"
 
 
+# Cartan coefficients by label, (c_ij for i < j, c_ij for i > j) as
+# a + b phi; label 1 is the diagonal
+_CARTAN = {1: ((2, 0),) * 2, 2: ((0, 0),) * 2, 3: ((-1, 0),) * 2,
+           4: ((-1, 0), (-2, 0)), 5: ((0, -1),) * 2, 6: ((-1, 0), (-3, 0))}
+
+
 def _cartan(matrix: CoxeterMatrix, use_phi: bool):
-    """c[i][j] with s_i(alpha_j) = alpha_j - c[i][j] * alpha_i.
+    """c[i][j] with s_i(alpha_j) = alpha_j - c[i][j] * alpha_i, for labels
+    1 to 6; `_root_system` sends any other label to the dihedral model.
 
     Off-diagonal products c_ij * c_ji equal 4cos^2(pi/m): 0, 1, 2, 3 for
     labels 2, 3, 4, 6 (the asymmetric -1/-2 and -1/-3 splits put -1 on the
     lower index; either split generates the same group) and phi + 1 for
-    label 5.
+    label 5, whose coefficient -phi needs use_phi.
     """
-    n = matrix.rank
-    zero, two = (ZPhi(0, 0), ZPhi(2, 0)) if use_phi else (0, 2)
-    c = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        c[i][i] = two
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            m = matrix.m(i, j)
-            if m == 2:
-                val = zero
-            elif m == 3:
-                val = ZPhi(-1, 0) if use_phi else -1
-            elif m == 4:
-                v = -1 if i < j else -2
-                val = ZPhi(v, 0) if use_phi else v
-            elif m == 6:
-                v = -1 if i < j else -3
-                val = ZPhi(v, 0) if use_phi else v
-            elif m == 5:
-                val = ZPhi(0, -1)  # -phi
-            else:
-                raise InvalidWordError(f"no Cartan coefficient for label {m}")
-            c[i - 1][j - 1] = val
-    return c
+    num = ZPhi if use_phi else lambda a, b: a
+    gens = matrix.generators
+    return [[num(*_CARTAN[matrix.m(i, j)][i > j]) for j in gens] for i in gens]
 
 
 @dataclass(frozen=True)

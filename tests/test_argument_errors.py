@@ -1,6 +1,10 @@
 """Bad arguments to public entry points raise an ArtinError subclass: never
 a bare TypeError, and never an answer built from them."""
 
+import ast
+import inspect
+import pathlib
+
 import pytest
 
 from artinpal import coxeter, group, monoid, oracle, orderings, palindromes, weyl
@@ -110,6 +114,8 @@ CALLS = {
     "square-free-none": lambda: oracle.square_free_oracle(None, (1,)),
     "pal-decompositions-none": lambda: oracle.all_pal_decompositions(None, (1,), {}),
     "decompose-int": lambda: palindromes.decompose(5),
+    "decompose-rev-tau-int": lambda: palindromes.decompose_rev_tau(5),
+    "pal-int": lambda: palindromes.pal(5),
     "unpal-int": lambda: palindromes.unpal(5),
     "exponent-sums-none": lambda: orderings.exponent_sums(None),
     "exponent-sums-float-letter": lambda: orderings.exponent_sums((1.5,)),
@@ -124,3 +130,25 @@ CALLS = {
 def test_bad_arguments_raise_artin_errors(call):
     with pytest.raises(ArtinError):
         call()
+
+
+# the checker itself, and the unchecked composition the group core calls
+# once per product, as their docstrings say
+UNCHECKED = {("coxeter", "check_kind"), ("weyl", "compose")}
+
+
+def test_calls_cover_every_public_function():
+    """Each public function of the library modules is the outermost call of
+    some entry of CALLS, read off this file's source."""
+    tree = ast.parse(pathlib.Path(__file__).read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "CALLS")
+    listed = {(v.body.func.value.id, v.body.func.attr) for v in table.values}
+    missing = [
+        (mod.__name__, name)
+        for mod in (coxeter, group, monoid, oracle, orderings, palindromes, weyl)
+        for name, f in vars(mod).items()
+        if inspect.isfunction(f) and f.__module__ == mod.__name__
+        and not name.startswith("_")
+        and (mod.__name__.rsplit(".", 1)[1], name) not in listed | UNCHECKED]
+    assert not missing

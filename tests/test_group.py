@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artinpal import coxeter, group, monoid, weyl
-from artinpal.errors import ArtinError, InfiniteTypeError, InvalidWordError
+from artinpal.errors import (ArtinError, InfiniteTypeError, InvalidWordError,
+                             PreconditionError)
 from artinpal.group import (
     GroupElement,
     delta_element,
@@ -198,6 +199,20 @@ def test_normal_form_eq_matches_extraction(name, rng):
         referee = monoid.equals(monoid.PositiveWord(mat, d * (2 * y.k) + x.p),
                                 monoid.PositiveWord(mat, d * (2 * x.k) + y.p))
         assert eq(x, y) == referee, (w1, w2)
+
+
+@pytest.mark.parametrize("name, max_len", [("A3", 6), ("A4", 5)])
+def test_monoid_normal_form_matches_the_group(name, max_len):
+    """`monoid.normal_form` and the Garside normal form tell the same
+    positive words apart, on every word to max_len letters."""
+    mat = coxeter.named_matrix(name)
+    nf_of, key_of = {}, {}
+    for n in range(max_len + 1):
+        for letters in itertools.product(mat.generators, repeat=n):
+            key = make(mat, 0, letters).key()
+            nf = monoid.normal_form(monoid.word(mat, letters))
+            assert nf_of.setdefault(key, nf) == nf, letters
+            assert key_of.setdefault(nf, key) == key, letters
 
 
 @pytest.mark.parametrize("name", NF_TYPES)
@@ -663,6 +678,13 @@ def test_peel_on_every_short_word(name):
                 group.peel(z)
             raised += 1
     assert raised > 800 and answered > 100
+
+
+def test_peel_errors():
+    """As in `monoid.peel`'s test_peel_errors: Delta_J = Delta_{1, 3} does
+    not start 1 1, so the left division leaves a negative quotient."""
+    with pytest.raises(PreconditionError):
+        group.peel(from_word(A3, (1, 1)), monoid.compute_tau_perm(A3))
 
 
 def _clear_memos(mat):
