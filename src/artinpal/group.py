@@ -15,7 +15,7 @@ factor and restores left-weightedness in one right-to-left pass.  A pair
 its boundary in one step, until M is empty (see `_slide`).  The blocks
 compose into one running permutation u, one composition each; the descent
 sets of (a u, u^-1 b) are read at u's n simple-root images through a,
-b^-1 and a 0/1 sign table of the roots, and the pair and u^-1 are formed
+b^-1 and a sign table of the roots, and the pair and u^-1 are formed
 once at the end.  A Delta that a push creates leaves for the front in one
 step through tau, a -> w0 a w0: f Delta g = Delta tau(f tau(g)).  Each
 caller of `_push` keeps its factors in a tau-frame, Delta^inf
@@ -30,10 +30,12 @@ Equality compares (inf, factors).
 With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
 identity past the last root, and f o g is g.translate(f): one C loop per
 composition, whatever the rank, and f^-1 is bytes.maketrans(f, identity).
-A descent set is the n bytes of 0/1 signs at the simple-root images, one
-more translate, looked up in a table of bitmasks filled on first sight
-(`_Bits`).  Larger root systems (A16, B12, D12 and I2(129) upwards) keep
-tuples composed by `weyl.compose`, and run the same slide on them.
+A descent set is the n signs, the digits "0" or "1", at the simple-root
+images, one more translate, read as a binary number: looked up in a table
+of bitmasks filled on first sight (`_Bits`), or parsed each time from rank
+14 up, where the 2^n sets would not fit the table.  Larger root systems
+(A16, B12, D12 and I2(129) upwards) keep tuples composed by
+`weyl.compose`, and run the same slide on them.
 
 The left-weighted pair depends only on the pair, and operations meet the
 same pairs again and again, so `_weight` memoises it per matrix on the
@@ -49,7 +51,9 @@ the deterministic loop of `monoid.peel`, on the normal form instead of on
 a word: each round reads S and a finishing set off first factors and
 cuts Delta_J off both ends of z by an exact right and left division, which
 change only the factors near that end.  The answer spells z because every
-step is an equality, so it needs no check afterwards.
+step is an equality, so it needs no check afterwards.  `decompositions`
+lists every witness with the same two divisions, once per palindrome that
+peeling reaches from z.
 
 The attributes k and p give the same element as a fraction: x =
 Delta^(-2k) * p with k = 0 or Delta^2 not left-dividing p.  k is the least
@@ -61,13 +65,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import monoid, weyl
 from .coxeter import CoxeterMatrix, check_kind, is_finite_type
-from .errors import (InfiniteTypeError, InvalidWordError, NotPalindromeError,
-                     PreconditionError)
+from .errors import (BudgetExceededError, InfiniteTypeError, InvalidBudgetError,
+                     InvalidWordError, NotPalindromeError, PreconditionError)
 from .monoid import PositiveWord
 from .weyl import compose
 
@@ -89,21 +94,31 @@ class _Simple(NamedTuple):
 _MEMO_BOUND = 8192
 
 
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
+def _parse(key: bytes) -> int:
+    """A descent set as a bitmask, read off the n signs "0" or "1" of the
+    simple roots' images as binary digits, generator 1 last."""
+    return int(key[::-1], 2)
+
+
+class _Parse:
+    """`_parse` behind a subscript, standing in for `_Bits` when 2^n passes
+    _MEMO_BOUND: the descent sets of a long word then outgrow the table,
+    and each clear would throw away sets that recur."""
+
+    __slots__ = ()
+    __getitem__ = staticmethod(_parse)
 
 
 class _Bits(dict):
-    """Descent sets as bitmasks, keyed by the n bytes of 0/1 signs of the
-    simple roots' images: filled on first sight, so it holds only the sets
-    that occur (at most 2^n), and cleared at _MEMO_BOUND.  A miss reads the
-    signs as binary digits, generator 1 last."""
+    """The descent sets of `_parse`, filled on first sight, so it holds only
+    the sets that occur (at most 2^n), and cleared at _MEMO_BOUND."""
 
     __slots__ = ()
 
     def __missing__(self, key: bytes) -> int:
         if len(self) >= _MEMO_BOUND:
             self.clear()
-        self[key] = mask = int(key.translate(_DIGITS)[::-1], 2)
+        self[key] = mask = _parse(key)
         return mask
 
 
@@ -125,8 +140,9 @@ class _Tables:
         # compose(f, g) = f o g, times[s](f) = f o s_(s+1), inverse(f) =
         # f^-1, mask(f) = D_R(f), the s with f(alpha_s) < 0, and masks(f, g,
         # u) = (D_R(f o u), D_R(g o u)), read at u's simple-root images: neg
-        # is the 0/1 sign table of the roots, and bits the descent sets
-        self.bits = bits = _Bits()
+        # is the sign table of the roots, "1" for a negative one, and bits
+        # the descent sets
+        self.bits = bits = _Bits() if 1 << n <= _MEMO_BOUND else _Parse()
         if rep.degree <= 256:
             # translate needs 256-byte tables; an identity tail keeps two
             # permutations equal exactly when they move the roots alike,
@@ -134,7 +150,7 @@ class _Tables:
             pad = bytes(range(rep.degree, 256))
             self.refl = tuple(bytes(r) + pad for r in rep.simple_reflections)
             self.ident = ident = bytes(range(256))
-            neg = bytes(rep.negative) + bytes(len(pad))
+            neg = bytes(b"01"[v] for v in rep.negative) + b"0" * len(pad)
             self.compose = lambda f, g: g.translate(f)
             self.inverse = lambda f: bytes.maketrans(f, ident)
             self.mask = lambda f: bits[f[:n].translate(neg)]
@@ -150,7 +166,7 @@ class _Tables:
         else:
             self.refl = rep.simple_reflections
             self.ident = rep.identity().perm
-            sign = bytes(rep.negative).__getitem__
+            sign = bytes(b"01"[v] for v in rep.negative).__getitem__
             self.compose = compose
             self.inverse = lambda f: tuple(sorted(range(len(f)), key=f.__getitem__))
             self.mask = lambda f: bits[bytes(map(sign, f[:n]))]
@@ -232,7 +248,11 @@ def _unframe(t: _Tables, factors, flip: int) -> tuple[_Simple, ...]:
 def _complement(t: _Tables, a: _Simple, right: int = 0) -> _Simple:
     """The simple element with a^-1 = Delta^-1 * it, image w0 a^-1; with
     right, the one with a^-1 = it * Delta^-1, image a^-1 w0, which is the
-    tau-image of the first."""
+    tau-image of the first.  For a generator s these are co[s] and
+    co[sigma(s)], as s^-1 Delta = Delta tau(s)^-1."""
+    if a.length == 1:
+        s = a.left.bit_length() - 1
+        return t.co[t.sigma[s] if right else s]
     w0, c = t.delta.perm, t.compose
     if right:
         return _simple(t, c(a.inv, w0), c(w0, a.perm), t.top - a.length)
@@ -338,21 +358,24 @@ def _push(t: _Tables, factors: list, b: _Simple) -> int:
     return lead
 
 
-def _front(t: _Tables, factors: list, a: _Simple) -> None:
+def _front(t: _Tables, factors: list, a: _Simple) -> int:
     """Multiply the left-weighted factors by the simple a on the left, in
-    place, for a product that Delta does not left-divide.
+    place, and return how many Delta factors left the front (0 or 1); the
+    product is then Delta^lead times the factors.
 
     One left-to-right pass: (a, f_1) becomes the left-weighted (c_1, d_1),
     then (d_1, f_2) becomes (c_2, d_2), and so on.  c_1, the left gcd of
     Delta and a f_1, is that of Delta and a x for x = f_1 ... f_r: a simple
     e that left-divides Delta and a x has a simple right lcm a u with a, u
     left-divides x and so f_1, the left gcd of Delta and x, and e left-
-    divides a f_1.  So each c_i heads what is left, and none is Delta.  The
-    pass stops at a d_i equal to 1, or at the first pair (d_i, f_(i+1))
-    that is already left-weighted, behind which nothing changes.
+    divides a f_1.  So each c_i heads what is left.  Only c_1 can be Delta,
+    as a x has at most one more Delta than x, which has none; it leaves
+    from the front, where it twists nothing.  The pass stops at a d_i equal
+    to 1, or at the first pair (d_i, f_(i+1)) that is already
+    left-weighted, behind which nothing changes.
     """
     if not a.length:
-        return
+        return 0
     factors.insert(0, a)
     i = 0
     while i + 1 < len(factors) and factors[i + 1].left & ~factors[i].right:
@@ -361,6 +384,56 @@ def _front(t: _Tables, factors: list, a: _Simple) -> None:
         if not factors[i].length:
             del factors[i]
             break
+    lead = int(factors[0].length == t.top)
+    if lead:
+        del factors[0]
+    return lead
+
+
+def _twist(t: _Tables, a: _Simple, odd: int) -> _Simple:
+    """tau^odd(a)."""
+    return _tau(t, a) if odd & 1 and t.twist else a
+
+
+def _right(t: _Tables, factors: list, d: _Simple, inf: int,
+           flip: int) -> tuple[int, int]:
+    """The exact quotient z d^-1 of z = Delta^inf tau^flip(factors) by a
+    Delta_J, in place, as (inf, flip) of the quotient's tau-frame.
+
+    When Delta_J right-divides the last factor, that factor shrinks, and the
+    pair before it stays left-weighted, as its second factor only lost
+    right descents.  Otherwise z d^-1 = z (d^-1 Delta) Delta^-1, with
+    d^-1 Delta = tau(Delta d^-1): one `_push`, then a step back by Delta
+    that flips the frame.  The quotient is positive when inf stays >= 0.
+    """
+    e, c = _twist(t, d, flip), t.compose
+    if factors and not e.left & ~factors[-1].right:
+        a = factors.pop()
+        if a.length > e.length:
+            factors.append(_simple(t, c(a.perm, e.inv), c(e.perm, a.inv),
+                                   a.length - e.length))
+        return inf, flip
+    lead = _push(t, factors, _complement(t, d, flip ^ 1))
+    return inf + lead - 1, flip ^ 1 ^ lead
+
+
+def _left(t: _Tables, factors: list, d: _Simple, inf: int, flip: int) -> int:
+    """The exact quotient d^-1 z of z = Delta^inf tau^flip(factors) by a
+    Delta_J, in place, as the quotient's inf; the frame keeps its flip.
+
+    d^-1 Delta^inf = Delta^inf tau^inf(d)^-1, read on the stored factors as
+    e^-1 for e = tau^(inf + flip)(d).  When e left-divides the first factor,
+    that factor shrinks, and `_front` left-weights the pairs behind it.
+    Otherwise e^-1 = Delta^-1 (Delta e^-1), and `_front` puts the complement
+    in front.  The quotient is positive when inf stays >= 0.
+    """
+    e, c = _twist(t, d, inf + flip), t.compose
+    if factors and not e.left & ~factors[0].left:
+        a = factors.pop(0)
+        return inf + _front(t, factors, _simple(t, c(e.inv, a.perm),
+                                                c(a.inv, e.perm),
+                                                a.length - e.length))
+    return inf - 1 + _front(t, factors, _complement(t, d, (inf + flip) & 1))
 
 
 def _reduced_word(t: _Tables, a: _Simple) -> tuple[int, ...]:
@@ -379,7 +452,8 @@ def _reduced_word(t: _Tables, a: _Simple) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class GroupElement:
     """Delta^inf * factors in normal form; build through make/from_word, not
-    directly."""
+    directly, except Delta^m x, which is GroupElement(x.matrix, x.inf + m,
+    x.factors)."""
 
     matrix: CoxeterMatrix
     inf: int
@@ -603,20 +677,14 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     generator when inf > 0, else the left descents of the first factor.
     While length(z) > |Delta_S|, take the least s in S that finishes the
     tail Delta_S^-1 z, and cut Delta_J, J = {s} or {s, tau(s)}, off both
-    ends of z.  tau, with tau(s) at index s - 1, promises tau(z) = z.
-    - The tail of a palindrome finishes with S(z Delta_S^-1), as
-      rev(Delta_S^-1 z) = z Delta_S^-1; it is read on a copy of the
-      factors.  No copy is needed when the least s in S right-divides the
-      last factor and z has two factors or inf > 0: z s^-1 keeps the first
-      factor, so Delta_S left-divides it, and s finishes the tail.
-    - A right division by Delta_J that right-divides the last factor
-      shrinks it, and the pair before it stays left-weighted.  Otherwise
-      z Delta_J^-1 = z (Delta_J^-1 Delta) Delta^-1: one `_push`, then a
-      step back by Delta.
-    - A left division by Delta_J that left-divides the first factor
-      shrinks it, and `_front` left-weights the pairs behind it.
-      Otherwise Delta_J^-1 = Delta^-1 (Delta Delta_J^-1), and `_front`
-      puts the complement in front.  Neither makes a Delta.
+    ends of z by one exact right division (`_right`) and one exact left
+    division (`_left`), which change only the factors near that end.
+    tau, with tau(s) at index s - 1, promises tau(z) = z.
+    The tail of a palindrome finishes with S(z Delta_S^-1), as
+    rev(Delta_S^-1 z) = z Delta_S^-1; it is read on a copy of the factors.
+    No copy is needed when the least s in S right-divides the last factor
+    and z has two factors or inf > 0: z s^-1 keeps the first factor, so
+    Delta_S left-divides it, and s finishes the tail.
 
     The factors live in a tau-frame, as in `from_word`: z = Delta^inf
     tau^flip(factors).  The Delta^-1 of a right division flips the frame,
@@ -642,44 +710,12 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     t = _tables(mat)
     full = (1 << mat.rank) - 1
 
-    def twist(a: _Simple, odd: int) -> _Simple:
-        return _tau(t, a) if odd & 1 and t.twist else a
-
     def heads(inf: int, factors: list, odd: int) -> int:
         # S(Delta^inf tau^odd(factors)) as a bitmask; D_L(tau(a)) is
         # sigma(D_L(a))
         if inf or not factors:
             return full if inf > 0 else 0
-        return twist(factors[0], odd).left
-
-    def right(factors: list, d: _Simple, inf: int, flip: int) -> tuple[int, int]:
-        # z d^-1 in place, from z = Delta^inf tau^flip(factors)
-        e, c = twist(d, flip), t.compose
-        if factors and not e.left & ~factors[-1].right:
-            # a left-weighted pair stays so when its second factor shrinks
-            a = factors.pop()
-            if a.length > e.length:
-                factors.append(_simple(t, c(a.perm, e.inv), c(e.perm, a.inv),
-                                       a.length - e.length))
-            return inf, flip
-        # z d^-1 = z (d^-1 Delta) Delta^-1, and d^-1 Delta = tau(Delta d^-1)
-        lead = _push(t, factors, _complement(t, d, flip ^ 1))
-        return inf + lead - 1, flip ^ 1 ^ lead
-
-    def left(factors: list, d: _Simple, inf: int, flip: int) -> int:
-        # d^-1 z in place; d^-1 Delta^inf = Delta^inf tau^inf(d)^-1.  For
-        # the factors x, Delta left-divides neither e^-1 x nor Delta e^-1 x:
-        # that would make Delta, or e, left-divide x, and e = Delta_J
-        # left-divides x only when J lies in D_L of its first factor
-        e, c = twist(d, inf + flip), t.compose
-        if factors and not e.left & ~factors[0].left:
-            a = factors.pop(0)
-            _front(t, factors, _simple(t, c(e.inv, a.perm), c(a.inv, e.perm),
-                                       a.length - e.length))
-            return inf
-        # d^-1 = Delta^-1 (Delta d^-1)
-        _front(t, factors, _complement(t, d, (inf + flip) & 1))
-        return inf - 1
+        return _twist(t, factors[0], odd).left
 
     inf, flip, factors, size = z.inf, 0, list(z.factors), length(z)
     # the product of the Delta_J is Delta^y_inf tau^y_inf(y): a tau-frame
@@ -690,30 +726,134 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
         s_set = heads(inf, factors, flip)
         d = _longest(t, s_set)
         if d.length == size:
-            subset = tuple(s + 1 for s in range(mat.rank) if s_set >> s & 1)
-            return GroupElement(mat, y_inf, _unframe(t, y, y_inf)), subset
+            return (GroupElement(mat, y_inf, _unframe(t, y, y_inf)),
+                    _subset(mat, s_set))
         least = s_set & -s_set
-        if (len(factors) > 1 or inf and factors) and least & twist(
-                factors[-1], flip).right:
+        if (len(factors) > 1 or inf and factors) and least & _twist(
+                t, factors[-1], flip).right:
             # z = Delta^inf a_1 ... a_r with least s in D_R(a_r): z s^-1
             # keeps a_1, so Delta_S left-divides it, and s finishes the tail
             ends = least
         else:
             # the tail Delta_S^-1 z finishes with S(z Delta_S^-1)
             rest = factors.copy()
-            rest_inf, rest_flip = right(rest, d, inf, flip)
+            rest_inf, rest_flip = _right(t, rest, d, inf, flip)
             ends = s_set & heads(rest_inf, rest, rest_flip)
         if not ends:
             raise NotPalindromeError("peel needs a palindrome")
         s = (ends & -ends).bit_length() - 1
         dj = _longest(t, 1 << s if tau is None else 1 << s | 1 << tau[s] - 1)
-        inf, flip = right(factors, dj, inf, flip)
-        inf = left(factors, dj, inf, flip)
+        inf, flip = _right(t, factors, dj, inf, flip)
+        inf = _left(t, factors, dj, inf, flip)
         if inf < 0:
             raise PreconditionError(
                 "peel needs a palindrome that Delta_J starts and finishes")
         size -= 2 * dj.length
-        y_inf += _push(t, y, twist(dj, y_inf))
+        y_inf += _push(t, y, _twist(t, dj, y_inf))
+
+
+def _subset(mat: CoxeterMatrix, mask: int) -> tuple[int, ...]:
+    """The generators in a bitmask, sorted."""
+    return tuple(s + 1 for s in range(mat.rank) if mask >> s & 1)
+
+
+def decompositions(z: GroupElement, budget: int
+                   ) -> tuple[tuple[GroupElement, tuple[int, ...]], ...]:
+    """Every (y, I) with z = y Delta_I rev(y) and y positive, for a positive
+    palindrome z, each once, in a deterministic order.
+
+    The search runs in two passes over the cores, the positive palindromes
+    that peeling reaches from z.  A core's S = S(z) is also its finishing
+    set, and each s in S peels it to s^-1 z s^-1 when that is positive.
+    - Collect records each distinct core once, keyed by inf and the
+      simple-root images of its factors, with its length, S and the cores
+      it peels to.  z s^-1 is an exact right division (`_right`) and is
+      positive, as s finishes z.  s^-1 z s^-1 is positive exactly when s
+      left-divides z s^-1: when its inf is > 0 or s is a left descent of
+      its first factor.  Then it is one exact left division (`_left`).
+      More than budget cores raise BudgetExceededError.
+    - Combine visits the cores shortest first, so that the cores a core
+      peels to, two letters shorter, are done before it.  A core lists
+      (e, S) when it is Delta_S, which left-divides it, so that equal
+      lengths decide; then (s y', I) for each s in order and each (y', I)
+      of the core it peels to, each pair once.  The y are kept as (inf,
+      factors), compared as such, and s y' = Delta^inf tau^inf(s) y'' is
+      one `_front`.  A core's list is dropped once every core that peels
+      to it has used it.
+
+    A z that is not a positive palindrome raises PreconditionError or
+    NotPalindromeError, and a budget that is not a nonnegative int
+    InvalidBudgetError.
+    """
+    check_kind(GroupElement, z)
+    if not isinstance(budget, int) or budget < 0:
+        raise InvalidBudgetError(f"budget must be a nonnegative int, got {budget!r}")
+    if z.inf < 0:
+        raise PreconditionError("decomposition search needs a positive element")
+    if not is_palindrome(z):
+        raise NotPalindromeError("decomposition search needs a palindrome")
+    mat, t = z.matrix, _tables(z.matrix)
+    n, gens, sigma = mat.rank, t.gens, t.sigma
+
+    # a core's key runs the n simple-root images of its factors together
+    join = b"".join if isinstance(t.ident, bytes) else (
+        lambda parts: tuple(chain.from_iterable(parts)))
+    ids: dict = {}  # core key -> index of its record
+    records: list = []  # (length, S, [(s, index of s^-1 z s^-1)])
+    todo: list = []
+
+    def visit(inf: int, factors: tuple, size: int) -> int:
+        k = inf, join([f.perm[:n] for f in factors])
+        i = ids.get(k)
+        if i is None:
+            if len(ids) >= budget:
+                raise BudgetExceededError(
+                    f"decomposition search budget exhausted: more than "
+                    f"{budget} cores")
+            i = ids[k] = len(records)
+            records.append(None)
+            todo.append((i, inf, factors, size))
+        return i
+
+    visit(z.inf, z.factors, length(z))
+    while todo:
+        i, inf, factors, size = todo.pop()
+        s_set = (1 << n) - 1 if inf else factors[0].left if factors else 0
+        peels = []
+        for s in range(n):
+            if not s_set >> s & 1:
+                continue
+            rest = list(factors)
+            r_inf, flip = _right(t, rest, gens[s], inf, 0)
+            if not (r_inf or rest and _twist(t, gens[s], flip).left & rest[0].left):
+                continue
+            r_inf = _left(t, rest, gens[s], r_inf, flip)
+            peels.append((s, visit(r_inf, _unframe(t, rest, flip), size - 2)))
+        records[i] = size, s_set, peels
+    del ids, todo
+
+    uses = [0] * len(records)
+    for _, _, peels in records:
+        for _, j in peels:
+            uses[j] += 1
+    lists: dict = {}  # core index -> [(y inf, y factors, I)]
+    for i in sorted(range(len(records)), key=lambda i: records[i][0]):
+        size, s_set, peels = records[i]
+        records[i] = None
+        out = [(0, (), s_set)] if size == _longest(t, s_set).length else []
+        for s, j in peels:
+            for y_inf, y, subset in lists[j]:
+                y = list(y)
+                y_inf += _front(t, y, gens[sigma[s] if y_inf & 1 else s])
+                out.append((y_inf, tuple(y), subset))
+            uses[j] -= 1
+            if not uses[j]:
+                del lists[j]
+        # s y' = t y'' can hold only for s != t; the normal forms are unique,
+        # so equal entries are equal pairs, and the dict keeps the first
+        lists[i] = list(dict.fromkeys(out)) if len(peels) > 1 else out
+    return tuple((GroupElement(mat, y_inf, y), _subset(mat, subset))
+                 for y_inf, y, subset in lists[0])
 
 
 def starting_set(a: GroupElement) -> tuple[int, ...]:

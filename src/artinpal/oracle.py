@@ -45,7 +45,10 @@ class Presentation:
                         )
 
     def check_word(self, w) -> tuple[int, ...]:
-        w = tuple(w)
+        try:
+            w = tuple(w)
+        except TypeError:
+            raise PreconditionError(f"{w!r} is not a sequence of letters") from None
         for x in w:
             if not isinstance(x, int) or not 1 <= x <= self.ngens:
                 raise PreconditionError(f"letter {x!r} out of range")
@@ -216,10 +219,12 @@ def all_pal_decompositions(P: Presentation, p, deltas,
     and sorted; every y is reported as one concrete word.
     """
     check_kind(Presentation, P)
+    check_kind(dict, deltas)
     p = P.check_word(p)
     delta_by_len: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for subset, word in deltas.items():
-        delta_by_len.setdefault(len(word), []).append((tuple(subset), tuple(word)))
+        word = P.check_word(word)
+        delta_by_len.setdefault(len(word), []).append((P.check_word(subset), word))
 
     memo: dict[tuple[int, ...], tuple] = {}
 
@@ -262,6 +267,9 @@ def enumerate_classes(P: Presentation, length: int,
     """Partition of all length-L words into rewriting classes, as a sorted
     tuple of sorted member tuples."""
     check_kind(Presentation, P)
+    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    if not isinstance(length, int) or length < 0:
+        raise PreconditionError(f"length must be an int >= 0, got {length!r}")
     if length > len_cap:
         raise BudgetExceededError(
             f"length {length} exceeds the cap {len_cap}"
@@ -298,6 +306,7 @@ def coxeter_order_oracle(matrix: CoxeterMatrix,
     quotient relation s^2 = e never has to be written down.
     """
     check_kind(CoxeterMatrix, matrix)
+    _check_caps(class_cap=class_cap, len_cap=len_cap)
     if not is_finite_type(matrix):
         raise PreconditionError("order counting needs a finite-type matrix")
     P = presentation_from_matrix(matrix)

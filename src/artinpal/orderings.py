@@ -109,7 +109,7 @@ def dynnikov_action(word, coords) -> tuple[int, ...]:
                     b_i+1 <- b_i - t-
     """
     word = _letters(word)
-    c = list(coords)
+    c = list(_letters(coords))
     if len(c) % 2 or not all(isinstance(v, int) for v in c):
         raise InvalidWordError(f"coordinates {coords!r} are not an even number of ints")
     n = len(c) // 2

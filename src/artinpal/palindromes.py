@@ -6,10 +6,10 @@ by clearing denominators with a central power of Delta: if x = Delta^(-2k)
 p, the smallest even N >= k makes z = Delta^(2N) x positive, Delta^N
 central and rev-fixed, and any positive decomposition z = u Delta_I rev(u)
 shifts back to x = (Delta^(-N) u) Delta_I rev(Delta^(-N) u).  The peel
-(`group.peel`) and the decomposition search below therefore only ever
-touch positive elements, on their Garside normal forms; none of them
-extracts.  The peel's every step is an exact quotient, so its answer
-spells z and is not checked again.  Like the peel, the routines here carry
+(`group.peel`) and the decomposition search (`group.decompositions`)
+therefore only ever touch positive elements, on their Garside normal
+forms; none of them extracts.  The peel's every step is an exact
+quotient, so its answer spells z and is not checked again.  Like the peel, the routines here carry
 no self-checks of their answers: each rests on the proof in its docstring,
 and the tier-1 tests referee it against the oracle and the paper's
 criteria.
@@ -56,13 +56,18 @@ def pal(x: GroupElement) -> GroupElement:
     return group.mult(x, group.rev(x))
 
 
+def _shift(x: GroupElement, m: int) -> GroupElement:
+    """Delta^m x: Delta^m Delta^inf a_1 ... a_r is already a normal form."""
+    return GroupElement(x.matrix, x.inf + m, x.factors)
+
+
 def _core(x: GroupElement) -> tuple[GroupElement, int]:
-    """(z, half) with z = Delta^(2N) x for N = 2 * half, the least even
-    exponent >= x.k.  z is positive, and as Delta^N is central, z =
-    u Delta_I rev(u) gives x = y Delta_I rev(y) with y = Delta^-N u."""
-    half = (x.k + 1) // 2
-    shift = group.make(x.matrix, half, ())  # Delta^-N
-    return group.mult(x, group.inv(group.mult(shift, shift))), half
+    """(z, N) with z = Delta^(2N) x for N the least even exponent >= x.k,
+    so that z is positive.  As N is even, Delta^N is central (tau^N is the
+    identity) and rev-fixed, so z = u Delta_I rev(u) gives x = Delta^-N u
+    Delta_I rev(u) Delta^-N = y Delta_I rev(y) with y = Delta^-N u."""
+    n = 2 * ((x.k + 1) // 2)
+    return _shift(x, 2 * n), n
 
 
 def _peel(x: GroupElement, tau=None) -> PalDecomposition:
@@ -74,9 +79,9 @@ def _peel(x: GroupElement, tau=None) -> PalDecomposition:
     is the peel's only failure, and a non-palindrome raises
     NotPalindromeError."""
     check_kind(GroupElement, x)
-    z, half = _core(x)
+    z, n = _core(x)
     u, subset = group.peel(z, tau)
-    return PalDecomposition(y=group.mult(group.make(x.matrix, half, ()), u), I=subset)
+    return PalDecomposition(y=_shift(u, -n), I=subset)
 
 
 def decompose(x: GroupElement) -> PalDecomposition:
@@ -102,53 +107,20 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
     """Every (y, I) with x = y Delta_I rev(y) and Delta^N y positive for the
     canonical even denominator-clearing exponent N.
 
-    Returns a deterministically ordered tuple of PalDecomposition.  The
-    search runs on normal forms in two passes over the cores z, the first
-    being Delta^(2N) x.  Collect records each distinct core once with its
-    peels: each s in S(z) = F(z) peels to s^-1 rev(s^-1 z) = s^-1 z s^-1
-    when that is positive.  The budget counts the recorded cores.  Combine
-    visits the cores shortest first, so the inner cores, two letters
-    shorter, are done before z; z lists (e, S(z)) when z = Delta_S(z), then
-    (s y', I) for each peel s in order and each (y', I) of its inner core,
-    each pair once.  A budget that is not a nonnegative int raises
-    InvalidBudgetError.
+    Returns a deterministically ordered tuple of PalDecomposition: those of
+    `group.decompositions` on the core z = Delta^(2N) x, each shifted back
+    by y = Delta^-N u.  The budget counts the distinct cores the search
+    records, _SEARCH_BUDGET when it is None.  A budget that is not a
+    nonnegative int raises InvalidBudgetError, and a non-palindrome
+    NotPalindromeError.
     """
     if budget is not None and (not isinstance(budget, int) or budget < 0):
         raise InvalidBudgetError(f"budget must be a nonnegative int, got {budget!r}")
-    if not group.is_palindrome(x):
-        raise NotPalindromeError("decomposition search needs rev(x) = x")
-    mat = x.matrix
-    core, half = _core(x)
-    gens = {s: group.from_word(mat, (s,)) for s in mat.generators}
-    invs = {s: group.inv(g) for s, g in gens.items()}
-    cap = _SEARCH_BUDGET if budget is None else budget
-    cores: dict = {}  # z -> (|z|, S(z), [(s, inner core)])
-    todo = [core]
-    while todo:
-        z = todo.pop()
-        if z in cores:
-            continue
-        if len(cores) >= cap:
-            raise BudgetExceededError("decomposition search budget exhausted")
-        s_set, peels = group.starting_set(z), []
-        for s in s_set:
-            inner = group.mult(invs[s], group.rev(group.mult(invs[s], z)))
-            if inner.inf >= 0:  # else s does not finish s^-1 z
-                peels.append((s, inner))
-                todo.append(inner)
-        cores[z] = group.length(z), s_set, peels
-    pairs: dict = {}
-    for z, (_, s_set, peels) in sorted(cores.items(), key=lambda item: item[1][0]):
-        found: dict = {}  # (y, I) in order of discovery, each once
-        if z == group.delta_element(mat, s_set):
-            found[group.identity(mat), s_set] = None
-        for s, inner in peels:
-            for y, subset in pairs[inner]:
-                found.setdefault((group.mult(gens[s], y), subset))
-        pairs[z] = tuple(found)
-    shift = group.make(mat, half, ())  # Delta^-N, central
-    return tuple(PalDecomposition(y=group.mult(y, shift), I=subset)
-                 for y, subset in pairs[core])
+    check_kind(GroupElement, x)
+    z, n = _core(x)
+    found = group.decompositions(z, _SEARCH_BUDGET if budget is None else budget)
+    return tuple(PalDecomposition(y=_shift(u, -n), I=subset)
+                 for u, subset in found)
 
 
 def canonical_decompose(x: GroupElement, order, opp: bool = False,

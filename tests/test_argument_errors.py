@@ -6,6 +6,8 @@ import inspect
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinpal import coxeter, group, monoid, oracle, orderings, palindromes, weyl
 from artinpal.errors import ArtinError
@@ -55,6 +57,13 @@ CALLS = {
     "group-peel-int": lambda: group.peel(5),
     "group-peel-negative": lambda: group.peel(group.from_word(A3, (-1,))),
     "group-peel-bad-tau": lambda: group.peel(group.from_word(A3, (2,)), (1, 1, 3)),
+    "group-decompositions-none": lambda: group.decompositions(None, 10),
+    "group-decompositions-str-budget": lambda: group.decompositions(
+        group.from_word(A3, (2,)), "x"),
+    "group-decompositions-negative": lambda: group.decompositions(
+        group.from_word(A3, (-2,)), 10),
+    "group-decompositions-non-palindrome": lambda: group.decompositions(
+        group.from_word(A3, (1, 2)), 10),
     "word-none-letters": lambda: monoid.word(A3, None),
     "word-none-matrix": lambda: monoid.word(None, (1,)),
     "monoid-rev-int": lambda: monoid.rev(5),
@@ -137,6 +146,15 @@ def test_bad_arguments_raise_artin_errors(call):
 UNCHECKED = {("coxeter", "check_kind"), ("weyl", "compose")}
 
 
+def _public_functions():
+    """The public functions of the library modules but UNCHECKED."""
+    return [f for mod in (coxeter, group, monoid, oracle, orderings, palindromes, weyl)
+            for name, f in vars(mod).items()
+            if inspect.isfunction(f) and f.__module__ == mod.__name__
+            and not name.startswith("_")
+            and (mod.__name__.rsplit(".", 1)[1], name) not in UNCHECKED]
+
+
 def test_calls_cover_every_public_function():
     """Each public function of the library modules is the outermost call of
     some entry of CALLS, read off this file's source."""
@@ -144,11 +162,39 @@ def test_calls_cover_every_public_function():
     table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                  and getattr(node.targets[0], "id", None) == "CALLS")
     listed = {(v.body.func.value.id, v.body.func.attr) for v in table.values}
-    missing = [
-        (mod.__name__, name)
-        for mod in (coxeter, group, monoid, oracle, orderings, palindromes, weyl)
-        for name, f in vars(mod).items()
-        if inspect.isfunction(f) and f.__module__ == mod.__name__
-        and not name.startswith("_")
-        and (mod.__name__.rsplit(".", 1)[1], name) not in listed | UNCHECKED]
+    missing = [(f.__module__, f.__name__) for f in _public_functions()
+               if (f.__module__.rsplit(".", 1)[1], f.__name__) not in listed]
     assert not missing
+
+
+# arguments of the right kind somewhere, kept small so that no call that
+# gets through its checks runs long
+GOOD = [A3, X, group.from_word(A3, (1, 2, 1)), (1, -2), (1, 2), 2, "1 2", P,
+        monoid.word(A3, (1, 2)), weyl.build_root_system(A3),
+        palindromes.PalDecomposition(y=X, I=(1,)), orderings.dehornoy_order(A3)]
+BAD = st.one_of(
+    st.none(), st.floats(), st.complex_numbers(), st.text(max_size=4),
+    st.binary(max_size=4), st.just(object()), st.just({}),
+    st.lists(st.one_of(st.none(), st.floats(), st.text(max_size=2),
+                       st.integers(-300, 300)), max_size=3),
+    st.lists(st.one_of(st.none(), st.floats(), st.integers(-300, 300)),
+             max_size=3).map(tuple))
+
+
+@pytest.mark.parametrize("f", _public_functions(),
+                         ids=lambda f: f"{f.__module__.rsplit('.', 1)[1]}.{f.__name__}")
+@settings(max_examples=25, derandomize=True)
+@given(data=st.data())
+def test_drawn_bad_arguments_raise_artin_errors_or_answer(f, data):
+    """Every public function, called with drawn arguments at least one of
+    which is ill-typed, raises an ArtinError or answers."""
+    params = list(inspect.signature(f).parameters.values())
+    required = sum(p.default is inspect.Parameter.empty for p in params)
+    count = data.draw(st.integers(max(required, 1), len(params)), label="count")
+    bad = data.draw(st.integers(0, count - 1), label="bad")
+    args = [data.draw(BAD if i == bad else st.one_of(st.sampled_from(GOOD), BAD),
+                      label=params[i].name) for i in range(count)]
+    try:
+        f(*args)
+    except ArtinError:
+        pass

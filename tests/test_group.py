@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artinpal import coxeter, group, monoid, weyl
-from artinpal.errors import (ArtinError, InfiniteTypeError, InvalidWordError,
-                             PreconditionError)
+from artinpal.errors import (ArtinError, BudgetExceededError, InfiniteTypeError,
+                             InvalidWordError, PreconditionError)
 from artinpal.group import (
     GroupElement,
     delta_element,
@@ -569,9 +569,11 @@ def test_weight_memo_stays_within_its_bound():
 
 def test_descent_table_fills_on_first_sight(monkeypatch):
     """The descent sets are filled in as they are seen, not built for all
-    2^15 subsets of A15's generators up front, and the table is cleared at
-    the bound without changing a normal form."""
-    mat = coxeter.named_matrix("A15")
+    2^13 subsets of A13's generators up front, and the table is cleared at
+    the bound without changing a normal form.  From rank 14 up, where the
+    2^n sets pass the bound, they are parsed and never stored."""
+    assert not isinstance(group._Tables(coxeter.named_matrix("A14")).bits, dict)
+    mat = coxeter.named_matrix("A13")
     assert len(group._Tables(mat).bits) < 2 ** 8
     t = group._tables(mat)
     rng = random.Random("descent table")
@@ -685,6 +687,34 @@ def test_peel_errors():
     not start 1 1, so the left division leaves a negative quotient."""
     with pytest.raises(PreconditionError):
         group.peel(from_word(A3, (1, 1)), monoid.compute_tau_perm(A3))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "A3", "I2(5)"])
+def test_decompositions_let_delta_leave_the_front(name):
+    """s y' in the search's combine pass can be Delta-divisible, and
+    `_front` then returns the Delta that leaves (A2: 1 times 2 1 is Delta).
+    On Delta^k every y that `decompositions` lists is a normal form, equal
+    to the one read from a word for it, and spells Delta^k."""
+    mat = coxeter.named_matrix(name)
+    shifted = 0
+    for k in range(1, 5):
+        z = GroupElement(mat, k, ())
+        found = group.decompositions(z, 10_000)
+        assert found
+        for y, subset in found:
+            assert y.key() == from_word(mat, to_signed_word(y)).key(), (k, y)
+            assert eq(mult(mult(y, delta_element(mat, subset)), rev(y)), z)
+            shifted += y.inf > 0
+    assert shifted
+
+
+def test_decompositions_count_cores_against_the_budget():
+    """The budget caps the distinct cores: Delta^3 of A2 has 12 (the pinned
+    budget of its search), so 12 finish and 11 raise."""
+    z = GroupElement(A2, 3, ())
+    assert len(group.decompositions(z, 12)) == 3
+    with pytest.raises(BudgetExceededError):
+        group.decompositions(z, 11)
 
 
 def _clear_memos(mat):

@@ -428,10 +428,12 @@ def test_peel_prunes_and_carries_the_starting_set(name):
 
 
 @pytest.mark.parametrize("name", ["E6", "H4", "E8"])
-def test_peel_agrees_with_the_rescanning_peel_on_long_cores(name):
-    """Both peels of pal(x) cores, x of 50 signed letters: random for the
-    plain peel, tau-fixed Delta_{s, tau(s)} blocks and their inverses for
-    the rev-tau one (on E6 tau moves letters; on H4 and E8 it is trivial)."""
+def test_peel_agrees_with_the_group_peel_on_long_cores(name):
+    """`monoid.peel` on a word for the core of pal(x), x of 50 signed
+    letters, gives the answer of `group.peel` on the core's normal form:
+    random x for the plain peel, tau-fixed Delta_{s, tau(s)} blocks and
+    their inverses for the rev-tau one (on E6 tau moves letters; on H4 and
+    E8 it is trivial)."""
     mat = coxeter.named_matrix(name)
     perm = compute_tau_perm(mat)
     blocks = [delta(mat, {s, perm[s - 1]}).letters for s in mat.generators]
@@ -444,15 +446,16 @@ def test_peel_agrees_with_the_rescanning_peel_on_long_cores(name):
             fixed += rng.choice(blocks)
         for letters, tau in ((plain, None), (fixed, perm)):
             z, _ = palindromes._core(palindromes.pal(group.from_word(mat, letters)))
-            w = word(mat, z.p)
-            assert peel(w, tau) == rescanning_peel(w, tau)[0], (letters, tau)
+            y, subset = peel(word(mat, z.p), tau)
+            u, group_subset = group.peel(z, tau)
+            assert subset == group_subset, (letters, tau)
+            assert group.eq(group.from_word(mat, y), u), (letters, tau)
 
 
 @pytest.mark.parametrize("name, max_len", [("A3", 7), ("A4", 7)])
 def test_rev_tau_peel_off_its_contract_spells_w_or_raises(name, max_len):
-    """On every word that is not a tau-stable palindrome the carry's premise
-    may fail, so an S may be wrong: an answer must still spell w (on A4,
-    1 1 3 3 3 4 3 needs the check of a carried stop), and otherwise the
+    """On every word that is not a tau-stable palindrome the rev-tau peel
+    still answers or raises: an answer must spell w, and otherwise the
     peel raises an ArtinError.  Palindromes that are not tau-stable get
     answers as well as errors."""
     mat = coxeter.named_matrix(name)
