@@ -15,7 +15,7 @@ factor and restores left-weightedness in one right-to-left pass.  A pair
 its boundary in one step, until M is empty (see `_slide`).  The blocks
 compose into one running permutation u, one composition each; the descent
 sets of (a u, u^-1 b) are read at u's n simple-root images through a,
-b^-1 and a sign table of the roots, and the pair and u^-1 are formed
+b^-1 and a 0/1 sign table of the roots, and the pair and u^-1 are formed
 once at the end.  A Delta that a push creates leaves for the front in one
 step through tau, a -> w0 a w0: f Delta g = Delta tau(f tau(g)).  Each
 caller of `_push` keeps its factors in a tau-frame, Delta^inf
@@ -30,12 +30,10 @@ Equality compares (inf, factors).
 With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
 identity past the last root, and f o g is g.translate(f): one C loop per
 composition, whatever the rank, and f^-1 is bytes.maketrans(f, identity).
-A descent set is the n signs, the digits "0" or "1", at the simple-root
-images, one more translate, read as a binary number: looked up in a table
-of bitmasks filled on first sight (`_Bits`), or parsed each time from rank
-14 up, where the 2^n sets would not fit the table.  Larger root systems
-(A16, B12, D12 and I2(129) upwards) keep tuples composed by
-`weyl.compose`, and run the same slide on them.
+A descent set is the n bytes of 0/1 signs at the simple-root images, one
+more translate, looked up in a table of bitmasks filled on first sight
+(`_Bits`).  Larger root systems (A16, B12, D12 and I2(129) upwards) keep
+tuples composed by `weyl.compose`, and run the same slide on them.
 
 The left-weighted pair depends only on the pair, and operations meet the
 same pairs again and again, so `_weight` memoises it per matrix on the
@@ -94,31 +92,21 @@ class _Simple(NamedTuple):
 _MEMO_BOUND = 8192
 
 
-def _parse(key: bytes) -> int:
-    """A descent set as a bitmask, read off the n signs "0" or "1" of the
-    simple roots' images as binary digits, generator 1 last."""
-    return int(key[::-1], 2)
-
-
-class _Parse:
-    """`_parse` behind a subscript, standing in for `_Bits` when 2^n passes
-    _MEMO_BOUND: the descent sets of a long word then outgrow the table,
-    and each clear would throw away sets that recur."""
-
-    __slots__ = ()
-    __getitem__ = staticmethod(_parse)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class _Bits(dict):
-    """The descent sets of `_parse`, filled on first sight, so it holds only
-    the sets that occur (at most 2^n), and cleared at _MEMO_BOUND."""
+    """Descent sets as bitmasks, keyed by the n bytes of 0/1 signs of the
+    simple roots' images: filled on first sight, so it holds only the sets
+    that occur (at most 2^n), and cleared at _MEMO_BOUND.  A miss reads the
+    signs as binary digits, generator 1 last."""
 
     __slots__ = ()
 
     def __missing__(self, key: bytes) -> int:
         if len(self) >= _MEMO_BOUND:
             self.clear()
-        self[key] = mask = _parse(key)
+        self[key] = mask = int(key.translate(_DIGITS)[::-1], 2)
         return mask
 
 
@@ -140,9 +128,8 @@ class _Tables:
         # compose(f, g) = f o g, times[s](f) = f o s_(s+1), inverse(f) =
         # f^-1, mask(f) = D_R(f), the s with f(alpha_s) < 0, and masks(f, g,
         # u) = (D_R(f o u), D_R(g o u)), read at u's simple-root images: neg
-        # is the sign table of the roots, "1" for a negative one, and bits
-        # the descent sets
-        self.bits = bits = _Bits() if 1 << n <= _MEMO_BOUND else _Parse()
+        # is the 0/1 sign table of the roots, and bits the descent sets
+        self.bits = bits = _Bits()
         if rep.degree <= 256:
             # translate needs 256-byte tables; an identity tail keeps two
             # permutations equal exactly when they move the roots alike,
@@ -150,7 +137,7 @@ class _Tables:
             pad = bytes(range(rep.degree, 256))
             self.refl = tuple(bytes(r) + pad for r in rep.simple_reflections)
             self.ident = ident = bytes(range(256))
-            neg = bytes(b"01"[v] for v in rep.negative) + b"0" * len(pad)
+            neg = bytes(rep.negative) + bytes(len(pad))
             self.compose = lambda f, g: g.translate(f)
             self.inverse = lambda f: bytes.maketrans(f, ident)
             self.mask = lambda f: bits[f[:n].translate(neg)]
@@ -166,7 +153,7 @@ class _Tables:
         else:
             self.refl = rep.simple_reflections
             self.ident = rep.identity().perm
-            sign = bytes(b"01"[v] for v in rep.negative).__getitem__
+            sign = bytes(rep.negative).__getitem__
             self.compose = compose
             self.inverse = lambda f: tuple(sorted(range(len(f)), key=f.__getitem__))
             self.mask = lambda f: bits[bytes(map(sign, f[:n]))]
@@ -248,11 +235,7 @@ def _unframe(t: _Tables, factors, flip: int) -> tuple[_Simple, ...]:
 def _complement(t: _Tables, a: _Simple, right: int = 0) -> _Simple:
     """The simple element with a^-1 = Delta^-1 * it, image w0 a^-1; with
     right, the one with a^-1 = it * Delta^-1, image a^-1 w0, which is the
-    tau-image of the first.  For a generator s these are co[s] and
-    co[sigma(s)], as s^-1 Delta = Delta tau(s)^-1."""
-    if a.length == 1:
-        s = a.left.bit_length() - 1
-        return t.co[t.sigma[s] if right else s]
+    tau-image of the first."""
     w0, c = t.delta.perm, t.compose
     if right:
         return _simple(t, c(a.inv, w0), c(w0, a.perm), t.top - a.length)
@@ -393,6 +376,15 @@ def _front(t: _Tables, factors: list, a: _Simple) -> int:
 def _twist(t: _Tables, a: _Simple, odd: int) -> _Simple:
     """tau^odd(a)."""
     return _tau(t, a) if odd & 1 and t.twist else a
+
+
+def _heads(t: _Tables, inf: int, factors, flip: int) -> int:
+    """S(Delta^inf tau^flip(factors)) as a bitmask, the s with s^-1 times it
+    positive: every generator when inf > 0, none when inf < 0, else the
+    left descents of the first factor; D_L(tau(a)) is sigma(D_L(a))."""
+    if inf or not factors:
+        return t.delta.left if inf > 0 else 0
+    return _twist(t, factors[0], flip).left
 
 
 def _right(t: _Tables, factors: list, d: _Simple, inf: int,
@@ -708,22 +700,13 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     if z.inf < 0:
         raise PreconditionError("peel needs a positive element")
     t = _tables(mat)
-    full = (1 << mat.rank) - 1
-
-    def heads(inf: int, factors: list, odd: int) -> int:
-        # S(Delta^inf tau^odd(factors)) as a bitmask; D_L(tau(a)) is
-        # sigma(D_L(a))
-        if inf or not factors:
-            return full if inf > 0 else 0
-        return _twist(t, factors[0], odd).left
-
     inf, flip, factors, size = z.inf, 0, list(z.factors), length(z)
     # the product of the Delta_J is Delta^y_inf tau^y_inf(y): a tau-frame
     # whose flip is y_inf's parity, as every push onto it is positive
     y: list[_Simple] = []
     y_inf = 0
     while True:
-        s_set = heads(inf, factors, flip)
+        s_set = _heads(t, inf, factors, flip)
         d = _longest(t, s_set)
         if d.length == size:
             return (GroupElement(mat, y_inf, _unframe(t, y, y_inf)),
@@ -738,7 +721,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
             # the tail Delta_S^-1 z finishes with S(z Delta_S^-1)
             rest = factors.copy()
             rest_inf, rest_flip = _right(t, rest, d, inf, flip)
-            ends = s_set & heads(rest_inf, rest, rest_flip)
+            ends = s_set & _heads(t, rest_inf, rest, rest_flip)
         if not ends:
             raise NotPalindromeError("peel needs a palindrome")
         s = (ends & -ends).bit_length() - 1
@@ -769,8 +752,8 @@ def decompositions(z: GroupElement, budget: int
       simple-root images of its factors, with its length, S and the cores
       it peels to.  z s^-1 is an exact right division (`_right`) and is
       positive, as s finishes z.  s^-1 z s^-1 is positive exactly when s
-      left-divides z s^-1: when its inf is > 0 or s is a left descent of
-      its first factor.  Then it is one exact left division (`_left`).
+      is in S(z s^-1) (`_heads`).  Then it is one exact left division
+      (`_left`).
       More than budget cores raise BudgetExceededError.
     - Combine visits the cores shortest first, so that the cores a core
       peels to, two letters shorter, are done before it.  A core lists
@@ -818,14 +801,13 @@ def decompositions(z: GroupElement, budget: int
     visit(z.inf, z.factors, length(z))
     while todo:
         i, inf, factors, size = todo.pop()
-        s_set = (1 << n) - 1 if inf else factors[0].left if factors else 0
-        peels = []
+        s_set, peels = _heads(t, inf, factors, 0), []
         for s in range(n):
             if not s_set >> s & 1:
                 continue
             rest = list(factors)
             r_inf, flip = _right(t, rest, gens[s], inf, 0)
-            if not (r_inf or rest and _twist(t, gens[s], flip).left & rest[0].left):
+            if not _heads(t, r_inf, rest, flip) >> s & 1:
                 continue
             r_inf = _left(t, rest, gens[s], r_inf, flip)
             peels.append((s, visit(r_inf, _unframe(t, rest, flip), size - 2)))
@@ -860,10 +842,7 @@ def starting_set(a: GroupElement) -> tuple[int, ...]:
     """The generators s with s^-1 * a positive, sorted: all if Delta divides
     a, none if a is not positive, else the first factor's left descents."""
     check_kind(GroupElement, a)
-    if a.inf:
-        return a.matrix.generators if a.inf > 0 else ()
-    left = a.factors[0].left if a.factors else 0
-    return tuple(s for s in a.matrix.generators if left >> (s - 1) & 1)
+    return _subset(a.matrix, _heads(_tables(a.matrix), a.inf, a.factors, 0))
 
 
 def length(a: GroupElement) -> int:

@@ -25,7 +25,6 @@ from . import group, monoid, weyl
 from .coxeter import CoxeterMatrix, check_kind, w_word
 from .errors import (
     BudgetExceededError,
-    InvalidBudgetError,
     NotPalindromeError,
     NotPureError,
     NotTauInvariantError,
@@ -114,8 +113,6 @@ def core_decompositions(x: GroupElement, budget: int | None = None):
     nonnegative int raises InvalidBudgetError, and a non-palindrome
     NotPalindromeError.
     """
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
-        raise InvalidBudgetError(f"budget must be a nonnegative int, got {budget!r}")
     check_kind(GroupElement, x)
     z, n = _core(x)
     found = group.decompositions(z, _SEARCH_BUDGET if budget is None else budget)
