@@ -25,7 +25,7 @@ def w_word(a: int, b: int, k: int) -> tuple[int, ...]:
     return tuple(a if t % 2 == 0 else b for t in range(k))
 
 
-def _letters(word) -> tuple:
+def letters(word) -> tuple:
     """The word as a tuple, or InvalidWordError if it is not iterable."""
     try:
         return tuple(word)
@@ -77,7 +77,7 @@ class CoxeterMatrix:
 
     def check_word(self, word, positive: bool = False) -> tuple[int, ...]:
         """Validate letters and return the word as a tuple of ints."""
-        w = _letters(word)
+        w = letters(word)
         for x in w:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
                 raise InvalidWordError(
@@ -123,16 +123,16 @@ def parse_word(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def format_word(letters) -> str:
+def format_word(word) -> str:
     """Inverse of parse_word; the empty word prints as `e`.  Every letter
     must be a nonzero int, so that parse_word reads the text back."""
-    letters = _letters(letters)
-    for x in letters:
+    word = letters(word)
+    for x in word:
         if not isinstance(x, int) or x == 0:
             raise InvalidWordError(f"letter {x!r} is not a nonzero int")
-    if not letters:
+    if not word:
         return "e"
-    return " ".join(str(x) for x in letters)
+    return " ".join(str(x) for x in word)
 
 
 def _matrix_from_edges(rank: int, edges: dict[tuple[int, int], int | float],

@@ -22,10 +22,12 @@ caller of `_push` keeps its factors in a tau-frame, Delta^inf
 tau^flip(factors), so that Delta twists only the factors behind it and
 flips the frame, and the true factors are twisted once at the end
 (`_unframe`).
-An inverse letter is s^-1 = Delta^-1 * (w0 s), which flips the frame of
-`from_word` as well.  `rev` makes no Delta, and `inv` writes the normal
-form directly, each complement taken on the side that needs no twist.
-Equality compares (inf, factors).
+`from_word` reads an inverse letter as the exact right division by a
+generator (`_right`), which flips the frame when it makes a Delta^-1.
+`rev` pushes the reversed factors and makes no Delta, and `inv` writes the
+normal form directly, each complement taken on the side that needs no
+twist; a generator's complements are read off a table.  An element holds
+only its normal form, and equality compares (inf, factors).
 
 With at most 256 roots a permutation is a 256-byte `bytes`, padded with the
 identity past the last root, and f o g is g.translate(f): one C loop per
@@ -133,7 +135,7 @@ class _Tables:
         if rep.degree <= 256:
             # translate needs 256-byte tables; an identity tail keeps two
             # permutations equal exactly when they move the roots alike,
-            # which sigma and rev's perm == inv test compare
+            # which sigma, eq and the memos' keys compare
             pad = bytes(range(rep.degree, 256))
             self.refl = tuple(bytes(r) + pad for r in rep.simple_reflections)
             self.ident = ident = bytes(range(256))
@@ -235,7 +237,12 @@ def _unframe(t: _Tables, factors, flip: int) -> tuple[_Simple, ...]:
 def _complement(t: _Tables, a: _Simple, right: int = 0) -> _Simple:
     """The simple element with a^-1 = Delta^-1 * it, image w0 a^-1; with
     right, the one with a^-1 = it * Delta^-1, image a^-1 w0, which is the
-    tau-image of the first."""
+    tau-image of the first.  For a generator s both are read off the
+    table: co[s] on the left, co[sigma(s)] on the right, as s w0 =
+    w0 sigma(s)."""
+    if a.length == 1:
+        s = a.left.bit_length() - 1
+        return t.co[t.sigma[s] if right else s]
     w0, c = t.delta.perm, t.compose
     if right:
         return _simple(t, c(a.inv, w0), c(w0, a.perm), t.top - a.length)
@@ -336,8 +343,8 @@ def _push(t: _Tables, factors: list, b: _Simple) -> int:
         del factors[i]
     while factors and not factors[-1].length:
         factors.pop()
-    if lead and t.twist:
-        factors[i:] = [_tau(t, f) for f in factors[i:]]
+    if lead:
+        factors[i:] = _unframe(t, factors[i:], 1)
     return lead
 
 
@@ -459,25 +466,17 @@ class GroupElement:
     @property
     def p(self) -> tuple[int, ...]:
         """The positive word with x = Delta^(-2k) * p, read off the normal
-        form and cached."""
-        cached = getattr(self, "_p", None)
-        if cached is None:
-            t = _tables(self.matrix)
-            d = monoid.ambient_delta(self.matrix).letters
-            cached = d * (2 * self.k + self.inf) + tuple(
-                x for a in self.factors for x in _reduced_word(t, a))
-            object.__setattr__(self, "_p", cached)
-        return cached
+        form."""
+        t = _tables(self.matrix)
+        d = monoid.ambient_delta(self.matrix).letters
+        return d * (2 * self.k + self.inf) + tuple(
+            x for a in self.factors for x in _reduced_word(t, a))
 
     def key(self):
         """Hashable complete invariant: inf and the factors, each given by
         the images of the simple roots."""
-        cached = getattr(self, "_key", None)
-        if cached is None:
-            n = self.matrix.rank
-            cached = (self.inf, tuple(a.perm[:n] for a in self.factors))
-            object.__setattr__(self, "_key", cached)
-        return cached
+        n = self.matrix.rank
+        return self.inf, tuple(a.perm[:n] for a in self.factors)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -517,41 +516,27 @@ def from_positive(w: PositiveWord) -> GroupElement:
 
 
 def from_word(matrix: CoxeterMatrix, word) -> GroupElement:
-    """Signed word to group element, one letter at a time.
-
-    An inverse letter s^-1 whose s right-divides the last factor removes it
-    there, which keeps the factors left-weighted.  Otherwise it becomes
-    Delta^-1 * (w0 s), and x Delta^-1 = Delta^-1 tau(x).  Instead of
-    twisting every factor, the loop keeps a tau-frame: the stored factors
-    are tau^flip of the true ones.  tau is an automorphism that keeps
-    normal forms, so the stored factors stay a normal form if each letter s
-    is read as sigma^flip(s), and an inverse letter pushes tau^(1-flip) of
-    w0 s, which is co[sigma(s')], and flips the frame.  A Delta that a push
-    makes leaves by twisting the factors behind it and flips the frame too
-    (`_push`).  The true factors are tau^flip of the stored ones at the
-    end.
+    """Signed word to group element, one letter at a time, with the factors
+    in a tau-frame: the stored factors are tau^flip of the true ones.  tau
+    is an automorphism that keeps normal forms, so a positive letter s is
+    pushed as sigma^flip(s); a Delta that the push makes leaves by twisting
+    the factors behind it and flips the frame (`_push`).  An inverse letter
+    is the exact right division by s (`_right`): it shrinks the last factor
+    when s right-divides it, and otherwise pushes the complement of s and
+    flips the frame for the Delta^-1.  The true factors are tau^flip of the
+    stored ones at the end.
     """
     check_kind(CoxeterMatrix, matrix)
     t = _tables(matrix)
-    sigma = t.sigma
+    sigma, gens = t.sigma, t.gens
     factors: list[_Simple] = []
     inf = flip = 0
     for x in matrix.check_word(word):
-        s = abs(x) - 1
-        if flip:
-            s = sigma[s]
-        if x > 0:
-            lead = _push(t, factors, t.gens[s])
-            inf, flip = inf + lead, flip ^ lead
-        elif factors and factors[-1].right >> s & 1:
-            a = factors.pop()
-            if a.length > 1:
-                factors.append(_simple(t, t.times[s](a.perm),
-                                       t.compose(t.refl[s], a.inv),
-                                       a.length - 1))
+        if x < 0:
+            inf, flip = _right(t, factors, gens[-x - 1], inf, flip)
         else:
-            lead = _push(t, factors, t.co[sigma[s]])
-            inf, flip = inf + lead - 1, flip ^ 1 ^ lead
+            lead = _push(t, factors, gens[sigma[x - 1] if flip else x - 1])
+            inf, flip = inf + lead, flip ^ lead
     return GroupElement(matrix, inf, _unframe(t, factors, flip))
 
 
@@ -577,7 +562,7 @@ def _check_same(a: GroupElement, b: GroupElement):
 def eq(a: GroupElement, b: GroupElement) -> bool:
     """Equality of normal forms, which are unique."""
     _check_same(a, b)
-    return a.key() == b.key()
+    return (a.inf, a.factors) == (b.inf, b.factors)
 
 
 def mult(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -594,7 +579,7 @@ def mult(a: GroupElement, b: GroupElement) -> GroupElement:
     factors = list(a.factors)
     inf, flip, rest = a.inf + b.inf, b.inf & 1, ()
     for j, f in enumerate(b.factors):
-        g = _tau(t, f) if flip and t.twist else f
+        g = _twist(t, f, flip)
         if not (factors and g.left & ~factors[-1].right):
             # the rest of y is left-weighted and holds no 1 and no Delta:
             # it goes after the frame is left
@@ -625,21 +610,16 @@ def inv(a: GroupElement) -> GroupElement:
 def rev(a: GroupElement) -> GroupElement:
     """Anti-automorphism: rev(Delta^p a_1 ... a_r) = Delta^p tau^p(rev(a_r)
     ... rev(a_1)), where rev of a simple element has the inverse image.
-    The factors live in a tau-frame, as in `mult`: the rev(a_j) are pushed
-    as they are and twisted by tau^p once at the end.  No push makes a
+    The factors live in a tau-frame, as in `mult`: each rev(a_j) is pushed
+    (`_push`, which stops at once at a pair that is already left-weighted)
+    and the result is twisted by tau^p once at the end.  No push makes a
     Delta, as Delta^k left-divides rev(x) exactly when Delta^k right-divides
     x, and Delta right-divides a_1 ... a_r only if it left-divides it."""
     check_kind(GroupElement, a)
     t = _tables(a.matrix)
     factors: list[_Simple] = []
     for f in reversed(a.factors):
-        # a factor whose image is an involution is its own reverse: reuse it
-        g = f if f.perm == f.inv else _Simple(f.inv, f.perm, f.left, f.right,
-                                               f.length)
-        if factors and g.left & ~factors[-1].right:
-            _push(t, factors, g)
-        else:
-            factors.append(g)  # already left-weighted, and neither 1 nor Delta
+        _push(t, factors, _Simple(f.inv, f.perm, f.left, f.right, f.length))
     return GroupElement(a.matrix, a.inf, _unframe(t, factors, a.inf))
 
 
@@ -776,7 +756,7 @@ def decompositions(z: GroupElement, budget: int
     if not is_palindrome(z):
         raise NotPalindromeError("decomposition search needs a palindrome")
     mat, t = z.matrix, _tables(z.matrix)
-    n, gens, sigma = mat.rank, t.gens, t.sigma
+    n, gens = mat.rank, t.gens
 
     # a core's key runs the n simple-root images of its factors together
     join = b"".join if isinstance(t.ident, bytes) else (
@@ -826,7 +806,7 @@ def decompositions(z: GroupElement, budget: int
         for s, j in peels:
             for y_inf, y, subset in lists[j]:
                 y = list(y)
-                y_inf += _front(t, y, gens[sigma[s] if y_inf & 1 else s])
+                y_inf += _front(t, y, _twist(t, gens[s], y_inf))
                 out.append((y_inf, tuple(y), subset))
             uses[j] -= 1
             if not uses[j]:

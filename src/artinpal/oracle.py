@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coxeter import CoxeterMatrix, check_kind, is_finite_type, parse_word
+from .coxeter import CoxeterMatrix, check_kind, is_finite_type, letters, parse_word
 from .errors import (BudgetExceededError, HandleReductionOverflow, InvalidBudgetError,
                      InvalidWordError, PreconditionError)
 
@@ -92,7 +92,12 @@ def _rewrite_table(P: Presentation):
 def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
              len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
     """BFS closure of w under single-relation rewrites; deterministic.  A
-    closure costs |class| * len(w) * (distinct side lengths) lookups."""
+    closure costs |class| * len(w) * (distinct side lengths) lookups.
+
+    Every rewrite keeps the length: `Presentation.__post_init__` rejects a
+    relation whose sides differ in length, and `_rewrite_table` pairs a
+    side only with the other sides of its own relations, so a side of
+    length k is replaced by one of length k."""
     check_kind(Presentation, P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     w = P.check_word(w)
@@ -114,10 +119,6 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
                         continue
                     for b in targets:
                         v = u[:i] + b + u[i + k:]
-                        if len(v) != n:
-                            raise BudgetExceededError(
-                                "internal: homogeneity violated during rewriting"
-                            )
                         if v not in seen:
                             if len(seen) >= class_cap:
                                 raise BudgetExceededError(
@@ -355,10 +356,7 @@ def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...]
     be on top of the stack again.
     """
     _check_caps(cap=cap)
-    try:
-        w = list(word)
-    except TypeError:
-        raise InvalidWordError(f"{word!r} is not a sequence of letters") from None
+    w = list(letters(word))
     for x in w:
         if not isinstance(x, int) or x == 0:
             raise InvalidWordError(f"letter {x!r} is not a braid generator")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import group
-from .coxeter import CoxeterMatrix, builtin, check_kind
+from .coxeter import CoxeterMatrix, builtin, check_kind, letters
 from .errors import InvalidWordError, PreconditionError
 from .group import GroupElement
 
@@ -80,14 +80,6 @@ def _element_order(name: str, matrix: CoxeterMatrix,
 # Dehornoy order: Dynnikov coordinates
 
 
-def _letters(word) -> tuple:
-    """The word as a tuple, or InvalidWordError if it is not iterable."""
-    try:
-        return tuple(word)
-    except TypeError:
-        raise InvalidWordError(f"{word!r} is not a sequence of letters") from None
-
-
 def dynnikov_action(word, coords) -> tuple[int, ...]:
     """Act by a braid word on (a_1, b_1, ..., a_n, b_n), n = len(coords) // 2.
 
@@ -108,8 +100,8 @@ def dynnikov_action(word, coords) -> tuple[int, ...]:
                     a_i+1 <- a_i+1 - b_i+1- - (b_i- - t)-
                     b_i+1 <- b_i - t-
     """
-    word = _letters(word)
-    c = list(_letters(coords))
+    word = letters(word)
+    c = list(letters(coords))
     if len(c) % 2 or not all(isinstance(v, int) for v in c):
         raise InvalidWordError(f"coordinates {coords!r} are not an even number of ints")
     n = len(c) // 2
@@ -189,7 +181,7 @@ def dehornoy_compare(x: GroupElement, y: GroupElement) -> Comparison:
 def _free_letters(word, n: int | None = None) -> tuple[int, ...]:
     """The word as a tuple of free-group letters: nonzero ints, of absolute
     value at most n when n is given, or InvalidWordError."""
-    word = _letters(word)
+    word = letters(word)
     for x in word:
         if not isinstance(x, int) or x == 0 or (n is not None and abs(x) > n):
             raise InvalidWordError(f"letter {x!r} is not a generator of F_{n or 'n'}")
@@ -352,7 +344,7 @@ def typeB_embed(word, n: int) -> tuple[int, ...]:
     if not isinstance(n, int) or n < 1:
         raise InvalidWordError(f"type B rank {n!r} is not an integer >= 1")
     out: list[int] = []
-    for x in _letters(word):
+    for x in letters(word):
         if not isinstance(x, int) or x == 0 or abs(x) > n:
             raise InvalidWordError(f"letter {x!r} out of range for type B rank {n}")
         out.append(x)

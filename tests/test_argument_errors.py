@@ -99,6 +99,7 @@ CALLS = {
     "classify-none": lambda: coxeter.classify(None),
     "serialize-matrix-none": lambda: coxeter.serialize_matrix(None),
     "format-word-none": lambda: coxeter.format_word(None),
+    "letters-none": lambda: coxeter.letters(None),
     "format-word-str": lambda: coxeter.format_word("ab"),
     "w-word-none": lambda: coxeter.w_word(None, None, None),
     "is-identity-none": lambda: weyl.is_identity(None),

@@ -407,6 +407,23 @@ def test_mult_inv_rev_tau_frame(name, monkeypatch):
     assert eq(rev(y), x)
 
 
+# A16 holds tuples
+@pytest.mark.parametrize("name", ["A4", "D5", "E6", "H3", "I2(5)", "A16"])
+def test_generator_complements_match_the_formula(name):
+    """`_complement` reads a generator's complements off the table: on both
+    sides each equals the general formula in perm, inverse, both descent
+    sets and length, with images w0 s on the left and s w0 on the right."""
+    mat = coxeter.named_matrix(name)
+    t = group._tables(mat)
+    w0, c = t.delta.perm, t.compose
+    for g in t.gens:
+        for right, perm, inverse in ((0, c(w0, g.inv), c(g.perm, w0)),
+                                     (1, c(g.inv, w0), c(w0, g.perm))):
+            want = group._Simple(perm, inverse, t.mask(perm), t.mask(inverse),
+                                 t.top - 1)
+            assert group._complement(t, g, right) == want, (g.left, right)
+
+
 def _simples(mat):
     """Every simple element, 1 and Delta included."""
     t = group._tables(mat)
