@@ -254,9 +254,11 @@ def right_lcm(u: PositiveWord, v: PositiveWord,
 
 @lru_cache(maxsize=None)
 def _delta_cached(matrix: CoxeterMatrix, subset: tuple[int, ...]) -> PositiveWord | None:
+    """`delta` on a sorted tuple of distinct generators, unchecked: a
+    starting set already is one, so the peel and the normal form call it."""
     if not is_finite_type(matrix, subset):
         return None
-    d = _trusted(matrix, (subset[0],))
+    d = _trusted(matrix, subset[:1])
     for s in subset[1:]:
         d = right_lcm(d, _trusted(matrix, (s,)))
     return d
@@ -275,8 +277,6 @@ def delta(matrix: CoxeterMatrix, subset) -> PositiveWord | None:
     """
     check_kind(CoxeterMatrix, matrix)
     idx = tuple(sorted(set(matrix.check_word(subset, positive=True))))
-    if not idx:
-        return PositiveWord(matrix, ())
     return _delta_cached(matrix, idx)
 
 
@@ -306,7 +306,7 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
     out, lo, hi = [], 0, len(buf)
     while lo < hi:
         heads = _heads(rules, buf, lo, hi)
-        d = delta(w.matrix, heads)
+        d = _delta_cached(w.matrix, heads)
         _divides(rules, buf, d.letters, lo, hi)
         lo += len(d.letters)
         out.append(heads)
@@ -350,7 +350,7 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lo, hi, prefix = 0, len(buf), []
     while True:
         s_set = _heads(rules, buf, lo, hi)
-        if len(delta(mat, s_set).letters) == hi - lo:
+        if len(_delta_cached(mat, s_set).letters) == hi - lo:
             return tuple(prefix), s_set
         for s in s_set:
             # s \ w reversed is w / s on [lo, hi - 1); s goes last and leads

@@ -45,10 +45,9 @@ class Presentation:
                         )
 
     def check_word(self, w) -> tuple[int, ...]:
-        try:
-            w = tuple(w)
-        except TypeError:
-            raise PreconditionError(f"{w!r} is not a sequence of letters") from None
+        """w as a tuple: InvalidWordError if it is not iterable, and
+        PreconditionError for a letter out of range."""
+        w = letters(w)
         for x in w:
             if not isinstance(x, int) or not 1 <= x <= self.ngens:
                 raise PreconditionError(f"letter {x!r} out of range")
@@ -130,6 +129,22 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
     return RewriteClass(min(seen), frozenset(seen))
 
 
+def _class_lookup(P: Presentation, class_cap: int, len_cap: int):
+    """w -> class_of(P, w), closing each class once: a closed class is filed
+    under every one of its members, so any member finds it.  `class_of`
+    caches per word, and a class has many members."""
+    by_member: dict[tuple[int, ...], RewriteClass] = {}
+
+    def lookup(w: tuple[int, ...]) -> RewriteClass:
+        cls = by_member.get(w)
+        if cls is None:
+            cls = class_of(P, w, class_cap, len_cap)
+            by_member.update(dict.fromkeys(cls.members, cls))
+        return cls
+
+    return lookup
+
+
 def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP,
                   len_cap: int = DEFAULT_LEN_CAP) -> bool:
     check_kind(Presentation, P)
@@ -145,16 +160,22 @@ def divides_left_oracle(P: Presentation, u, v,
                         class_cap: int = DEFAULT_CLASS_CAP,
                         len_cap: int = DEFAULT_LEN_CAP) -> bool:
     """True iff u * w rewrites to v for some positive w: equivalently, some
-    member of v's class carries a prefix equivalent to u."""
+    member of v's class starts with the letters of u.
+
+    If u * w rewrites to v, the word u * w is a member of v's class and its
+    len(u)-prefix is u.  Conversely, a member m with m[:len(u)] = u gives
+    v = u * m[len(u):].  So only v's class is closed; u's never is."""
     check_kind(Presentation, P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
     if len(u) > len(v):
         return False
-    uc = class_of(P, u, class_cap, len_cap).members
     k = len(u)
-    return any(m[:k] in uc for m in class_of(P, v, class_cap, len_cap).members)
+    for m in class_of(P, v, class_cap, len_cap).members:  # about twice as fast as any()
+        if m[:k] == u:
+            return True
+    return False
 
 
 def square_free_oracle(P: Presentation, w,
@@ -218,6 +239,10 @@ def all_pal_decompositions(P: Presentation, p, deltas,
     Delta_I word outright, or as s*(y', I) for a class member that starts
     and ends with s.  Results are deduplicated by the canonical form of y
     and sorted; every y is reported as one concrete word.
+
+    Each class the search reaches, whether of p, of a middle word or of a
+    y, is closed once per call: `_class_lookup` files a closed class under
+    all of its members, so another member finds it without a closure.
     """
     check_kind(Presentation, P)
     check_kind(dict, deltas)
@@ -227,10 +252,11 @@ def all_pal_decompositions(P: Presentation, p, deltas,
         word = P.check_word(word)
         delta_by_len.setdefault(len(word), []).append((P.check_word(subset), word))
 
+    class_for = _class_lookup(P, class_cap, len_cap)
     memo: dict[tuple[int, ...], tuple] = {}
 
     def search(w: tuple[int, ...]):
-        cls = class_of(P, w, class_cap, len_cap)
+        cls = class_for(w)
         hit = memo.get(cls.canonical)
         if hit is not None:
             return hit
@@ -243,16 +269,15 @@ def all_pal_decompositions(P: Presentation, p, deltas,
                     seen.add(mark)
                     found.append(((), subset))
         if len(w) >= 2:
-            for s in range(1, P.ngens + 1):
-                middles = set()
-                for m in cls.members:
-                    if m[0] == s and m[-1] == s:
-                        middles.add(class_of(P, m[1:-1], class_cap, len_cap).canonical)
-                for mid in sorted(middles):
+            middles: dict[int, set] = {}
+            for m in cls.members:
+                if m[0] == m[-1]:
+                    middles.setdefault(m[0], set()).add(class_for(m[1:-1]).canonical)
+            for s in sorted(middles):
+                for mid in sorted(middles[s]):
                     for ys, subset in search(mid):
                         entry = ((s,) + ys, subset)
-                        mark = (class_of(P, entry[0], class_cap, len_cap).canonical,
-                                subset)
+                        mark = (class_for(entry[0]).canonical, subset)
                         if mark not in seen:
                             seen.add(mark)
                             found.append(entry)
@@ -282,16 +307,9 @@ def enumerate_classes(P: Presentation, length: int,
     words: list[tuple[int, ...]] = [()]
     for _ in range(length):
         words = [w + (x,) for w in words for x in range(1, P.ngens + 1)]
-    assigned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    classes: dict[tuple[int, ...], tuple] = {}
-    for w in words:
-        if w in assigned:
-            continue
-        cls = class_of(P, w, class_cap, len_cap)
-        for m in cls.members:
-            assigned[m] = cls.canonical
-        classes[cls.canonical] = tuple(sorted(cls.members))
-    return tuple(classes[c] for c in sorted(classes))
+    class_for = _class_lookup(P, class_cap, len_cap)
+    classes = {cls.canonical: cls for cls in map(class_for, words)}
+    return tuple(tuple(sorted(classes[c].members)) for c in sorted(classes))
 
 
 def coxeter_order_oracle(matrix: CoxeterMatrix,

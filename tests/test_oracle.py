@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import itertools
 import random
 import time
 from pathlib import Path
@@ -11,6 +13,7 @@ from artinpal import coxeter, group, monoid, oracle
 from artinpal.errors import (
     BudgetExceededError,
     HandleReductionOverflow,
+    InvalidWordError,
     PreconditionError,
 )
 from artinpal.oracle import (
@@ -51,6 +54,19 @@ def test_presentation_validation():
         P_A2.check_word((0,))
     with pytest.raises(PreconditionError):
         P_A2.check_word((3,))
+
+
+def test_check_word_reads_through_letters():
+    # a word that is not iterable is an invalid word, as for every reader
+    # of `coxeter.letters`; letters out of range stay precondition errors
+    assert P_A2.check_word([1, 2]) == (1, 2)
+    for bad in (None, 5, 1.5):
+        with pytest.raises(InvalidWordError, match="is not a sequence of letters"):
+            P_A2.check_word(bad)
+    with pytest.raises(InvalidWordError):
+        equals_oracle(P_A2, None, (1,))
+    with pytest.raises(InvalidWordError):
+        divides_left_oracle(P_A2, (1,), 7)
 
 
 def test_class_of():
@@ -148,6 +164,65 @@ def test_all_pal_decompositions_verify_reconstruction():
         assert out, (y, I, p)
         for yy, J in out:
             assert equals_oracle(P_A3, yy + deltas[J] + yy[::-1], p)
+
+
+# sha256 of repr((p, all_pal_decompositions(P, p, deltas))) over every
+# palindromic class, p its least member, in enumerate_classes order: 390,
+# 333, 312, 439 and 502 classes, 1,976 in all, recorded before the search
+# closed each class once per call
+PINNED_SEARCH = {
+    ("A3", 10): "4970ddb9a5013ca256fc64368c3831fbfa4024dccb52281e09da1fb077916f67",
+    ("B3", 9): "92510c75453db0e13e2ef6e0bbcd8b69b0e78fd646163574cebec20afeb4d414",
+    ("H3", 9): "8759bbd3d6edd5f2128e3b9fd6e684ef4cfa96d55db60fd82c5305ea6502ee35",
+    ("A4", 8): "cfbe3ceeef0849fd631309e0f0e55261d4e7d84004f7f3808028c3c5bbc3dce0",
+    ("D4", 8): "549925946a6233fb82cc5388dfe58596869ede6ee57ee7372aee2f12a944422b",
+}
+
+
+def _palindromic_classes(P, max_len):
+    """The least member of every class closed under reversal."""
+    for length in range(max_len + 1):
+        for members in enumerate_classes(P, length):
+            if members[0][::-1] in members:
+                yield members[0]
+
+
+@pytest.mark.parametrize("name, max_len", PINNED_SEARCH,
+                         ids=[name for name, _ in PINNED_SEARCH])
+def test_all_pal_decompositions_is_pinned(name, max_len):
+    mat = coxeter.named_matrix(name)
+    P = presentation_from_matrix(mat)
+    deltas = artin_deltas(mat, max_len=max_len)
+    digest = hashlib.sha256()
+    for p in _palindromic_classes(P, max_len):
+        digest.update(repr((p, all_pal_decompositions(P, p, deltas))).encode())
+    assert digest.hexdigest() == PINNED_SEARCH[name, max_len]
+
+
+def test_search_closes_each_class_once(monkeypatch):
+    """After a cache clear, one search call misses class_of's cache exactly
+    once per distinct class it reaches, and so does enumerate_classes."""
+    reached = set()
+    real = oracle.class_of
+
+    def recording(*args, **kwargs):
+        cls = real(*args, **kwargs)
+        reached.add(cls.canonical)
+        return cls
+
+    monkeypatch.setattr(oracle, "class_of", recording)
+    for mat, p in ((A3, (1, 2, 1, 3, 2, 1)), (A3, (2, 1, 3, 2, 2, 3, 1, 2)),
+                   (B3, (1, 2, 3, 2, 3, 2, 1)), (H3, (3, 1, 2, 1, 2, 1, 3))):
+        P = presentation_from_matrix(mat)
+        deltas = artin_deltas(mat)
+        real.cache_clear()
+        reached.clear()
+        assert all_pal_decompositions(P, p, deltas)
+        assert real.cache_info().misses == len(reached) > 1, (mat, p)
+    real.cache_clear()
+    reached.clear()
+    classes = enumerate_classes(P_A3, 6)
+    assert real.cache_info().misses == len(reached) == len(classes)
 
 
 def test_enumerate_classes():
@@ -262,6 +337,40 @@ def test_class_of_matches_the_per_relation_scan(pres):
             cls = class_of(pres, w)
             assert cls.members == want, w
             assert cls.canonical == min(want)
+
+
+def _two_closure_divides_left(P, u, v, class_cap=oracle.DEFAULT_CLASS_CAP):
+    """The definition divides_left_oracle had: close u's class too, and look
+    for a member of v's class whose prefix lies in it."""
+    if len(u) > len(v):
+        return False
+    uc = class_of(P, u, class_cap).members
+    k = len(u)
+    return any(m[:k] in uc for m in class_of(P, v, class_cap).members)
+
+
+@pytest.mark.parametrize("pres", [
+    P_A3, presentation_from_matrix(B3), presentation_from_matrix(MIXED),
+    P_XY, P_SHARED,
+], ids=["A3", "B3", "MIXED", "P_XY", "P_SHARED"])
+def test_divides_left_oracle_matches_the_two_closure_definition(pres):
+    words = [w for k in range(7)
+             for w in itertools.product(range(1, pres.ngens + 1), repeat=k)]
+    for u in words:
+        for v in words:
+            assert divides_left_oracle(pres, u, v) == _two_closure_divides_left(
+                pres, u, v), (u, v)
+
+
+def test_divides_left_oracle_closes_only_v():
+    # u = 1 2 1 has a class of 2 members, over the cap of 1; 3 3 3's has one
+    u, v = (1, 2, 1), (3, 3, 3)
+    with pytest.raises(BudgetExceededError):
+        _two_closure_divides_left(P_A3, u, v, class_cap=1)
+    assert not divides_left_oracle(P_A3, u, v, class_cap=1)
+    # a u that divides v has a class no larger than v's, so that still raises
+    with pytest.raises(BudgetExceededError):
+        divides_left_oracle(P_A3, u, u + (3,), class_cap=1)
 
 
 def test_shared_side_rewrites_to_both_partners():
