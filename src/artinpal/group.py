@@ -448,6 +448,11 @@ def _reduced_word(t: _Tables, a: _Simple) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _factors_word(t: _Tables, factors) -> tuple[int, ...]:
+    """The factors' reduced words, concatenated."""
+    return tuple(x for a in factors for x in _reduced_word(t, a))
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Delta^inf * factors in normal form; build through make/from_word, not
@@ -469,8 +474,7 @@ class GroupElement:
         form."""
         t = _tables(self.matrix)
         d = monoid.ambient_delta(self.matrix).letters
-        return d * (2 * self.k + self.inf) + tuple(
-            x for a in self.factors for x in _reduced_word(t, a))
+        return d * (2 * self.k + self.inf) + _factors_word(t, self.factors)
 
     def key(self):
         """Hashable complete invariant: inf and the factors, each given by
@@ -652,11 +656,12 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     ends of z by one exact right division (`_right`) and one exact left
     division (`_left`), which change only the factors near that end.
     tau, with tau(s) at index s - 1, promises tau(z) = z.
-    The tail of a palindrome finishes with S(z Delta_S^-1), as
-    rev(Delta_S^-1 z) = z Delta_S^-1; it is read on a copy of the factors.
-    No copy is needed when the least s in S right-divides the last factor
-    and z has two factors or inf > 0: z s^-1 keeps the first factor, so
-    Delta_S left-divides it, and s finishes the tail.
+    s finishes the tail exactly when Delta_S left-divides z s^-1, as
+    (Delta_S^-1 z) s^-1 = Delta_S^-1 (z s^-1): the test of `monoid.peel`.
+    So each s in S, in ascending order, divides a copy of the factors, and
+    the first whose quotient starts with all of S is taken; when J = {s}
+    that quotient is the right cut, and with tau and |J| = 2 a fresh right
+    division by Delta_J is.
 
     The factors live in a tau-frame, as in `from_word`: z = Delta^inf
     tau^flip(factors).  The Delta^-1 of a right division flips the frame,
@@ -691,22 +696,24 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
         if d.length == size:
             return (GroupElement(mat, y_inf, _unframe(t, y, y_inf)),
                     _subset(mat, s_set))
-        least = s_set & -s_set
-        if (len(factors) > 1 or inf and factors) and least & _twist(
-                t, factors[-1], flip).right:
-            # z = Delta^inf a_1 ... a_r with least s in D_R(a_r): z s^-1
-            # keeps a_1, so Delta_S left-divides it, and s finishes the tail
-            ends = least
-        else:
-            # the tail Delta_S^-1 z finishes with S(z Delta_S^-1)
+        # the least s in S whose quotient z s^-1 Delta_S left-divides
+        todo = s_set
+        while todo:
+            bit = todo & -todo
             rest = factors.copy()
-            rest_inf, rest_flip = _right(t, rest, d, inf, flip)
-            ends = s_set & _heads(t, rest_inf, rest, rest_flip)
-        if not ends:
+            rest_inf, rest_flip = _right(t, rest, _longest(t, bit), inf, flip)
+            if not s_set & ~_heads(t, rest_inf, rest, rest_flip):
+                break
+            todo ^= bit
+        else:
             raise NotPalindromeError("peel needs a palindrome")
-        s = (ends & -ends).bit_length() - 1
-        dj = _longest(t, 1 << s if tau is None else 1 << s | 1 << tau[s] - 1)
-        inf, flip = _right(t, factors, dj, inf, flip)
+        s = bit.bit_length() - 1
+        if tau is None or tau[s] == s + 1:
+            dj = _longest(t, bit)
+            factors, inf, flip = rest, rest_inf, rest_flip
+        else:
+            dj = _longest(t, bit | 1 << tau[s] - 1)
+            inf, flip = _right(t, factors, dj, inf, flip)
         inf = _left(t, factors, dj, inf, flip)
         if inf < 0:
             raise PreconditionError(
@@ -842,13 +849,15 @@ def to_signed_word(a: GroupElement) -> tuple[int, ...]:
 
 
 def garside_word(a: GroupElement) -> tuple[int, ...]:
-    """Delta^inf a_1 ... a_r as a signed word: unlike `to_signed_word`'s
-    Delta^-2k p, no cancelling Delta^-1 Delta pair when inf is odd and
-    negative."""
+    """Delta^inf a_1 ... a_r as a signed word, written from the normal form
+    (|inf| copies of Delta or Delta^-1, then each factor's reduced word):
+    unlike `to_signed_word`'s Delta^-2k p, no cancelling Delta^-1 Delta
+    pair when inf is odd and negative."""
     check_kind(GroupElement, a)
+    t = _tables(a.matrix)
     d = monoid.ambient_delta(a.matrix).letters
     head = d if a.inf >= 0 else tuple(-x for x in reversed(d))
-    return head * abs(a.inf) + a.p[len(d) * (2 * a.k + a.inf):]
+    return head * abs(a.inf) + _factors_word(t, a.factors)
 
 
 def w_image(a: GroupElement) -> weyl.WElement:

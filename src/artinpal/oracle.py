@@ -87,7 +87,6 @@ def _rewrite_table(P: Presentation):
     return tuple(table.items())
 
 
-@lru_cache(maxsize=None)
 def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
              len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
     """BFS closure of w under single-relation rewrites; deterministic.  A
@@ -96,7 +95,11 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
     Every rewrite keeps the length: `Presentation.__post_init__` rejects a
     relation whose sides differ in length, and `_rewrite_table` pairs a
     side only with the other sides of its own relations, so a side of
-    length k is replaced by one of length k."""
+    length k is replaced by one of length k.
+
+    The arguments are checked first, so any iterable word is accepted, and
+    the closure is cached under the checked word;
+    `class_of.cache_info()` and `class_of.cache_clear()` are the cache's."""
     check_kind(Presentation, P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     w = P.check_word(w)
@@ -104,6 +107,12 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
         raise BudgetExceededError(
             f"word length {len(w)} exceeds the cap {len_cap}"
         )
+    return _closure(P, w, class_cap)
+
+
+@lru_cache(maxsize=None)
+def _closure(P: Presentation, w: tuple[int, ...], class_cap: int) -> RewriteClass:
+    """`class_of` on checked arguments."""
     table = _rewrite_table(P)
     seen = {w}
     frontier = [w]
@@ -127,6 +136,10 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
                             nxt.append(v)
         frontier = nxt
     return RewriteClass(min(seen), frozenset(seen))
+
+
+class_of.cache_info = _closure.cache_info
+class_of.cache_clear = _closure.cache_clear
 
 
 def _class_lookup(P: Presentation, class_cap: int, len_cap: int):

@@ -7,6 +7,14 @@ b_j -> s_j, b_n -> s_n^2 into the braid group on n+1 strands.  Beside them,
 the Magnus order on free words (graded-lexicographic first coefficient of
 the power-series image), which orders no group element here.
 
+Two small kernels carry every sign: `dynnikov_action`, a fixed number of
+integer operations per letter on flat lists of coordinates, and
+`magnus_image`, which expands a word by multiplying one coefficient dict
+in place.  Element orders reach the first through the module's
+`dehornoy_sign`, and `magnus_sign` reaches the second through
+`magnus_image`; `SeriesTrunc.__mul__` is the reference product that the
+tests hold the expansion to.
+
 Every order is packaged as an OrderingHandle: a sign function into
 {Negative, Zero, Positive} plus a difference map, with compare(x, y)
 derived as the sign of difference(x, y) read as "x^-1 y".
@@ -99,36 +107,60 @@ def dynnikov_action(word, coords) -> tuple[int, ...]:
                     b_i   <- b_i+1 + t-
                     a_i+1 <- a_i+1 - b_i+1- - (b_i- - t)-
                     b_i+1 <- b_i - t-
+
+    So sigma_i^-1 acts as sigma_i between two sign changes of every a_j.
+    Every letter is checked before any acts, and the a's and b's are kept
+    in two lists indexed by pair, so letter i reads and writes entries i-1
+    and i of each.
     """
     word = letters(word)
-    c = list(letters(coords))
+    c = letters(coords)
     if len(c) % 2 or not all(isinstance(v, int) for v in c):
         raise InvalidWordError(f"coordinates {coords!r} are not an even number of ints")
     n = len(c) // 2
     for x in word:
-        if not isinstance(x, int) or x == 0 or abs(x) > n - 1:
+        if not isinstance(x, int) or x == 0 or not -n < x < n:
             raise InvalidWordError(
                 f"letter {x!r} is not a braid generator on {n} strands"
             )
-        k = 2 * abs(x) - 2
-        a1, b1, a2, b2 = c[k:k + 4]
-        p1 = b1 if b1 > 0 else 0
-        p2 = b2 if b2 > 0 else 0
-        m1 = b1 - p1
-        m2 = b2 - p2
+    a = list(c[0::2])
+    b = list(c[1::2])
+    for x in word:
+        j = x if x > 0 else -x
+        i = j - 1
+        a1, b1, a2, b2 = a[i], b[i], a[j], b[j]
+        if b1 > 0:
+            p1, m1 = b1, 0
+        else:
+            p1, m1 = 0, b1
+        if b2 > 0:
+            p2, m2 = b2, 0
+        else:
+            p2, m2 = 0, b2
         if x > 0:
             t = a1 - m1 - a2 + p2
-            tp = t if t > 0 else 0
-            u = p2 - t if t < p2 else 0
-            v = m1 + t if m1 + t < 0 else 0
-            c[k:k + 4] = a1 + p1 + u, b2 - tp, a2 + m2 + v, b1 + tp
+            if t > 0:
+                b[i] = b2 - t
+                b[j] = b1 + t
+            else:
+                b[i] = b2
+                b[j] = b1
+            a[i] = a1 + p1 + p2 - t if t < p2 else a1 + p1
+            a[j] = a2 + m2 + m1 + t if m1 + t < 0 else a2 + m2
         else:
             t = a1 + m1 - a2 - p2
-            tm = t if t < 0 else 0
-            u = p2 + t if p2 + t > 0 else 0
-            v = m1 - t if m1 < t else 0
-            c[k:k + 4] = a1 - p1 - u, b2 + tm, a2 - m2 - v, b1 - tm
-    return tuple(c)
+            if t < 0:
+                b[i] = b2 + t
+                b[j] = b1 - t
+            else:
+                b[i] = b2
+                b[j] = b1
+            a[i] = a1 - p1 - p2 - t if p2 + t > 0 else a1 - p1
+            a[j] = a2 - m2 - m1 + t if m1 < t else a2 - m2
+    out = list(c)
+    out[0::2] = a
+    out[1::2] = b
+    return tuple(out)
 
 
 def dehornoy_sign(word, n: int) -> Sign:
@@ -278,13 +310,31 @@ class SeriesTrunc:
 
 
 def magnus_image(word, degree: int) -> SeriesTrunc:
-    """mu(word) truncated at the given total degree, an int >= 0."""
+    """mu(word) truncated at the given total degree, an int >= 0.
+
+    One coefficient dict, starting at 1, is multiplied on the right by
+    each letter's series in place: x_j adds c to the coefficient of m X_j
+    for every term c m, and x_j^-1 adds (-1)^k c to that of m X_j^k for
+    k = 1, 2, ... up to the degree.  Each contribution is read off the
+    terms before the letter, and a coefficient that reaches 0 is deleted,
+    so the result is the `SeriesTrunc` product of the letters' generators.
+    """
     if not isinstance(degree, int) or degree < 0:
         raise InvalidWordError(f"degree {degree!r} is not an integer >= 0")
-    acc = SeriesTrunc.one(degree)
+    acc: dict[tuple[int, ...], int] = {(): 1}
     for x in _free_letters(word):
-        acc = acc * SeriesTrunc.generator(abs(x), 1 if x > 0 else -1, degree)
-    return acc
+        # the letter's series: X_j^k has coefficient sign^k for k <= top
+        j, sign, top = ((x,), 1, 1) if x > 0 else ((-x,), -1, degree)
+        for m, c in list(acc.items()):
+            for _ in range(min(top, degree - len(m))):
+                m += j
+                c *= sign
+                v = acc.get(m, 0) + c
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+    return SeriesTrunc(degree, acc)
 
 
 def _check_count(n) -> None:

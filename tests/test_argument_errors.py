@@ -114,6 +114,7 @@ CALLS = {
         orderings.magnus_order(), lambda w: w, None),
     "presentation-none-matrix": lambda: oracle.presentation_from_matrix(None),
     "class-of-none": lambda: oracle.class_of(None, (1,)),
+    "class-of-list-bad-letter": lambda: oracle.class_of(P, [1, 0]),
     "handles-none-word": lambda: oracle.reduce_handles(None),
     "parse-presentation-none": lambda: oracle.parse_presentation(None),
     "enumerate-classes-none": lambda: oracle.enumerate_classes(None, 5),

@@ -79,6 +79,17 @@ def test_class_of():
     assert class_of(P_A2, (2, 1, 2)) == cls
 
 
+def test_class_of_reads_any_iterable_word():
+    """The word is checked before it reaches the cache, so a list is read
+    like the tuple of its letters and shares its cache entry."""
+    class_of.cache_clear()
+    assert class_of(P_A2, [1, 2, 1]) == class_of(P_A2, (1, 2, 1))
+    assert class_of(P_A2, iter((2, 1, 2))).canonical == (1, 2, 1)
+    assert class_of.cache_info().misses == 2
+    with pytest.raises(PreconditionError):
+        class_of(P_A2, [1, 3])
+
+
 def test_class_budget_errors():
     with pytest.raises(BudgetExceededError):
         class_of(P_A2, tuple([1] * 20), 1_000_000, 12)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from artinpal.orderings import (
     dehornoy_compare,
     dehornoy_order,
     dehornoy_sign,
+    dynnikov_action,
     exponent_sums,
     free_reduce,
     magnus_image,
@@ -198,6 +200,53 @@ def test_dehornoy_orders_read_delta_inf_without_a_cancelling_pair(name):
     assert odd_negative
 
 
+def _dynnikov_cases():
+    """Fixed-seed (word, coords) pairs on 2-8 strands, words up to 400
+    letters, on the trivial braid's coordinates and on drawn ones."""
+    rng = random.Random("dynnikov digest")
+    for k in range(240):
+        n = rng.randint(2, 8)
+        length = (0, 1, 2, 400)[k] if k < 4 else rng.randint(0, 400)
+        word = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length))
+        coords = ((0, 1) * n if k % 3 == 0
+                  else tuple(rng.randint(-40, 40) for _ in range(2 * n)))
+        yield word, coords
+
+
+# recorded before the kernel was rewritten on flat a- and b-lists
+DYNNIKOV_DIGEST = "16707b286366822919291478c6c8085fed5c9116236abb86d1cdda5f5a41091b"
+
+
+def test_dynnikov_action_is_pinned():
+    """The coordinates themselves, not only the signs, are bit-identical."""
+    digest = hashlib.sha256()
+    for word, coords in _dynnikov_cases():
+        digest.update(repr(dynnikov_action(word, coords)).encode())
+    assert digest.hexdigest() == DYNNIKOV_DIGEST
+
+
+def _flip_a(coords):
+    return tuple(-v if k % 2 == 0 else v for k, v in enumerate(coords))
+
+
+def test_dynnikov_inverse_letters_mirror_positive_ones():
+    """sigma_i^-1 acts as sigma_i between two sign changes of every a_j, so
+    a word with every letter negated acts as the word conjugated by them."""
+    rng = random.Random("dynnikov mirror")
+    for _ in range(20_000):
+        n = rng.randint(2, 8)
+        i = rng.randint(1, n - 1)
+        coords = tuple(rng.randint(-30, 30) for _ in range(2 * n))
+        assert dynnikov_action((-i,), coords) == _flip_a(
+            dynnikov_action((i,), _flip_a(coords))), (i, coords)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        word = random_signed_word(rng, n - 1, 60)
+        coords = tuple(rng.randint(-30, 30) for _ in range(2 * n))
+        assert dynnikov_action(tuple(-x for x in word), coords) == _flip_a(
+            dynnikov_action(word, _flip_a(coords))), (word, coords)
+
+
 # ---------------------------------------------------------------------------
 # Magnus order
 
@@ -237,6 +286,20 @@ def test_series_trunc():
 def test_magnus_image_multiplicative(u, v):
     d = 4
     assert magnus_image(tuple(u) + tuple(v), d) == magnus_image(u, d) * magnus_image(v, d)
+
+
+def test_magnus_image_is_the_product_of_the_generators():
+    """The in-place expansion equals the `SeriesTrunc` product of the
+    letters' generators, zero coefficients dropped, at degrees 0-5."""
+    rng = random.Random("magnus product")
+    for _ in range(3_000):
+        degree = rng.randint(0, 5)
+        word = random_signed_word(rng, 3, 9)
+        want = SeriesTrunc.one(degree)
+        for x in word:
+            want = want * SeriesTrunc.generator(abs(x), 1 if x > 0 else -1, degree)
+        got = magnus_image(word, degree)
+        assert got == want and 0 not in got.coeffs.values(), (word, degree)
 
 
 def test_magnus_sign_examples():
