@@ -1,7 +1,6 @@
 """Growth of the library's kernels with input size, one JSON row per line.
 
-    python3 scripts/scaling.py            # every size of every kernel
-    python3 scripts/scaling.py --sizes 2  # the two smallest sizes of each
+    python3 scripts/scaling.py
 
 Each kernel runs on fixed-seed inputs at a ladder of sizes.  A row gives
 the kernel, the size, the number of inputs, their CPU time
@@ -9,26 +8,32 @@ the kernel, the size, the number of inputs, their CPU time
 and, from the second size on, the growth factor of each per doubling of
 the size: (this / previous) ** (1 / log2(size / previous size)).  A
 factor of 2 is linear growth, 4 quadratic.  Work is counted on a second,
-untimed pass, so the counting costs the timing nothing.
+untimed pass, so the counting costs the timing nothing, and by the
+counters of bench/tracer.py (`HOOKS`, `Count`), so a count here means
+what the benchmark's trace means by it.
 
 KERNELS is the table of rows; a layer adds its own with a `Kernel` entry.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import random
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 from artinpal import coxeter, group, orderings  # noqa: E402
+from tracer import HOOKS, Count  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -58,17 +63,16 @@ def balanced_free_word(rng: random.Random, length: int) -> tuple[int, ...]:
             return tuple(w)
 
 
-def counted(name: str, measure: Callable[[tuple, object], int],
-            call: Callable[[], object]) -> int:
-    """Run call() with orderings.<name> wrapped, and return the sum of
-    measure(args, result) over the calls it made."""
+def counted(name: str, hook, key: str, call: Callable[[], object]) -> int:
+    """Run call() with orderings.<name> wrapped so that `hook`, a tracer
+    counter, sees each of its calls, and return the count taken under key."""
     real = getattr(orderings, name)
-    total = 0
+    sink = SimpleNamespace(counts=defaultdict(int))
 
     def wrapper(*args):
-        nonlocal total
+        before = hook.before(sink, args)
         result = real(*args)
-        total += measure(args, result)
+        hook.after(sink, args, result, before, None)
         return result
 
     setattr(orderings, name, wrapper)
@@ -76,7 +80,7 @@ def counted(name: str, measure: Callable[[tuple, object], int],
         call()
     finally:
         setattr(orderings, name, real)
-    return total
+    return sink.counts[key]
 
 
 # -- dynnikov_action: 8 strands, letters read
@@ -95,11 +99,14 @@ def magnus_inputs(rng, length):
 
 
 def magnus_work(word) -> int:
-    return counted("magnus_image", lambda args, result: len(result.coeffs),
-                   lambda: orderings.magnus_sign(word, 3))
+    return counted("magnus_image", HOOKS["orderings.magnus_image"],
+                   "orderings.magnus_terms", lambda: orderings.magnus_sign(word, 3))
 
 
 # -- order.compare: elements from signed words, letters signed
+
+LETTERS_SIGNED = Count("orderings.letters_signed", lambda args, result: len(args[0]))
+
 
 def compare_kernel(name: str) -> Kernel:
     mat = coxeter.named_matrix(name)
@@ -111,7 +118,7 @@ def compare_kernel(name: str) -> Kernel:
                 for _ in range(10)]
 
     def work(pair) -> int:
-        return counted("dehornoy_sign", lambda args, result: len(args[0]),
+        return counted("dehornoy_sign", LETTERS_SIGNED, LETTERS_SIGNED.key,
                        lambda: order.compare(*pair))
 
     return Kernel(f"order.compare/{name}", "letters signed", (25, 50, 100, 200, 400),
@@ -156,13 +163,9 @@ def rows(kernel: Kernel, sizes: int):
         yield row
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, default=None,
-                        help="run only the first SIZES sizes of each kernel")
-    args = parser.parse_args(argv)
+def main() -> None:
     for kernel in KERNELS:
-        for row in rows(kernel, args.sizes or len(kernel.sizes)):
+        for row in rows(kernel, len(kernel.sizes)):
             print(json.dumps(row), flush=True)
 
 

@@ -97,9 +97,23 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
     side only with the other sides of its own relations, so a side of
     length k is replaced by one of length k.
 
-    The arguments are checked first, so any iterable word is accepted, and
-    the closure is cached under the checked word;
+    The closure is cached under the arguments, which are checked on a
+    miss, so a repeated call costs one lookup.  Arguments that cannot be a
+    cache key (a list for the word, say) are checked first and the word is
+    read through `P.check_word`, so any iterable word is accepted.
     `class_of.cache_info()` and `class_of.cache_clear()` are the cache's."""
+    try:
+        return _class_of(P, w, class_cap, len_cap)
+    except TypeError:  # an argument that cannot be a cache key
+        pass
+    check_kind(Presentation, P)
+    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    return _class_of(P, P.check_word(w), class_cap, len_cap)
+
+
+@lru_cache(maxsize=None)
+def _class_of(P: Presentation, w, class_cap: int, len_cap: int) -> RewriteClass:
+    """`class_of` behind its cache."""
     check_kind(Presentation, P)
     _check_caps(class_cap=class_cap, len_cap=len_cap)
     w = P.check_word(w)
@@ -107,12 +121,6 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
         raise BudgetExceededError(
             f"word length {len(w)} exceeds the cap {len_cap}"
         )
-    return _closure(P, w, class_cap)
-
-
-@lru_cache(maxsize=None)
-def _closure(P: Presentation, w: tuple[int, ...], class_cap: int) -> RewriteClass:
-    """`class_of` on checked arguments."""
     table = _rewrite_table(P)
     seen = {w}
     frontier = [w]
@@ -138,8 +146,8 @@ def _closure(P: Presentation, w: tuple[int, ...], class_cap: int) -> RewriteClas
     return RewriteClass(min(seen), frozenset(seen))
 
 
-class_of.cache_info = _closure.cache_info
-class_of.cache_clear = _closure.cache_clear
+class_of.cache_info = _class_of.cache_info
+class_of.cache_clear = _class_of.cache_clear
 
 
 def _class_lookup(P: Presentation, class_cap: int, len_cap: int):

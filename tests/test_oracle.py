@@ -13,6 +13,7 @@ from artinpal import coxeter, group, monoid, oracle
 from artinpal.errors import (
     BudgetExceededError,
     HandleReductionOverflow,
+    InvalidBudgetError,
     InvalidWordError,
     PreconditionError,
 )
@@ -80,14 +81,21 @@ def test_class_of():
 
 
 def test_class_of_reads_any_iterable_word():
-    """The word is checked before it reaches the cache, so a list is read
-    like the tuple of its letters and shares its cache entry."""
+    """Arguments that cannot be a cache key are checked before the cache,
+    so a list is read like the tuple of its letters and shares its cache
+    entry, and an unhashable bad argument raises an ArtinError."""
     class_of.cache_clear()
     assert class_of(P_A2, [1, 2, 1]) == class_of(P_A2, (1, 2, 1))
     assert class_of(P_A2, iter((2, 1, 2))).canonical == (1, 2, 1)
     assert class_of.cache_info().misses == 2
     with pytest.raises(PreconditionError):
         class_of(P_A2, [1, 3])
+    with pytest.raises(PreconditionError):
+        class_of(P_A2, ([1],))
+    with pytest.raises(PreconditionError):
+        class_of({}, (1,))
+    with pytest.raises(InvalidBudgetError):
+        class_of(P_A2, (1,), [])
 
 
 def test_class_budget_errors():

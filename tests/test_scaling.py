@@ -1,22 +1,17 @@
 """scripts/scaling.py at the two smallest sizes of each kernel."""
 
-import json
-import time
-
-from scripts.scaling import KERNELS, main
+from scripts.scaling import KERNELS, rows
 
 
-def test_scaling_prints_a_row_per_kernel_and_size(capsys):
-    start = time.process_time()
-    main(["--sizes", "2"])
-    assert time.process_time() - start < 1
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["kernel"], r["size"]) for r in rows] == [
-        (k.name, size) for k in KERNELS for size in k.sizes[:2]]
-    for first, second in zip(rows[::2], rows[1::2]):
+def test_scaling_gives_a_row_per_kernel_and_size():
+    table = {kernel.name: list(rows(kernel, 2)) for kernel in KERNELS}
+    for kernel in KERNELS:
+        first, second = table[kernel.name]
+        assert (first["kernel"], first["size"]) == (kernel.name, kernel.sizes[0])
+        assert (second["kernel"], second["size"]) == (kernel.name, kernel.sizes[1])
         assert first["cpu_growth_per_doubling"] is None
         assert first["work"] > 0 and second["work"] > 0
         assert second["work_growth_per_doubling"] is not None
-    dynnikov = rows[:2]
+    dynnikov = table["orderings.dynnikov_action"]
     assert [r["work"] for r in dynnikov] == [20 * 100, 20 * 200]
     assert dynnikov[1]["work_growth_per_doubling"] == 2.0
