@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from artinpal import coxeter, group, orderings  # noqa: E402
+from artinpal import coxeter, group, orderings, palindromes  # noqa: E402
 from tracer import HOOKS, Count  # noqa: E402
 
 
@@ -125,6 +125,24 @@ def compare_kernel(name: str) -> Kernel:
                   inputs, lambda pair: order.compare(*pair), work)
 
 
+# -- palindromes.decompose: pal(x), letters of the positive core peeled
+
+def decompose_kernel(name: str) -> Kernel:
+    mat = coxeter.named_matrix(name)
+    top = group.length(group.delta_element(mat))
+
+    def inputs(rng, length):
+        return [palindromes.pal(group.from_word(mat, signed_word(rng, mat.rank, length)))
+                for _ in range(5)]
+
+    def work(p) -> int:
+        # the core Delta^(2N) p, N the least even exponent >= p.k
+        return group.length(p) + 4 * ((p.k + 1) // 2) * top
+
+    return Kernel(f"palindromes.decompose/{name}", "core letters",
+                  (25, 50, 100, 200, 400), inputs, palindromes.decompose, work)
+
+
 KERNELS = (
     Kernel("orderings.dynnikov_action", "letters read",
            tuple(100 * 2 ** k for k in range(7)), dynnikov_inputs,
@@ -133,6 +151,8 @@ KERNELS = (
            magnus_inputs, lambda w: orderings.magnus_sign(w, 3), magnus_work),
     compare_kernel("A4"),
     compare_kernel("B4"),
+    decompose_kernel("A4"),
+    decompose_kernel("E8"),
 )
 
 

@@ -50,8 +50,11 @@ computes.
 the deterministic loop of `monoid.peel`, on the normal form instead of on
 a word: each round reads S and a finishing set off first factors and
 cuts Delta_J off both ends of z by an exact right and left division, which
-change only the factors near that end.  The answer spells z because every
-step is an equality, so it needs no check afterwards.  `decompositions`
+change only the factors near that end.  A pure z first loses whole
+factors, a off the left and rev(a) off the right, one pair per round: it
+has one root, so this gives the same answer in a round per factor instead
+of one per letter.  The answer spells z because every step is an
+equality, so it needs no check afterwards.  `decompositions`
 lists every witness with the same two divisions, once per palindrome that
 peeling reaches from z.
 
@@ -401,9 +404,8 @@ def _right(t: _Tables, factors: list, d: _Simple, inf: int,
 
     When Delta_J right-divides the last factor, that factor shrinks, and the
     pair before it stays left-weighted, as its second factor only lost
-    right descents.  Otherwise z d^-1 = z (d^-1 Delta) Delta^-1, with
-    d^-1 Delta = tau(Delta d^-1): one `_push`, then a step back by Delta
-    that flips the frame.  The quotient is positive when inf stays >= 0.
+    right descents.  Otherwise `_divide`.  The quotient is positive when
+    inf stays >= 0.
     """
     e, c = _twist(t, d, flip), t.compose
     if factors and not e.left & ~factors[-1].right:
@@ -412,6 +414,16 @@ def _right(t: _Tables, factors: list, d: _Simple, inf: int,
             factors.append(_simple(t, c(a.perm, e.inv), c(e.perm, a.inv),
                                    a.length - e.length))
         return inf, flip
+    return _divide(t, factors, d, inf, flip)
+
+
+def _divide(t: _Tables, factors: list, d: _Simple, inf: int,
+            flip: int) -> tuple[int, int]:
+    """The exact quotient z d^-1 of z = Delta^inf tau^flip(factors) by any
+    simple d, in place, as (inf, flip) of the quotient's tau-frame:
+    z d^-1 = z (d^-1 Delta) Delta^-1, with d^-1 Delta = tau(Delta d^-1), so
+    one `_push` of the complement, then a step back by Delta that flips the
+    frame.  The quotient is positive when inf stays >= 0."""
     lead = _push(t, factors, _complement(t, d, flip ^ 1))
     return inf + lead - 1, flip ^ 1 ^ lead
 
@@ -649,19 +661,40 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     """(y, I) with z = y Delta_I rev(y), for a positive palindrome z;
     deterministic: the answer of `monoid.peel` on any word for z.
 
-    The loop of `monoid.peel`, on the normal form.  S = S(z) is every
-    generator when inf > 0, else the left descents of the first factor.
-    While length(z) > |Delta_S|, take the least s in S that finishes the
-    tail Delta_S^-1 z, and cut Delta_J, J = {s} or {s, tau(s)}, off both
-    ends of z by one exact right division (`_right`) and one exact left
-    division (`_left`), which change only the factors near that end.
-    tau, with tau(s) at index s - 1, promises tau(z) = z.
+    A pure z (trivial Coxeter image) first goes through factor rounds
+    (`_strip`), which cut a whole normal-form factor off each end at a
+    time; the letter rounds below finish from the core they leave.  They
+    run without tau, or with a tau that fixes every generator or is
+    sigma, the Delta-twist; any other tau leaves the letter rounds alone.
+
+    Letter rounds are the loop of `monoid.peel`, on the normal form.
+    S = S(z) is every generator when inf > 0, else the left descents of
+    the first factor.  While length(z) > |Delta_S|, take the least s in S
+    that finishes the tail Delta_S^-1 z, and cut Delta_J, J = {s} or
+    {s, tau(s)}, off both ends of z by one exact right division and one
+    exact left division (`_left`), which change only the factors near
+    that end.  tau, with tau(s) at index s - 1, promises tau(z) = z.
     s finishes the tail exactly when Delta_S left-divides z s^-1, as
     (Delta_S^-1 z) s^-1 = Delta_S^-1 (z s^-1): the test of `monoid.peel`.
-    So each s in S, in ascending order, divides a copy of the factors, and
-    the first whose quotient starts with all of S is taken; when J = {s}
-    that quotient is the right cut, and with tau and |J| = 2 a fresh right
-    division by Delta_J is.
+    So each s in S, in ascending order, divides a copy of the factors
+    (`_right`), and the first whose quotient starts with all of S is
+    taken; when J = {s} that quotient is the right cut, and with tau and
+    |J| = 2 a fresh right division by Delta_J is.
+
+    Factor rounds give the letter rounds' answer.  y Delta_I rev(y) has
+    Coxeter image w(y) w0(I) w(y)^-1, so a pure palindrome is answered
+    with I empty, as pal(y), and palindromization is injective (see
+    `palindromes.unpal`): y is its one root.  A factor round writes the
+    core c exactly as Delta^m c' Delta^m or as a c' rev(a), a the first
+    factor of c, and is kept only when c' is positive; c' is then pure,
+    and a palindrome when c is one, by two-sided cancellation.  So
+    z = y c rev(y) for the cuts y made so far, and the root of z is y
+    times the root of c.  The letter rounds answer every positive
+    palindrome (tau-fixed, with tau), a pure one with its root, so they
+    give the same y from z as from c, and so does `monoid.peel`.  With
+    tau the rounds cut only tau-fixed factors (Delta^m is one), so c is
+    tau-fixed when z is.  A round hands over to the letter rounds when
+    inf = 1, when c' would not be positive, or when tau moves a.
 
     The factors live in a tau-frame, as in `from_word`: z = Delta^inf
     tau^flip(factors).  The Delta^-1 of a right division flips the frame,
@@ -669,27 +702,35 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     behind it, so a round twists only the factors it changes.  Descent
     sets of the true first and last factors are read off their
     tau-images, as D_L(tau(a)) is sigma(D_L(a)).  y, the product of the
-    Delta_J, is kept in a tau-frame as well and twisted once at the end.
+    cuts, is kept in a tau-frame as well and twisted once at the end.
 
     Every step is an exact quotient, so an answer always spells z; as
-    y Delta_I rev(y) is a palindrome, an input that is not one gets none.
-    A round with no s raises NotPalindromeError, and a quotient that is
-    not positive PreconditionError, as do a z that is not a positive
-    element and a tau that does not permute the generators.
+    y Delta_I rev(y) is a palindrome, an input that is not one gets none,
+    and factor rounds never empty its core.  A round with no s raises
+    NotPalindromeError, and a quotient that is not positive
+    PreconditionError, as do a z that is not a positive element and a tau
+    that does not permute the generators.  Without tau a letter round on
+    any positive core fails only for want of an s; with tau, on a pure
+    palindrome that is not tau-fixed, only by a quotient that is not
+    positive; so the factor rounds change no error there either.
     """
     check_kind(GroupElement, z)
     mat = z.matrix
-    if tau is not None and (sorted(mat.check_word(tau, positive=True))
-                            != list(mat.generators)):
-        raise PreconditionError("peel needs tau to permute the generators")
+    if tau is not None:
+        tau = mat.check_word(tau, positive=True)
+        if sorted(tau) != list(mat.generators):
+            raise PreconditionError("peel needs tau to permute the generators")
     if z.inf < 0:
         raise PreconditionError("peel needs a positive element")
     t = _tables(mat)
     inf, flip, factors, size = z.inf, 0, list(z.factors), length(z)
-    # the product of the Delta_J is Delta^y_inf tau^y_inf(y): a tau-frame
+    # the product of the cuts is Delta^y_inf tau^y_inf(y): a tau-frame
     # whose flip is y_inf's parity, as every push onto it is positive
     y: list[_Simple] = []
     y_inf = 0
+    fixed = tau is None or all(tau[s] == s + 1 for s in range(mat.rank))
+    if is_pure(z) and (fixed or tau == tuple(s + 1 for s in t.sigma)):
+        inf, flip, size, y_inf = _strip(t, factors, inf, flip, size, y, fixed)
     while True:
         s_set = _heads(t, inf, factors, flip)
         d = _longest(t, s_set)
@@ -708,7 +749,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
         else:
             raise NotPalindromeError("peel needs a palindrome")
         s = bit.bit_length() - 1
-        if tau is None or tau[s] == s + 1:
+        if fixed or tau[s] == s + 1:
             dj = _longest(t, bit)
             factors, inf, flip = rest, rest_inf, rest_flip
         else:
@@ -720,6 +761,39 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
                 "peel needs a palindrome that Delta_J starts and finishes")
         size -= 2 * dj.length
         y_inf += _push(t, y, _twist(t, dj, y_inf))
+
+
+def _strip(t: _Tables, factors: list, inf: int, flip: int, size: int,
+           y: list, fixed: bool) -> tuple[int, int, int, int]:
+    """The factor rounds of `peel` on a pure core Delta^inf
+    tau^flip(factors) of the given length: cut the core down in place, push
+    the cuts onto y, and return the core's (inf, flip, length) and y's inf.
+
+    Delta^(2m) c = Delta^m tau^m(c) Delta^m, so an inf >= 2 goes in one
+    step: y gains Delta^m, which only moves y's frame, and the core's
+    frame flips by m.  Then, while inf = 0, the true first factor a leaves
+    from the left, which leaves the other factors a normal form, and rev(a)
+    from the right by one exact division (`_divide`); the round is kept
+    when that quotient is positive.  Unless fixed, a round stops at an a
+    that tau moves, tau being the Delta-twist sigma.
+    """
+    y_inf = 0
+    if inf >= 2:
+        m = inf // 2
+        inf, flip, size, y_inf = inf - 2 * m, flip ^ m & 1, size - 2 * m * t.top, m
+    while not inf and factors:
+        a = _twist(t, factors[0], flip)
+        if not fixed and _tau(t, a).perm != a.perm:
+            break
+        rest = factors[1:]
+        r_inf, flip_r = _divide(t, rest, _Simple(a.inv, a.perm, a.left,
+                                                 a.right, a.length), 0, flip)
+        if r_inf < 0:
+            break
+        factors[:], flip = rest, flip_r
+        size -= 2 * a.length
+        y_inf += _push(t, y, _twist(t, a, y_inf))
+    return inf, flip, size, y_inf
 
 
 def _subset(mat: CoxeterMatrix, mask: int) -> tuple[int, ...]:

@@ -111,20 +111,35 @@ def dynnikov_action(word, coords) -> tuple[int, ...]:
     So sigma_i^-1 acts as sigma_i between two sign changes of every a_j.
     Every letter is checked before any acts, and the a's and b's are kept
     in two lists indexed by pair, so letter i reads and writes entries i-1
-    and i of each.
+    and i of each (`_act`).
     """
     word = letters(word)
     c = letters(coords)
     if len(c) % 2 or not all(isinstance(v, int) for v in c):
         raise InvalidWordError(f"coordinates {coords!r} are not an even number of ints")
-    n = len(c) // 2
+    a = list(c[0::2])
+    b = list(c[1::2])
+    _act(_braid_word(word, len(a)), a, b)
+    out = list(c)
+    out[0::2] = a
+    out[1::2] = b
+    return tuple(out)
+
+
+def _braid_word(word: tuple, n: int) -> tuple:
+    """word, once every letter is a braid generator on n strands or its
+    inverse; InvalidWordError names the first that is not."""
     for x in word:
         if not isinstance(x, int) or x == 0 or not -n < x < n:
             raise InvalidWordError(
                 f"letter {x!r} is not a braid generator on {n} strands"
             )
-    a = list(c[0::2])
-    b = list(c[1::2])
+    return word
+
+
+def _act(word: tuple, a: list, b: list) -> None:
+    """The Dynnikov action of a checked word on the a's and b's, in place:
+    the formulas of `dynnikov_action`."""
     for x in word:
         j = x if x > 0 else -x
         i = j - 1
@@ -157,10 +172,6 @@ def dynnikov_action(word, coords) -> tuple[int, ...]:
                 b[j] = b1
             a[i] = a1 - p1 - p2 - t if p2 + t > 0 else a1 - p1
             a[j] = a2 - m2 - m1 + t if m1 < t else a2 - m2
-    out = list(c)
-    out[0::2] = a
-    out[1::2] = b
-    return tuple(out)
 
 
 def dehornoy_sign(word, n: int) -> Sign:
@@ -169,15 +180,21 @@ def dehornoy_sign(word, n: int) -> Sign:
     The word acts on the coordinates (0, 1, ..., 0, 1) of the trivial
     braid; the sign is that of the first nonzero entry of
     (a_1, b_1 - 1, a_2, b_2 - 1, ...) afterwards, and ZERO if there is
-    none.  `oracle.reduce_handles` decides the same sign by handle
-    reduction and referees this one in the tests.
+    none.  The word's letters are checked as `dynnikov_action` checks
+    them, and the action runs on lists built here (`_act`), so these
+    coordinates, known to be ints, are not checked again.
+    `oracle.reduce_handles` decides the same sign by handle reduction and
+    referees this one in the tests.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidWordError(f"strand count {n!r} is not an integer >= 1")
-    c = dynnikov_action(word, (0, 1) * n)
-    for k, v in enumerate(c):
-        if v != k % 2:
-            return Sign.POSITIVE if v > k % 2 else Sign.NEGATIVE
+    a, b = [0] * n, [1] * n
+    _act(_braid_word(letters(word), n), a, b)
+    for ai, bi in zip(a, b):
+        if ai:
+            return Sign.POSITIVE if ai > 0 else Sign.NEGATIVE
+        if bi != 1:
+            return Sign.POSITIVE if bi > 1 else Sign.NEGATIVE
     return Sign.ZERO
 
 

@@ -9,10 +9,13 @@ shifts back to x = (Delta^(-N) u) Delta_I rev(Delta^(-N) u).  The peel
 (`group.peel`) and the decomposition search (`group.decompositions`)
 therefore only ever touch positive elements, on their Garside normal
 forms; none of them extracts.  The peel's every step is an exact
-quotient, so its answer spells z and is not checked again.  Like the peel, the routines here carry
-no self-checks of their answers: each rests on the proof in its docstring,
-and the tier-1 tests referee it against the oracle and the paper's
-criteria.
+quotient, so its answer spells z and is not checked again.  A pure core,
+such as every pal(x) that `unpal` and `decompose` meet on a round trip,
+is peeled one normal-form factor per round instead of one letter: it has
+one root, so the answer is the same.  Like the peel, the routines here
+carry no self-checks of their answers: each rests on the proof in its
+docstring, and the tier-1 tests referee it against the oracle and the
+paper's criteria.
 """
 
 from __future__ import annotations
@@ -85,7 +88,8 @@ def _peel(x: GroupElement, tau=None) -> PalDecomposition:
 
 def decompose(x: GroupElement) -> PalDecomposition:
     """Some (y, I) with x = y * Delta_I * rev(y); deterministic.  A
-    non-palindrome raises NotPalindromeError."""
+    non-palindrome raises NotPalindromeError.  For a pure x this is
+    (unpal(x), ()), peeled a whole normal-form factor per round."""
     return _peel(x)
 
 
@@ -95,7 +99,10 @@ def unpal(x: GroupElement) -> GroupElement:
     The peel's x = y Delta_I rev(y) has Coxeter image w(y) w0(I) w(y)^-1,
     which is trivial exactly when I is empty, and then x = pal(y).  So a
     non-palindrome raises NotPalindromeError from the peel, and a
-    palindrome peeled with I nonempty NotPureError."""
+    palindrome peeled with I nonempty NotPureError.  On a pure core the
+    peel cuts a whole normal-form factor a off the left and rev(a) off the
+    right per round, so a round trip costs a round per factor of the
+    core, not per letter of y."""
     d = _peel(x)
     if d.I:
         raise NotPureError("unpal needs trivial Coxeter image")

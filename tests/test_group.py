@@ -699,9 +699,45 @@ def test_peel_on_every_short_word(name):
 
 def test_peel_errors():
     """As in `monoid.peel`'s test_peel_errors: Delta_J = Delta_{1, 3} does
-    not start 1 1, so the left division leaves a negative quotient."""
+    not start 1 1, so the left division leaves a negative quotient.  The
+    other two are pure palindromes that tau does not fix: the factor rounds
+    hand them to the letter rounds, which raise as they do without them."""
+    perm = monoid.compute_tau_perm(A3)
     with pytest.raises(PreconditionError):
-        group.peel(from_word(A3, (1, 1)), monoid.compute_tau_perm(A3))
+        group.peel(from_word(A3, (1, 1)), perm)
+    for letters in ((1, 3, 1, 1, 3, 1), (2, 1, 1, 2)):
+        z = from_word(A3, letters)
+        assert group.is_pure(z) and is_palindrome(z) and not eq(tau(z), z)
+        with pytest.raises(PreconditionError):
+            group.peel(z, perm)
+
+
+# recorded when the peel had letter rounds only
+PURE_PEEL_DIGEST = "163d3e8aaa946196af9a13c75a61f3657ef6d0849544649cfa2b63aed35d7c38"
+
+
+def test_peel_on_pure_words_is_pinned():
+    """Every pure positive word to length 6 on A3 and A4, with and without
+    tau: the answer, or the class of the error, is what it was before the
+    factor rounds, also for the non-palindromes and broken tau promises
+    that the factor rounds hand to the letter rounds part way."""
+    digest = hashlib.sha256()
+    for name in ("A3", "A4"):
+        mat = coxeter.named_matrix(name)
+        perm = monoid.compute_tau_perm(mat)
+        for n in range(7):
+            for letters in itertools.product(mat.generators, repeat=n):
+                z = make(mat, 0, letters)
+                if not group.is_pure(z):
+                    continue
+                for tau_perm in (None, perm):
+                    try:
+                        y, subset = group.peel(z, tau_perm)
+                        out = (y.key(), subset)
+                    except ArtinError as e:
+                        out = type(e).__name__
+                    digest.update(repr((letters, tau_perm, out)).encode())
+    assert digest.hexdigest() == PURE_PEEL_DIGEST
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "A3", "I2(5)"])

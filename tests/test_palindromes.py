@@ -90,6 +90,17 @@ def test_unpal_round_trips():
         for _ in range(30):
             x = group.from_word(mat, random_signed_word(rng, rank, 6))
             assert group.eq(unpal(pal(x)), x)
+    # long x on larger types: x is known by construction, so neither check
+    # shares the peel that both answers come from
+    for name in ("A4", "B4", "D5", "E6", "E8", "F4", "H4", "I2(7)"):
+        mat = coxeter.named_matrix(name)
+        for length in (25, 100, 400):
+            x = group.from_word(mat, [rng.choice((1, -1)) * rng.randint(1, mat.rank)
+                                      for _ in range(length)])
+            p = pal(x)
+            assert group.eq(unpal(p), x), (name, length)
+            d = decompose(p)
+            assert d.I == () and group.eq(d.y, x), (name, length)
 
 
 def test_unpal_errors():

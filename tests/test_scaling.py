@@ -1,5 +1,8 @@
 """scripts/scaling.py at the two smallest sizes of each kernel."""
 
+import random
+
+from artinpal import group, palindromes
 from scripts.scaling import KERNELS, rows
 
 
@@ -12,6 +15,12 @@ def test_scaling_gives_a_row_per_kernel_and_size():
         assert first["cpu_growth_per_doubling"] is None
         assert first["work"] > 0 and second["work"] > 0
         assert second["work_growth_per_doubling"] is not None
+        if kernel.name.startswith("palindromes.decompose/"):
+            # the work is the length of the positive core the peel runs on
+            size = kernel.sizes[0]
+            inputs = kernel.inputs(random.Random(f"scaling {kernel.name} {size}"), size)
+            assert first["work"] == sum(group.length(palindromes._core(p)[0])
+                                        for p in inputs)
     dynnikov = table["orderings.dynnikov_action"]
     assert [r["work"] for r in dynnikov] == [20 * 100, 20 * 200]
     assert dynnikov[1]["work_growth_per_doubling"] == 2.0
