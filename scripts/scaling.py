@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from artinpal import coxeter, group, orderings, palindromes  # noqa: E402
+from artinpal import coxeter, group, monoid, orderings, palindromes  # noqa: E402
 from tracer import HOOKS, Count  # noqa: E402
 
 
@@ -127,20 +127,49 @@ def compare_kernel(name: str) -> Kernel:
 
 # -- palindromes.decompose: pal(x), letters of the positive core peeled
 
+def core_letters(mat) -> Callable[[object], int]:
+    """The length of the core Delta^(2N) p that the peel runs on, N the
+    least even exponent >= p.k."""
+    top = group.length(group.delta_element(mat))
+    return lambda p: group.length(p) + 4 * ((p.k + 1) // 2) * top
+
+
 def decompose_kernel(name: str) -> Kernel:
     mat = coxeter.named_matrix(name)
-    top = group.length(group.delta_element(mat))
 
     def inputs(rng, length):
         return [palindromes.pal(group.from_word(mat, signed_word(rng, mat.rank, length)))
                 for _ in range(5)]
 
-    def work(p) -> int:
-        # the core Delta^(2N) p, N the least even exponent >= p.k
-        return group.length(p) + 4 * ((p.k + 1) // 2) * top
-
     return Kernel(f"palindromes.decompose/{name}", "core letters",
-                  (25, 50, 100, 200, 400), inputs, palindromes.decompose, work)
+                  (25, 50, 100, 200, 400), inputs, palindromes.decompose,
+                  core_letters(mat))
+
+
+# -- palindromes.decompose_rev_tau: y Delta_I rev(y) with y a product of
+# Delta_{s,tau(s)} blocks and their inverses and I a union of tau-orbits
+# (the palindromes workload's shape), letters of the positive core peeled
+
+def rev_tau_kernel(name: str) -> Kernel:
+    mat = coxeter.named_matrix(name)
+    perm = monoid.compute_tau_perm(mat)
+    orbits = sorted({tuple(sorted({s, perm[s - 1]})) for s in mat.generators})
+    blocks = [group.delta_element(mat, o) for o in orbits]
+    blocks += [group.inv(b) for b in blocks]
+
+    def inputs(rng, length):
+        out = []
+        for _ in range(5):
+            y = group.identity(mat)
+            for _ in range(length):
+                y = group.mult(y, rng.choice(blocks))
+            subset = tuple(sorted(s for o in orbits if rng.random() < 0.5 for s in o))
+            out.append(palindromes.reconstruct(palindromes.PalDecomposition(y, subset)))
+        return out
+
+    return Kernel(f"palindromes.decompose_rev_tau/{name}", "core letters",
+                  (25, 50, 100, 200, 400), inputs, palindromes.decompose_rev_tau,
+                  core_letters(mat))
 
 
 KERNELS = (
@@ -153,6 +182,7 @@ KERNELS = (
     compare_kernel("B4"),
     decompose_kernel("A4"),
     decompose_kernel("E8"),
+    rev_tau_kernel("A5"),
 )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InvalidMatrixError, InvalidWordError, PreconditionError
 
@@ -42,6 +43,12 @@ class CoxeterMatrix:
     participate in equality.  Connectivity of the diagram is NOT enforced
     here (parabolic restrictions are legitimately disconnected); the file
     parser rejects disconnected input.
+
+    Every layer keys a per-matrix cache on the matrix, so its hash, that of
+    (rank, entries), is computed once, when the matrix is built.  Equal
+    matrices hash alike whichever way they were made; `builtin` hands out
+    one shared object per named form, which a cache lookup then matches by
+    identity, without comparing entries.
     """
 
     rank: int
@@ -66,6 +73,10 @@ class CoxeterMatrix:
                     )
                 elif v != self.entries[j][i]:
                     raise InvalidMatrixError("matrix must be symmetric")
+        object.__setattr__(self, "_hash", hash((self.rank, self.entries)))
+
+    def __hash__(self):
+        return self._hash
 
     def m(self, i: int, j: int) -> int | float:
         """Coxeter exponent m(i, j), generators 1-indexed."""
@@ -147,7 +158,8 @@ def _matrix_from_edges(rank: int, edges: dict[tuple[int, int], int | float],
 
 
 def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
-    """Standard Coxeter matrix of a named finite-type diagram.
+    """Standard Coxeter matrix of a named finite-type diagram: one shared
+    immutable object per form, so builtin("A", 3) is named_matrix("A3").
 
     family is one of A, B, D, E6, E7, E8, F4, H3, H4, I2; param is the rank
     for A/B/D and the dihedral label m for I2 (m >= 5).  Node numbering:
@@ -155,12 +167,35 @@ def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
     F4's joins 2 and 3; H3/H4 put the 5-edge between 1 and 2; D_n forks at
     n-2 (both n-1 and n join it); E-types follow the Bourbaki numbering
     (chain 1,3,4,...,n with node 2 hanging off node 4).
+
+    The forms are kept in a cache of _FORMS_BOUND entries, least recently
+    used out first, keyed by the family and parameter once their types are
+    checked; a bad family or parameter raises InvalidMatrixError on every
+    call, as errors are not cached.  A form evicted and built again is
+    equal to, and hashes like, the object it replaces.
     """
     if not isinstance(family, str):
         raise InvalidMatrixError(f"a family is named by a string, got {family!r}")
     if param is not None and not isinstance(param, int):
         raise InvalidMatrixError(f"{family!r} needs an int parameter, got {param!r}")
     fam = family.strip().upper()
+    if fam not in _FAMILIES:
+        raise InvalidMatrixError(f"unrecognized family {family!r}")
+    return _builtin(fam, param)
+
+
+_FAMILIES = ("A", "B", "D", "E6", "E7", "E8", "F4", "H3", "H4", "I2")
+_FORMS_BOUND = 64
+
+
+@lru_cache(maxsize=_FORMS_BOUND, typed=True)
+def _builtin(fam: str, param: int | None) -> CoxeterMatrix:
+    """`builtin` behind its cache, on a family of _FAMILIES.  A fixed-rank
+    family given its own rank answers with the form named without it."""
+    if fam in ("E6", "E7", "E8", "F4", "H3", "H4") and param is not None:
+        if param != int(fam[1]):
+            raise InvalidMatrixError(f"{fam} takes no separate rank parameter")
+        return _builtin(fam, None)
     if fam == "A":
         if param is None or param < 1:
             raise InvalidMatrixError("A_n needs a rank n >= 1")
@@ -181,34 +216,28 @@ def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
         return _matrix_from_edges(param, edges, f"D{param}")
     if fam in ("E6", "E7", "E8"):
         n = int(fam[1])
-        if param is not None and param != n:
-            raise InvalidMatrixError(f"{fam} takes no separate rank parameter")
         edges = {(1, 3): 3, (2, 4): 3}
         edges.update({(i, i + 1): 3 for i in range(3, n)})
         return _matrix_from_edges(n, edges, fam)
     if fam == "F4":
-        if param is not None and param != 4:
-            raise InvalidMatrixError("F4 takes no separate rank parameter")
         return _matrix_from_edges(4, {(1, 2): 3, (2, 3): 4, (3, 4): 3}, "F4")
     if fam in ("H3", "H4"):
         n = int(fam[1])
-        if param is not None and param != n:
-            raise InvalidMatrixError(f"{fam} takes no separate rank parameter")
         edges = {(1, 2): 5}
         edges.update({(i, i + 1): 3 for i in range(2, n)})
         return _matrix_from_edges(n, edges, fam)
-    if fam == "I2":
-        if param is None or param < 5:
-            raise InvalidMatrixError("I2(m) needs a finite m >= 5 (use A2/B2 below)")
-        return _matrix_from_edges(2, {(1, 2): param}, f"I2({param})")
-    raise InvalidMatrixError(f"unrecognized family {family!r}")
+    if param is None or param < 5:
+        raise InvalidMatrixError("I2(m) needs a finite m >= 5 (use A2/B2 below)")
+    return _matrix_from_edges(2, {(1, 2): param}, f"I2({param})")
 
 
 _NAME_RE = re.compile(r"^([A-Za-z])\s*(\d+)(?:\s*[(.:]\s*(\d+)\s*\)?)?$")
 
 
 def named_matrix(name: str) -> CoxeterMatrix:
-    """Parse a form name like 'A3', 'F4', 'I2(7)' (also I2.7 / I2:7)."""
+    """Parse a form name like 'A3', 'F4', 'I2(7)' (also I2.7 / I2:7).  The
+    answer is `builtin`'s one shared immutable object for the form, so
+    named_matrix(" a3") is named_matrix("A3")."""
     if not isinstance(name, str):
         raise InvalidMatrixError(f"a form name is a string, got {name!r}")
     m = _NAME_RE.match(name.strip())

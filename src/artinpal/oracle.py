@@ -70,11 +70,19 @@ class RewriteClass:
     members: frozenset
 
 
-def _check_caps(**caps) -> None:
+def _check_cap(name: str, cap) -> None:
     """Every cap is an int >= 0: a cap of another type bounds nothing."""
-    for name, cap in caps.items():
-        if not isinstance(cap, int) or cap < 0:
-            raise InvalidBudgetError(f"{name} must be an int >= 0, got {cap!r}")
+    if not isinstance(cap, int) or cap < 0:
+        raise InvalidBudgetError(f"{name} must be an int >= 0, got {cap!r}")
+
+
+def _check_caps(class_cap, len_cap) -> None:
+    """`_check_cap` of both caps; the default caps, which most calls pass
+    on, are known good and pass on an identity test."""
+    if class_cap is DEFAULT_CLASS_CAP and len_cap is DEFAULT_LEN_CAP:
+        return
+    _check_cap("class_cap", class_cap)
+    _check_cap("len_cap", len_cap)
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +115,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
     except TypeError:  # an argument that cannot be a cache key
         pass
     check_kind(Presentation, P)
-    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    _check_caps(class_cap, len_cap)
     return _class_of(P, P.check_word(w), class_cap, len_cap)
 
 
@@ -115,7 +123,7 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
 def _class_of(P: Presentation, w, class_cap: int, len_cap: int) -> RewriteClass:
     """`class_of` behind its cache."""
     check_kind(Presentation, P)
-    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    _check_caps(class_cap, len_cap)
     w = P.check_word(w)
     if len(w) > len_cap:
         raise BudgetExceededError(
@@ -169,7 +177,7 @@ def _class_lookup(P: Presentation, class_cap: int, len_cap: int):
 def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP,
                   len_cap: int = DEFAULT_LEN_CAP) -> bool:
     check_kind(Presentation, P)
-    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    _check_caps(class_cap, len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
     if len(u) != len(v):
@@ -187,7 +195,7 @@ def divides_left_oracle(P: Presentation, u, v,
     len(u)-prefix is u.  Conversely, a member m with m[:len(u)] = u gives
     v = u * m[len(u):].  So only v's class is closed; u's never is."""
     check_kind(Presentation, P)
-    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    _check_caps(class_cap, len_cap)
     u = P.check_word(u)
     v = P.check_word(v)
     if len(u) > len(v):
@@ -314,7 +322,7 @@ def enumerate_classes(P: Presentation, length: int,
     """Partition of all length-L words into rewriting classes, as a sorted
     tuple of sorted member tuples."""
     check_kind(Presentation, P)
-    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    _check_caps(class_cap, len_cap)
     if not isinstance(length, int) or length < 0:
         raise PreconditionError(f"length must be an int >= 0, got {length!r}")
     if length > len_cap:
@@ -346,7 +354,7 @@ def coxeter_order_oracle(matrix: CoxeterMatrix,
     quotient relation s^2 = e never has to be written down.
     """
     check_kind(CoxeterMatrix, matrix)
-    _check_caps(class_cap=class_cap, len_cap=len_cap)
+    _check_caps(class_cap, len_cap)
     if not is_finite_type(matrix):
         raise PreconditionError("order counting needs a finite-type matrix")
     P = presentation_from_matrix(matrix)
@@ -394,7 +402,7 @@ def reduce_handles(word, cap: int = DEFAULT_HANDLE_CAP) -> tuple[tuple[int, ...]
     letter before i: no letter pops it, so no earlier position could ever
     be on top of the stack again.
     """
-    _check_caps(cap=cap)
+    _check_cap("cap", cap)
     w = list(letters(word))
     for x in w:
         if not isinstance(x, int) or x == 0:

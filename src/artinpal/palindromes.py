@@ -12,10 +12,11 @@ forms; none of them extracts.  The peel's every step is an exact
 quotient, so its answer spells z and is not checked again.  A pure core,
 such as every pal(x) that `unpal` and `decompose` meet on a round trip,
 is peeled one normal-form factor per round instead of one letter: it has
-one root, so the answer is the same.  Like the peel, the routines here
-carry no self-checks of their answers: each rests on the proof in its
-docstring, and the tier-1 tests referee it against the oracle and the
-paper's criteria.
+one root, so the answer is the same.  `decompose_rev_tau` reads its
+input contract off the peel's answer instead of testing it first.  Like
+the peel, the routines here carry no self-checks of their answers: each
+rests on the proof in its docstring, and the tier-1 tests referee it
+against the oracle and the paper's criteria.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from operator import index
 from . import group, monoid, weyl
 from .coxeter import CoxeterMatrix, check_kind, w_word
 from .errors import (
+    ArtinError,
     BudgetExceededError,
     NotPalindromeError,
     NotPureError,
@@ -158,14 +160,38 @@ def canonical_decompose(x: GroupElement, order, opp: bool = False,
 
 
 def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
-    """A decomposition with tau(y) = y and tau(I) = I.
+    """A decomposition with tau(y) = y and tau(I) = I, for a palindrome x
+    with tau(x) = x; any other x raises NotPalindromeError, or
+    NotTauInvariantError when it is a palindrome.
 
     Peels Delta_{s, tau(s)} from both ends: the two-sided factor is itself
     rev- and tau-fixed, so both invariances descend to the middle and the
     accumulated y-word is a product of tau-fixed blocks.  The peel's steps
     are exact quotients, so the answer spells x; the last middle is a
     tau-fixed Delta_I, so tau(I) = I.
+
+    The contract is read off the peel's answer, without a rev or tau of x.
+    An answer y Delta_I rev(y) spells x, so x is a palindrome, and y is a
+    product of tau-fixed cuts (Delta_J for J = {s} or {s, tau(s)}, whole
+    factors and powers of Delta that tau fixes, and the central even power
+    Delta^-N), so tau(y) = y.  As tau commutes with rev, tau(x) = y
+    Delta_{tau(I)} rev(y), which by cancellation is x exactly when
+    Delta_{tau(I)} = Delta_I, that is when tau(I) = I, as Delta_I's
+    starting set is I.  So an answer with tau(I) = I is returned at once.
+    Only when the peel raises, or answers with tau(I) != I, are the two
+    checks run, palindrome first, and then the peel again, so each input
+    raises the error it would with the checks in front; a tau-fixed
+    palindrome always peels, so valid input never gets there.
     """
+    check_kind(GroupElement, x)
+    try:
+        perm = monoid.compute_tau_perm(x.matrix)
+        d = _peel(x, perm)
+    except ArtinError:
+        pass
+    else:
+        if all(perm[i - 1] in d.I for i in d.I):
+            return d
     if not group.is_palindrome(x):
         raise NotPalindromeError("decompose_rev_tau needs rev(x) = x")
     if not group.eq(group.tau(x), x):

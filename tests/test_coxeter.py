@@ -106,6 +106,50 @@ def test_named_matrix_forms():
             named_matrix(bad)
 
 
+def test_named_forms_are_one_shared_object():
+    """Each named form is one object, whichever way it is named, so the
+    per-matrix caches of every layer find it by identity."""
+    a3 = named_matrix("A3")
+    assert named_matrix(" a3") is a3 and builtin("A", 3) is a3
+    assert builtin(" a ", 3) is a3
+    assert named_matrix("I2(7)") is named_matrix("I2:7") is builtin("I2", 7)
+    assert builtin("E6", 6) is builtin("E6") is named_matrix("E6")
+    assert builtin("F4", 4) is named_matrix("f4")
+    assert named_matrix("A4") is not a3 and named_matrix("A4") != a3
+    # a bool parameter is its own key, as its name differs
+    assert builtin("A", True).name == "ATrue" and builtin("A", 1).name == "A1"
+
+
+def test_equal_matrices_made_apart_hash_and_compare_alike():
+    a3 = named_matrix("A3")
+    parsed = parse_matrix("rank 3\nm 1 2 3\nm 2 3 3\n")
+    assert parsed is not a3 and parsed == a3 and hash(parsed) == hash(a3)
+    assert parsed.name is None and a3.name == "A3"
+    assert {a3: 1}[parsed] == 1
+    built = CoxeterMatrix(3, a3.entries, "mine")
+    assert built == a3 and hash(built) == hash(a3) and built.name == "mine"
+    assert parse_matrix("rank 3\nm 1 2 4\nm 2 3 3\n") != a3
+
+
+@pytest.mark.parametrize("args", [
+    (3, 3), (None,), (b"A", 3), ("A", "3"), ("A", 3.0), ("A", [3]),
+    ("A", 0), ("A", None), ("B", 1), ("D", 3), ("E6", 7), ("F4", 3), ("H3", 4),
+    ("I2", 4), ("I2", None), ("Q", 3), ("E9", None), ("A3", None)])
+def test_builtin_still_rejects_bad_arguments_behind_its_cache(args):
+    # twice: an error is never cached as an answer
+    for _ in range(2):
+        with pytest.raises(InvalidMatrixError):
+            builtin(*args)
+
+
+@pytest.mark.parametrize("name", [3, None, ["A3"], "Z3", "A0", "B1", "D3",
+                                  "I2(4)", "E9", "E6(6)", "I3(5)", "A3x"])
+def test_named_matrix_still_rejects_bad_names(name):
+    for _ in range(2):
+        with pytest.raises(InvalidMatrixError):
+            named_matrix(name)
+
+
 def test_parse_serialize_round_trip():
     for mat in (builtin("A", 4), builtin("B", 3), builtin("H3"),
                 parse_matrix("rank 3\nm 1 2 3\nm 2 3 4\nm 1 3 inf\n")):

@@ -712,6 +712,24 @@ def test_peel_errors():
             group.peel(z, perm)
 
 
+def test_peel_of_delta_squared_c_is_not_delta_times_the_peel_of_tau_c():
+    """Delta^(2m) c = Delta^m tau^m(c) Delta^m, but the peel's answer on a
+    core that is not pure does not factor through that: on A2 the peel of
+    Delta^2 s1 is (s1 s2, {1, 2}), while Delta times the peel of tau(s1) =
+    s2 gives (Delta, {2}).  Both spell the element; only the first is the
+    peel's deterministic answer, so Delta pairs may not leave a non-pure
+    core in one step."""
+    d = delta_element(A2)
+    s1 = from_word(A2, (1,))
+    z = mult(mult(d, d), s1)
+    y, subset = group.peel(z)
+    assert (to_signed_word(y), subset) == ((1, 2), (1, 2))
+    y_tau, subset_tau = group.peel(tau(s1))
+    assert (to_signed_word(mult(d, y_tau)), subset_tau) == ((1, 2, 1), (2,))
+    for u, i in ((y, subset), (mult(d, y_tau), subset_tau)):
+        assert eq(mult(mult(u, delta_element(A2, i)), rev(u)), z)
+
+
 # recorded when the peel had letter rounds only
 PURE_PEEL_DIGEST = "163d3e8aaa946196af9a13c75a61f3657ef6d0849544649cfa2b63aed35d7c38"
 
