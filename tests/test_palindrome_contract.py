@@ -66,10 +66,6 @@ def _outcome(call, x):
     return d.y.key(), d.I
 
 
-def _signed(rng, mat, length):
-    return tuple(rng.choice((1, -1)) * rng.randint(1, mat.rank) for _ in range(length))
-
-
 def _signed_inputs(mat, rng):
     """Signed words, their palindromizations, y Delta_I rev(y) for any I
     (a palindrome that tau need not fix), and criterion 6's tau-fixed
@@ -79,7 +75,8 @@ def _signed_inputs(mat, rng):
     blocks = [group.to_signed_word(group.delta_element(mat, o)) for o in orbits]
     blocks += [tuple(-a for a in reversed(b)) for b in blocks]
     for _ in range(60):
-        x = group.from_word(mat, _signed(rng, mat, rng.randint(0, 8)))
+        x = group.from_word(mat, tuple(rng.choice((1, -1)) * rng.randint(1, mat.rank)
+                                       for _ in range(rng.randint(0, 8))))
         yield x
         yield palindromes.pal(x)
         any_i = tuple(s for s in mat.generators if rng.random() < 0.5)
