@@ -170,13 +170,14 @@ def builtin(family: str, param: int | None = None) -> CoxeterMatrix:
 
     The forms are kept in a cache of _FORMS_BOUND entries, least recently
     used out first, keyed by the family and parameter once their types are
-    checked; a bad family or parameter raises InvalidMatrixError on every
-    call, as errors are not cached.  A form evicted and built again is
-    equal to, and hashes like, the object it replaces.
+    checked; a bad family or parameter, a bool among them, raises
+    InvalidMatrixError on every call, as errors are not cached.  A form
+    evicted and built again is equal to, and hashes like, the object it
+    replaces.
     """
     if not isinstance(family, str):
         raise InvalidMatrixError(f"a family is named by a string, got {family!r}")
-    if param is not None and not isinstance(param, int):
+    if param is not None and (not isinstance(param, int) or isinstance(param, bool)):
         raise InvalidMatrixError(f"{family!r} needs an int parameter, got {param!r}")
     fam = family.strip().upper()
     if fam not in _FAMILIES:
@@ -188,7 +189,7 @@ _FAMILIES = ("A", "B", "D", "E6", "E7", "E8", "F4", "H3", "H4", "I2")
 _FORMS_BOUND = 64
 
 
-@lru_cache(maxsize=_FORMS_BOUND, typed=True)
+@lru_cache(maxsize=_FORMS_BOUND)
 def _builtin(fam: str, param: int | None) -> CoxeterMatrix:
     """`builtin` behind its cache, on a family of _FAMILIES.  A fixed-rank
     family given its own rank answers with the form named without it."""

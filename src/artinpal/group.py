@@ -657,29 +657,30 @@ def is_palindrome(a: GroupElement) -> bool:
     return eq(a, rev(a))
 
 
-def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
+def peel(z: GroupElement, twisted: bool = False
+         ) -> tuple[GroupElement, tuple[int, ...]]:
     """(y, I) with z = y Delta_I rev(y), for a positive palindrome z;
-    deterministic: the answer of `monoid.peel` on any word for z.
+    deterministic: the answer of `monoid.peel` on any word for z, with the
+    same twisted.
 
     A pure z (trivial Coxeter image) first goes through factor rounds
     (`_strip`), which cut a whole normal-form factor off each end at a
-    time; the letter rounds below finish from the core they leave.  They
-    run without tau, or with a tau that fixes every generator or is
-    sigma, the Delta-twist; any other tau leaves the letter rounds alone.
+    time; the letter rounds below finish from the core they leave.
 
     Letter rounds are the loop of `monoid.peel`, on the normal form.
     S = S(z) is every generator when inf > 0, else the left descents of
     the first factor.  While length(z) > |Delta_S|, take the least s in S
-    that finishes the tail Delta_S^-1 z, and cut Delta_J, J = {s} or
-    {s, tau(s)}, off both ends of z by one exact right division and one
-    exact left division (`_left`), which change only the factors near
-    that end.  tau, with tau(s) at index s - 1, promises tau(z) = z.
-    s finishes the tail exactly when Delta_S left-divides z s^-1, as
-    (Delta_S^-1 z) s^-1 = Delta_S^-1 (z s^-1): the test of `monoid.peel`.
-    So each s in S, in ascending order, divides a copy of the factors
-    (`_right`), and the first whose quotient starts with all of S is
-    taken; when J = {s} that quotient is the right cut, and with tau and
-    |J| = 2 a fresh right division by Delta_J is.
+    that finishes the tail Delta_S^-1 z, and cut Delta_J, J = {s}, or
+    {s, sigma(s)} when twisted, off both ends of z by one exact right
+    division and one exact left division (`_left`), which change only the
+    factors near that end.  sigma is the Delta-twist tau on the generators,
+    read off the tables; twisted promises tau(z) = z.  s finishes the tail
+    exactly when Delta_S left-divides z s^-1, as (Delta_S^-1 z) s^-1 =
+    Delta_S^-1 (z s^-1): the test of `monoid.peel`.  So each s in S, in
+    ascending order, divides a copy of the factors (`_right`), and the
+    first whose quotient starts with all of S is taken; when J = {s} that
+    quotient is the right cut, and when |J| = 2 a fresh right division by
+    Delta_J is.
 
     Factor rounds give the letter rounds' answer.  y Delta_I rev(y) has
     Coxeter image w(y) w0(I) w(y)^-1, so a pure palindrome is answered
@@ -690,10 +691,10 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     and a palindrome when c is one, by two-sided cancellation.  So
     z = y c rev(y) for the cuts y made so far, and the root of z is y
     times the root of c.  The letter rounds answer every positive
-    palindrome (tau-fixed, with tau), a pure one with its root, so they
-    give the same y from z as from c, and so does `monoid.peel`.  With
-    tau the rounds cut only tau-fixed factors (Delta^m is one), so c is
-    tau-fixed when z is.  A round hands over to the letter rounds when
+    palindrome (tau-fixed, when twisted), a pure one with its root, so
+    they give the same y from z as from c, and so does `monoid.peel`.
+    Twisted, the rounds cut only tau-fixed factors (Delta^m is one), so c
+    is tau-fixed when z is.  A round hands over to the letter rounds when
     inf = 1, when c' would not be positive, or when tau moves a.
 
     The factors live in a tau-frame, as in `from_word`: z = Delta^inf
@@ -708,29 +709,25 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
     y Delta_I rev(y) is a palindrome, an input that is not one gets none,
     and factor rounds never empty its core.  A round with no s raises
     NotPalindromeError, and a quotient that is not positive
-    PreconditionError, as do a z that is not a positive element and a tau
-    that does not permute the generators.  Without tau a letter round on
-    any positive core fails only for want of an s; with tau, on a pure
-    palindrome that is not tau-fixed, only by a quotient that is not
-    positive; so the factor rounds change no error there either.
+    PreconditionError, as do a z that is not a positive element and a
+    twisted that is not a bool.  Untwisted, a letter round on any positive
+    core fails only for want of an s; twisted, on a pure palindrome that
+    is not tau-fixed, only by a quotient that is not positive; so the
+    factor rounds change no error there either.
     """
     check_kind(GroupElement, z)
-    mat = z.matrix
-    if tau is not None:
-        tau = mat.check_word(tau, positive=True)
-        if sorted(tau) != list(mat.generators):
-            raise PreconditionError("peel needs tau to permute the generators")
+    check_kind(bool, twisted)
     if z.inf < 0:
         raise PreconditionError("peel needs a positive element")
-    t = _tables(mat)
+    mat, t = z.matrix, _tables(z.matrix)
+    twisted = twisted and t.twist
     inf, flip, factors, size = z.inf, 0, list(z.factors), length(z)
     # the product of the cuts is Delta^y_inf tau^y_inf(y): a tau-frame
     # whose flip is y_inf's parity, as every push onto it is positive
     y: list[_Simple] = []
     y_inf = 0
-    fixed = tau is None or all(tau[s] == s + 1 for s in range(mat.rank))
-    if is_pure(z) and (fixed or tau == tuple(s + 1 for s in t.sigma)):
-        inf, flip, size, y_inf = _strip(t, factors, inf, flip, size, y, fixed)
+    if is_pure(z):
+        inf, flip, size, y_inf = _strip(t, factors, inf, flip, size, y, twisted)
     while True:
         s_set = _heads(t, inf, factors, flip)
         d = _longest(t, s_set)
@@ -748,12 +745,11 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
             todo ^= bit
         else:
             raise NotPalindromeError("peel needs a palindrome")
-        s = bit.bit_length() - 1
-        if fixed or tau[s] == s + 1:
-            dj = _longest(t, bit)
+        j = bit | 1 << t.sigma[bit.bit_length() - 1] if twisted else bit
+        dj = _longest(t, j)
+        if j == bit:
             factors, inf, flip = rest, rest_inf, rest_flip
         else:
-            dj = _longest(t, bit | 1 << tau[s] - 1)
             inf, flip = _right(t, factors, dj, inf, flip)
         inf = _left(t, factors, dj, inf, flip)
         if inf < 0:
@@ -764,7 +760,7 @@ def peel(z: GroupElement, tau=None) -> tuple[GroupElement, tuple[int, ...]]:
 
 
 def _strip(t: _Tables, factors: list, inf: int, flip: int, size: int,
-           y: list, fixed: bool) -> tuple[int, int, int, int]:
+           y: list, twisted: bool) -> tuple[int, int, int, int]:
     """The factor rounds of `peel` on a pure core Delta^inf
     tau^flip(factors) of the given length: cut the core down in place, push
     the cuts onto y, and return the core's (inf, flip, length) and y's inf.
@@ -774,8 +770,8 @@ def _strip(t: _Tables, factors: list, inf: int, flip: int, size: int,
     frame flips by m.  Then, while inf = 0, the true first factor a leaves
     from the left, which leaves the other factors a normal form, and rev(a)
     from the right by one exact division (`_divide`); the round is kept
-    when that quotient is positive.  Unless fixed, a round stops at an a
-    that tau moves, tau being the Delta-twist sigma.
+    when that quotient is positive.  When twisted, a round stops at an a
+    that tau moves, so that every cut is tau-fixed.
     """
     y_inf = 0
     if inf >= 2:
@@ -783,7 +779,7 @@ def _strip(t: _Tables, factors: list, inf: int, flip: int, size: int,
         inf, flip, size, y_inf = inf - 2 * m, flip ^ m & 1, size - 2 * m * t.top, m
     while not inf and factors:
         a = _twist(t, factors[0], flip)
-        if not fixed and _tau(t, a).perm != a.perm:
+        if twisted and _tau(t, a).perm != a.perm:
             break
         rest = factors[1:]
         r_inf, flip_r = _divide(t, rest, _Simple(a.inv, a.perm, a.left,

@@ -313,7 +313,8 @@ def normal_form(w: PositiveWord) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def peel(w: PositiveWord, twisted: bool = False
+         ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(y, I) with w = y Delta_I rev(y), y given by its letters, for a
     palindrome w = rev(w) over any matrix; deterministic.
 
@@ -321,32 +322,32 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
     is rewritten in place into equal words.  Loop: extract S = S(w) from
     the window; if w equals Delta_S stop with I = S; otherwise take the
     smallest s finishing the tail Delta_S \\ w, and continue on
-    a = Delta_J \\ w / Delta_J for J = {s}, or J = {s, tau(s)} when tau is
-    given (tau(s) at index s - 1).  Delta_S exists and left-divides w
-    because the letters of S have the common multiple w, so w equals it
-    when the lengths agree.  A letter finishing the tail finishes
-    w = rev(w), so lies in S; s in S finishes it iff every t in S, hence
-    Delta_S, left-divides w / s = rev(s \\ w).  With tau the caller
-    promises tau(w) = w: then S and the tail are tau-stable, so tau(s)
-    finishes the tail too, and so does their right lcm Delta_J.  Either
-    way Delta_J finishes the tail, hence w, and starts w = rev(w).  a
-    inherits palindromicity (and tau-stability) by two-sided cancellation.
-    y is the concatenated Delta_J words.
+    a = Delta_J \\ w / Delta_J for J = {s}, or J = {s, tau(s)} when
+    twisted, tau the Delta-twist of `compute_tau_perm`, which exists only
+    in finite type.  Delta_S exists and left-divides w because the letters
+    of S have the common multiple w, so w equals it when the lengths
+    agree.  A letter finishing the tail finishes w = rev(w), so lies in S;
+    s in S finishes it iff every t in S, hence Delta_S, left-divides
+    w / s = rev(s \\ w).  Twisted, the caller promises tau(w) = w: then S
+    and the tail are tau-stable, so tau(s) finishes the tail too, and so
+    does their right lcm Delta_J.  Either way Delta_J finishes the tail,
+    hence w, and starts w = rev(w).  a inherits palindromicity (and
+    tau-stability) by two-sided cancellation.  y is the concatenated
+    Delta_J words.
 
     Every answer spells w, whatever the input: each round rewrites the
     window into an equal word or its reverse, the divisions by Delta_J are
     extractions, and y Delta_I rev(y) is its own reverse.  So an input that
     is not a palindrome is never answered; it raises NotPalindromeError
     when no letter finishes the tail, or PreconditionError, as does a
-    Delta_J that is undefined or does not divide w, or a tau that does not
-    permute the generators.  This is the peel for any matrix, and the
-    reference of `group.peel`.
+    Delta_J that does not divide w, or a twisted that is not a bool; a
+    twisted peel over an infinite-type matrix raises InfiniteTypeError.
+    This is the peel for any matrix, and the reference of `group.peel`.
     """
     check_kind(PositiveWord, w)
+    check_kind(bool, twisted)
     mat, rules, buf = w.matrix, _rules(w.matrix), list(w.letters)
-    if tau is not None and (sorted(mat.check_word(tau, positive=True))
-                            != list(mat.generators)):
-        raise PreconditionError("peel needs tau to permute the generators")
+    tau = _tau_perm(mat) if twisted else None
     lo, hi, prefix = 0, len(buf), []
     while True:
         s_set = _heads(rules, buf, lo, hi)
@@ -362,11 +363,10 @@ def peel(w: PositiveWord, tau=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 break
         else:
             raise NotPalindromeError("peel needs w = rev(w)")
-        j = (s,) if tau is None else (s, tau[s - 1])
-        dj = delta(mat, j)
+        dj = delta(mat, (s,) if tau is None else (s, tau[s - 1]))
         # Delta_J \ w = a Delta_J, reversed Delta_J a; then a, equal to its reverse
         for _ in range(2):
-            if dj is None or not _divides(rules, buf, dj.letters, lo, hi):
+            if not _divides(rules, buf, dj.letters, lo, hi):
                 raise PreconditionError(
                     "peel needs w = rev(w), and Delta_J to start and finish it")
             lo += len(dj.letters)

@@ -74,17 +74,17 @@ def _core(x: GroupElement) -> tuple[GroupElement, int]:
     return _shift(x, 2 * n), n
 
 
-def _peel(x: GroupElement, tau=None) -> PalDecomposition:
+def _peel(x: GroupElement, twisted: bool = False) -> PalDecomposition:
     """Deterministic decomposition of a palindrome x: `group.peel` of its
-    core z = Delta^(2N) x, whose answer spells z, with y = Delta^-N u.  The
-    peel's steps are exact quotients, and z is a palindrome iff x is.
-    Without tau, an s that finishes the tail gives z = Delta_S T s, so s
-    left-divides z s^-1 and s^-1 z s^-1 is positive: a round with no such s
-    is the peel's only failure, and a non-palindrome raises
-    NotPalindromeError."""
+    core z = Delta^(2N) x, twisted or not, whose answer spells z, with
+    y = Delta^-N u.  The peel's steps are exact quotients, and z is a
+    palindrome iff x is, and tau-fixed iff x is.  Untwisted, an s that
+    finishes the tail gives z = Delta_S T s, so s left-divides z s^-1 and
+    s^-1 z s^-1 is positive: a round with no such s is the peel's only
+    failure, and a non-palindrome raises NotPalindromeError."""
     check_kind(GroupElement, x)
     z, n = _core(x)
-    u, subset = group.peel(z, tau)
+    u, subset = group.peel(z, twisted)
     return PalDecomposition(y=_shift(u, -n), I=subset)
 
 
@@ -164,11 +164,11 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
     with tau(x) = x; any other x raises NotPalindromeError, or
     NotTauInvariantError when it is a palindrome.
 
-    Peels Delta_{s, tau(s)} from both ends: the two-sided factor is itself
-    rev- and tau-fixed, so both invariances descend to the middle and the
-    accumulated y-word is a product of tau-fixed blocks.  The peel's steps
-    are exact quotients, so the answer spells x; the last middle is a
-    tau-fixed Delta_I, so tau(I) = I.
+    The twisted peel cuts Delta_{s, tau(s)} off both ends: the two-sided
+    factor is itself rev- and tau-fixed, so both invariances descend to
+    the middle and the accumulated y-word is a product of tau-fixed
+    blocks.  The peel's steps are exact quotients, so the answer spells x;
+    the last middle is a tau-fixed Delta_I, so tau(I) = I.
 
     The contract is read off the peel's answer, without a rev or tau of x.
     An answer y Delta_I rev(y) spells x, so x is a palindrome, and y is a
@@ -177,7 +177,9 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
     Delta^-N), so tau(y) = y.  As tau commutes with rev, tau(x) = y
     Delta_{tau(I)} rev(y), which by cancellation is x exactly when
     Delta_{tau(I)} = Delta_I, that is when tau(I) = I, as Delta_I's
-    starting set is I.  So an answer with tau(I) = I is returned at once.
+    starting set is I.  So an answer with tau(I) = I is returned at once;
+    tau(I) is read off `monoid.compute_tau_perm`, which names the same
+    permutation as the group tables' sigma that the peel twists by.
     Only when the peel raises, or answers with tau(I) != I, are the two
     checks run, palindrome first, and then the peel again, so each input
     raises the error it would with the checks in front; a tau-fixed
@@ -186,7 +188,7 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
     check_kind(GroupElement, x)
     try:
         perm = monoid.compute_tau_perm(x.matrix)
-        d = _peel(x, perm)
+        d = _peel(x, twisted=True)
     except ArtinError:
         pass
     else:
@@ -196,7 +198,7 @@ def decompose_rev_tau(x: GroupElement) -> PalDecomposition:
         raise NotPalindromeError("decompose_rev_tau needs rev(x) = x")
     if not group.eq(group.tau(x), x):
         raise NotTauInvariantError("decompose_rev_tau needs tau(x) = x")
-    return _peel(x, monoid.compute_tau_perm(x.matrix))
+    return _peel(x, twisted=True)
 
 
 def _pairwise_commuting(mat: CoxeterMatrix, subset) -> bool:

@@ -657,37 +657,36 @@ def _peel_cores(mat, rng, count, max_len):
 @pytest.mark.parametrize("name", PEEL_TYPES)
 def test_peel_matches_the_word_peel(name):
     """`peel` on the normal form gives `monoid.peel`'s answer on a word for
-    the same palindrome: seeded pal(x) cores without tau, and tau-fixed
-    cores with and without it."""
+    the same palindrome: seeded pal(x) cores untwisted, and tau-fixed
+    cores twisted and untwisted."""
     mat = coxeter.named_matrix(name)
     rng = random.Random(f"group peel {name}")
-    plain, fixed, perm = _peel_cores(mat, rng, 6, 24)
-    runs = [(z, None) for z in plain + fixed] + [(z, perm) for z in fixed]
-    for z, tau_perm in runs:
-        y, subset = group.peel(z, tau_perm)
-        letters, want = monoid.peel(monoid.word(mat, z.p), tau_perm)
-        assert subset == want and eq(y, make(mat, 0, letters)), (z, tau_perm)
+    plain, fixed, _ = _peel_cores(mat, rng, 6, 24)
+    runs = [(z, False) for z in plain + fixed] + [(z, True) for z in fixed]
+    for z, twisted in runs:
+        y, subset = group.peel(z, twisted)
+        letters, want = monoid.peel(monoid.word(mat, z.p), twisted)
+        assert subset == want and eq(y, make(mat, 0, letters)), (z, twisted)
         assert eq(mult(mult(y, delta_element(mat, subset)), rev(y)), z)
-        if tau_perm is not None:
+        if twisted:
             assert eq(tau(y), y)
 
 
 @pytest.mark.parametrize("name", ["A3", "A4"])
 def test_peel_on_every_short_word(name):
     """Every positive word to length 6 that is no palindrome makes `peel`
-    raise an ArtinError; every palindrome gets `monoid.peel`'s answer, with
-    and without tau when it is tau-fixed."""
+    raise an ArtinError; every palindrome gets `monoid.peel`'s answer,
+    untwisted, and twisted too when it is tau-fixed."""
     mat = coxeter.named_matrix(name)
-    perm = monoid.compute_tau_perm(mat)
     raised = answered = 0
     for n in range(7):
         for letters in itertools.product(mat.generators, repeat=n):
             z = make(mat, 0, letters)
             if is_palindrome(z):
                 fixed = eq(tau(z), z)
-                for tau_perm in (None, perm) if fixed else (None,):
-                    y, subset = group.peel(z, tau_perm)
-                    word_y, want = monoid.peel(monoid.word(mat, letters), tau_perm)
+                for twisted in (False, True) if fixed else (False,):
+                    y, subset = group.peel(z, twisted)
+                    word_y, want = monoid.peel(monoid.word(mat, letters), twisted)
                     assert subset == want and eq(y, make(mat, 0, word_y)), letters
                 answered += 1
                 continue
@@ -701,15 +700,19 @@ def test_peel_errors():
     """As in `monoid.peel`'s test_peel_errors: Delta_J = Delta_{1, 3} does
     not start 1 1, so the left division leaves a negative quotient.  The
     other two are pure palindromes that tau does not fix: the factor rounds
-    hand them to the letter rounds, which raise as they do without them."""
-    perm = monoid.compute_tau_perm(A3)
+    hand them to the letter rounds, which raise as they do without them.
+    The twist is a flag: a permutation of the generators, sigma among them,
+    is refused."""
     with pytest.raises(PreconditionError):
-        group.peel(from_word(A3, (1, 1)), perm)
+        group.peel(from_word(A3, (1, 1)), twisted=True)
     for letters in ((1, 3, 1, 1, 3, 1), (2, 1, 1, 2)):
         z = from_word(A3, letters)
         assert group.is_pure(z) and is_palindrome(z) and not eq(tau(z), z)
         with pytest.raises(PreconditionError):
-            group.peel(z, perm)
+            group.peel(z, twisted=True)
+    for perm in (monoid.compute_tau_perm(A3), (1, 2, 3), 1):
+        with pytest.raises(PreconditionError):
+            group.peel(from_word(A3, (2,)), perm)
 
 
 def test_peel_of_delta_squared_c_is_not_delta_times_the_peel_of_tau_c():
@@ -750,12 +753,41 @@ def test_peel_on_pure_words_is_pinned():
                     continue
                 for tau_perm in (None, perm):
                     try:
-                        y, subset = group.peel(z, tau_perm)
+                        y, subset = group.peel(z, tau_perm is not None)
                         out = (y.key(), subset)
                     except ArtinError as e:
                         out = type(e).__name__
                     digest.update(repr((letters, tau_perm, out)).encode())
     assert digest.hexdigest() == PURE_PEEL_DIGEST
+
+
+# recorded when the peels took the twist as the permutation sigma
+TWISTED_PEEL_DIGEST = "59c2d9c4c91736f99545e623f0f1964abe5b111955e17631ca6709ba93d6465d"
+
+
+def test_twisted_peel_beyond_type_a_is_pinned():
+    """Every positive word to length 5 on D5 and E6 and to length 8 on
+    I2(5), where tau moves generators, peeled twisted: the answer, or the
+    class of the error, is what it was when the twist was passed as sigma;
+    on D5 the word peel's answer too."""
+    digest = hashlib.sha256()
+    for name, max_len in (("D5", 5), ("E6", 5), ("I2(5)", 8)):
+        mat = coxeter.named_matrix(name)
+        peels = [("group", lambda letters: group.peel(make(mat, 0, letters), True))]
+        if name == "D5":
+            peels.append(("word", lambda letters: monoid.peel(
+                monoid.word(mat, letters), True)))
+        for n in range(max_len + 1):
+            for letters in itertools.product(mat.generators, repeat=n):
+                for kind, call in peels:
+                    try:
+                        out = call(letters)
+                        if kind == "group":
+                            out = (out[0].key(), out[1])
+                    except ArtinError as e:
+                        out = type(e).__name__
+                    digest.update(repr((name, kind, letters, out)).encode())
+    assert digest.hexdigest() == TWISTED_PEEL_DIGEST
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "A3", "I2(5)"])

@@ -286,15 +286,21 @@ def test_tau():
 def test_tau_is_conjugation_by_the_longest_element(name):
     """tau(s), read in the monoid from s * Delta = Delta * tau(s), is the
     generator whose reflection is w0 s w0, where w0 is found in the root
-    system alone: the element that makes every simple root negative."""
+    system alone: the element that makes every simple root negative.  The
+    group tables' sigma, which the twisted `group.peel` reads, and
+    `group.tau` name the same generators."""
     rep = weyl.build_root_system(coxeter.named_matrix(name))
     refl, negative = rep.simple_reflections, rep.negative
     w0 = rep.identity().perm
     while (i := next((i for i in range(len(refl)) if not negative[w0[i]]),
                      None)) is not None:
         w0 = weyl.compose(w0, refl[i])
-    assert compute_tau_perm(rep.matrix) == tuple(
+    mat, perm = rep.matrix, compute_tau_perm(rep.matrix)
+    assert perm == tuple(
         refl.index(weyl.compose(w0, weyl.compose(r, w0))) + 1 for r in refl)
+    assert [group.tau(group.from_word(mat, (s,))) for s in mat.generators] == [
+        group.from_word(mat, (t,)) for t in perm]
+    assert tuple(s + 1 for s in group._tables(mat).sigma) == perm
 
 
 @given(a3_words)
@@ -344,11 +350,12 @@ def test_peel_errors():
     with pytest.raises(NotPalindromeError):
         peel(word(A3, (1, 2)))
     with pytest.raises(PreconditionError):  # Delta_{1, 3} does not start 1 1
-        peel(word(A3, (1, 1)), compute_tau_perm(A3))
-    with pytest.raises(PreconditionError):  # no Delta over {1, 3}
-        peel(word(MIXED, (1, 1)), (3, 2, 1))
-    for tau in ((1, 2), (1, 1, 2), (1, 2, 4), 5):  # not a permutation of 1..3
-        with pytest.raises(ArtinError):
+        peel(word(A3, (1, 1)), twisted=True)
+    with pytest.raises(InfiniteTypeError):  # no Delta-twist in infinite type
+        peel(word(MIXED, (1, 1)), twisted=True)
+    # the twist is a flag: tuples, sigma among them, and ints are refused
+    for tau in ((1, 2), (1, 1, 2), (1, 2, 4), 5, (1, 2, 3), compute_tau_perm(A3)):
+        with pytest.raises(PreconditionError):
             peel(word(A3, (1, 2, 1)), tau)
 
 
@@ -388,10 +395,10 @@ def test_peel_prunes_and_carries_the_starting_set(name):
     rng = random.Random(sum(map(ord, name)))
     for tau in [None, compute_tau_perm(mat)] if finite else [None]:
         for w in random_palindromes(mat, rng, 40, tau):
-            y, subset = peel(w, tau)
+            y, subset = peel(w, tau is not None)
             assert equals(word(mat, y + delta(mat, subset).letters + y[::-1]), w), w
             if finite:
-                u, group_subset = group.peel(group.from_positive(w), tau)
+                u, group_subset = group.peel(group.from_positive(w), tau is not None)
                 assert subset == group_subset, (w, tau)
                 assert group.eq(group.from_word(mat, y), u), (w, tau)
 
@@ -413,12 +420,12 @@ def test_peel_agrees_with_the_group_peel_on_long_cores(name):
         fixed: list[int] = []
         while len(fixed) < 50:
             fixed += rng.choice(blocks)
-        for letters, tau in ((plain, None), (fixed, perm)):
+        for letters, twisted in ((plain, False), (fixed, True)):
             z, _ = palindromes._core(palindromes.pal(group.from_word(mat, letters)))
-            y, subset = peel(word(mat, z.p), tau)
-            u, group_subset = group.peel(z, tau)
-            assert subset == group_subset, (letters, tau)
-            assert group.eq(group.from_word(mat, y), u), (letters, tau)
+            y, subset = peel(word(mat, z.p), twisted)
+            u, group_subset = group.peel(z, twisted)
+            assert subset == group_subset, (letters, twisted)
+            assert group.eq(group.from_word(mat, y), u), (letters, twisted)
 
 
 @pytest.mark.parametrize("name, max_len", [("A3", 7), ("A4", 7)])
@@ -437,7 +444,7 @@ def test_rev_tau_peel_off_its_contract_spells_w_or_raises(name, max_len):
             if palindrome and equals(w, word(mat, (tau[s - 1] for s in letters))):
                 continue
             try:
-                y, subset = peel(w, tau)
+                y, subset = peel(w, twisted=True)
             except ArtinError:
                 outcomes["raised"] += palindrome
                 continue
