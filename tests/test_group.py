@@ -773,20 +773,20 @@ def test_twisted_peel_beyond_type_a_is_pinned():
     digest = hashlib.sha256()
     for name, max_len in (("D5", 5), ("E6", 5), ("I2(5)", 8)):
         mat = coxeter.named_matrix(name)
-        peels = [("group", lambda letters: group.peel(make(mat, 0, letters), True))]
-        if name == "D5":
-            peels.append(("word", lambda letters: monoid.peel(
-                monoid.word(mat, letters), True)))
         for n in range(max_len + 1):
             for letters in itertools.product(mat.generators, repeat=n):
-                for kind, call in peels:
+                try:
+                    y, subset = group.peel(make(mat, 0, letters), True)
+                    out = (y.key(), subset)
+                except ArtinError as e:
+                    out = type(e).__name__
+                digest.update(repr((name, "group", letters, out)).encode())
+                if name == "D5":
                     try:
-                        out = call(letters)
-                        if kind == "group":
-                            out = (out[0].key(), out[1])
+                        out = monoid.peel(monoid.word(mat, letters), True)
                     except ArtinError as e:
                         out = type(e).__name__
-                    digest.update(repr((name, kind, letters, out)).encode())
+                    digest.update(repr((name, "word", letters, out)).encode())
     assert digest.hexdigest() == TWISTED_PEEL_DIGEST
 
 
