@@ -32,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from artinpal import coxeter, group, monoid, orderings, palindromes  # noqa: E402
+from artinpal import coxeter, group, monoid, oracle, orderings, palindromes  # noqa: E402
 from tracer import HOOKS, Count  # noqa: E402
 
 
@@ -63,11 +63,12 @@ def balanced_free_word(rng: random.Random, length: int) -> tuple[int, ...]:
             return tuple(w)
 
 
-def counted(name: str, hook, key: str, call: Callable[[], object]) -> int:
-    """Run call() with orderings.<name> wrapped so that `hook`, a tracer
+def counted(module, name: str, hook, key: str, call: Callable[[], object]) -> int:
+    """Run call() with module.<name> wrapped so that `hook`, a tracer
     counter, sees each of its calls, and return the count taken under key."""
-    real = getattr(orderings, name)
-    sink = SimpleNamespace(counts=defaultdict(int))
+    real = getattr(module, name)
+    layer = module.__name__.rpartition(".")[2]
+    sink = SimpleNamespace(counts=defaultdict(int), originals={f"{layer}.{name}": real})
 
     def wrapper(*args):
         before = hook.before(sink, args)
@@ -75,11 +76,11 @@ def counted(name: str, hook, key: str, call: Callable[[], object]) -> int:
         hook.after(sink, args, result, before, None)
         return result
 
-    setattr(orderings, name, wrapper)
+    setattr(module, name, wrapper)
     try:
         call()
     finally:
-        setattr(orderings, name, real)
+        setattr(module, name, real)
     return sink.counts[key]
 
 
@@ -99,7 +100,7 @@ def magnus_inputs(rng, length):
 
 
 def magnus_work(word) -> int:
-    return counted("magnus_image", HOOKS["orderings.magnus_image"],
+    return counted(orderings, "magnus_image", HOOKS["orderings.magnus_image"],
                    "orderings.magnus_terms", lambda: orderings.magnus_sign(word, 3))
 
 
@@ -118,7 +119,7 @@ def compare_kernel(name: str) -> Kernel:
                 for _ in range(10)]
 
     def work(pair) -> int:
-        return counted("dehornoy_sign", LETTERS_SIGNED, LETTERS_SIGNED.key,
+        return counted(orderings, "dehornoy_sign", LETTERS_SIGNED, LETTERS_SIGNED.key,
                        lambda: order.compare(*pair))
 
     return Kernel(f"order.compare/{name}", "letters signed", (25, 50, 100, 200, 400),
@@ -172,6 +173,29 @@ def rev_tau_kernel(name: str) -> Kernel:
                   core_letters(mat))
 
 
+# -- oracle.class_of: positive D4 words, each closed from a cleared cache,
+# members closed
+
+def class_of_kernel(name: str) -> Kernel:
+    pres = oracle.presentation_from_matrix(coxeter.named_matrix(name))
+
+    def inputs(rng, length):
+        return [tuple(rng.randint(1, pres.ngens) for _ in range(length))
+                for _ in range(20)]
+
+    def run(w):
+        oracle.class_of.cache_clear()
+        return oracle.class_of(pres, w)
+
+    def work(w) -> int:
+        oracle.class_of.cache_clear()
+        return counted(oracle, "class_of", HOOKS["oracle.class_of"],
+                       "oracle.class_members", lambda: oracle.class_of(pres, w))
+
+    return Kernel(f"oracle.class_of/{name}", "members closed", (4, 6, 8, 10, 12),
+                  inputs, run, work)
+
+
 KERNELS = (
     Kernel("orderings.dynnikov_action", "letters read",
            tuple(100 * 2 ** k for k in range(7)), dynnikov_inputs,
@@ -183,6 +207,7 @@ KERNELS = (
     decompose_kernel("A4"),
     decompose_kernel("E8"),
     rev_tau_kernel("A5"),
+    class_of_kernel("D4"),
 )
 
 

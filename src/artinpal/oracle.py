@@ -5,12 +5,18 @@ u = v of equal length may be applied at any position in either direction,
 so the set of words reachable from w is finite and enumerable.  Slow on
 purpose; every answer is exact or a budget error, never a guess.  Braid
 words are refereed apart from the closures, by handle reduction.
+
+The closure runs on words packed into ints, a fixed number of bytes per
+letter with the first letter highest: a window is read with a shift and a
+mask and rewritten with one XOR, and a closed class is cached as a set of
+ints, decoded to tuples only when its members are read.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .coxeter import CoxeterMatrix, check_kind, is_finite_type, letters, parse_word
 from .errors import (BudgetExceededError, HandleReductionOverflow, InvalidBudgetError,
@@ -19,6 +25,9 @@ from .errors import (BudgetExceededError, HandleReductionOverflow, InvalidBudget
 DEFAULT_CLASS_CAP = 1_000_000
 DEFAULT_LEN_CAP = 12
 DEFAULT_HANDLE_CAP = 1_000_000
+
+# bytes per packed letter, narrowest first, with the struct code of each
+_WIDTHS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -61,13 +70,48 @@ def presentation_from_matrix(matrix: CoxeterMatrix) -> Presentation:
     return Presentation(matrix.rank, tuple(matrix.relations()))
 
 
+@lru_cache(maxsize=None)
+def _codec(width: int, length: int) -> struct.Struct:
+    """The big-endian layout of a word of `length` letters, `width` bytes
+    each."""
+    return struct.Struct(f">{length}{_WIDTHS[width]}")
+
+
+def _pack(w: tuple[int, ...], width: int) -> int:
+    """w as one int, `width` bytes a letter, the first letter highest; for
+    words of one length the int order is the lexicographic order."""
+    if width == 1:
+        return int.from_bytes(bytes(w), "big")
+    return int.from_bytes(_codec(width, len(w)).pack(*w), "big")
+
+
 @dataclass(frozen=True)
 class RewriteClass:
     """A full rewriting-equivalence class and its lexicographically least
-    member, the canonical representative."""
+    member, the canonical representative.
 
-    canonical: tuple[int, ...]
-    members: frozenset
+    The class is kept packed: `packed` holds each member as one int,
+    `width` bytes a letter with the first letter highest, and every member
+    has `length` letters.  `canonical` is decoded from the least int, and
+    `members`, the frozenset of tuples, is decoded on first read."""
+
+    packed: frozenset
+    width: int
+    length: int
+
+    def _decoder(self):
+        """packed int -> the member it spells."""
+        unpack = _codec(self.width, self.length).unpack
+        size = self.width * self.length
+        return lambda m: unpack(m.to_bytes(size, "big"))
+
+    @cached_property
+    def canonical(self) -> tuple[int, ...]:
+        return self._decoder()(min(self.packed))
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(map(self._decoder(), self.packed))
 
 
 def _check_cap(name: str, cap) -> None:
@@ -87,18 +131,31 @@ def _check_caps(class_cap, len_cap) -> None:
 
 @lru_cache(maxsize=None)
 def _rewrite_table(P: Presentation):
-    """(k, {side of length k: its partner sides}) per side length k."""
-    table: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
+    """(width, ((k, mask, {packed side: XOR flips to its partners}), ...)):
+    the bytes per letter, the narrowest that holds letter P.ngens, and per
+    side length k the mask of a k-letter window and, for each packed side
+    of that length, side ^ partner for each of its partner sides."""
+    width = next((b for b in _WIDTHS if P.ngens < 256 ** b), None)
+    if width is None:
+        raise PreconditionError(
+            f"{P.ngens} generators: the oracle packs a letter in at most 8 bytes"
+        )
+    table: dict[int, dict[int, list[int]]] = {}
     for lhs, rhs in P.relations:
         for a, b in ((lhs, rhs), (rhs, lhs)):
-            table.setdefault(len(a), {}).setdefault(a, []).append(b)
-    return tuple(table.items())
+            side = _pack(a, width)
+            table.setdefault(len(a), {}).setdefault(side, []).append(
+                side ^ _pack(b, width))
+    bits = 8 * width
+    return width, tuple((k, (1 << k * bits) - 1, flips)
+                        for k, flips in table.items())
 
 
 def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
              len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
     """BFS closure of w under single-relation rewrites; deterministic.  A
-    closure costs |class| * len(w) * (distinct side lengths) lookups.
+    closure costs |class| * len(w) * (distinct side lengths) lookups, each
+    a shift, a mask and a dict probe on the packed word.
 
     Every rewrite keeps the length: `Presentation.__post_init__` rejects a
     relation whose sides differ in length, and `_rewrite_table` pairs a
@@ -121,28 +178,34 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
 
 @lru_cache(maxsize=None)
 def _class_of(P: Presentation, w, class_cap: int, len_cap: int) -> RewriteClass:
-    """`class_of` behind its cache."""
+    """`class_of` behind its cache: the closure on packed words.  A window
+    of k letters at `shift` bits from the right is `u >> shift & mask`,
+    and rewriting it to a partner side is `u ^ flip << shift`."""
     check_kind(Presentation, P)
     _check_caps(class_cap, len_cap)
     w = P.check_word(w)
-    if len(w) > len_cap:
+    n = len(w)
+    if n > len_cap:
         raise BudgetExceededError(
-            f"word length {len(w)} exceeds the cap {len_cap}"
+            f"word length {n} exceeds the cap {len_cap}"
         )
-    table = _rewrite_table(P)
-    seen = {w}
-    frontier = [w]
+    width, table = _rewrite_table(P)
+    bits = 8 * width
+    windows = [(mask, sides, range(0, (n - k) * bits + 1, bits))
+               for k, mask, sides in table if k <= n]
+    start = _pack(w, width)
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
-            n = len(u)
-            for k, sides in table:
-                for i in range(n - k + 1):
-                    targets = sides.get(u[i:i + k])
-                    if targets is None:
+            for mask, sides, shifts in windows:
+                for shift in shifts:
+                    flips = sides.get(u >> shift & mask)
+                    if flips is None:
                         continue
-                    for b in targets:
-                        v = u[:i] + b + u[i + k:]
+                    for flip in flips:
+                        v = u ^ flip << shift
                         if v not in seen:
                             if len(seen) >= class_cap:
                                 raise BudgetExceededError(
@@ -151,7 +214,7 @@ def _class_of(P: Presentation, w, class_cap: int, len_cap: int) -> RewriteClass:
                             seen.add(v)
                             nxt.append(v)
         frontier = nxt
-    return RewriteClass(min(seen), frozenset(seen))
+    return RewriteClass(frozenset(seen), width, n)
 
 
 class_of.cache_info = _class_of.cache_info
@@ -182,7 +245,8 @@ def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP,
     v = P.check_word(v)
     if len(u) != len(v):
         return False
-    return v in class_of(P, u, class_cap, len_cap).members
+    cls = class_of(P, u, class_cap, len_cap)
+    return _pack(v, cls.width) in cls.packed
 
 
 def divides_left_oracle(P: Presentation, u, v,
@@ -200,9 +264,11 @@ def divides_left_oracle(P: Presentation, u, v,
     v = P.check_word(v)
     if len(u) > len(v):
         return False
-    k = len(u)
-    for m in class_of(P, v, class_cap, len_cap).members:  # about twice as fast as any()
-        if m[:k] == u:
+    cls = class_of(P, v, class_cap, len_cap)
+    prefix = _pack(u, cls.width)
+    shift = (len(v) - len(u)) * 8 * cls.width
+    for m in cls.packed:  # about twice as fast as any()
+        if m >> shift == prefix:
             return True
     return False
 

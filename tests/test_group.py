@@ -672,6 +672,40 @@ def test_peel_matches_the_word_peel(name):
             assert eq(tau(y), y)
 
 
+@pytest.mark.parametrize("name", ["A5", "D5", "E6"])
+def test_twisted_peel_matches_the_word_peel_on_cores_with_a_middle(name):
+    """Twisted, `peel` gives `monoid.peel`'s answer on cores y Delta_I
+    rev(y) (times the central Delta^4 until positive), y a product of
+    Delta_{s, tau(s)} blocks and their inverses and I a nonempty union of
+    tau-orbits.  Such a core is not pure, so no factor round runs: the
+    letter rounds, where J = {s, sigma(s)} is cut, do all the peeling."""
+    mat = coxeter.named_matrix(name)
+    perm = monoid.compute_tau_perm(mat)
+    orbits = sorted({tuple(sorted({s, perm[s - 1]})) for s in mat.generators})
+    assert any(len(o) == 2 for o in orbits)
+    blocks = [monoid.delta(mat, set(o)).letters for o in orbits]
+    blocks += [tuple(-x for x in reversed(b)) for b in blocks]
+    shift = make(mat, 2, ())  # Delta^-4, central
+    rng = random.Random(f"twisted letter rounds {name}")
+    for _ in range(12):
+        letters: list[int] = []
+        for _ in range(rng.randint(0, 8)):
+            letters += rng.choice(blocks)
+        subset = ()
+        while not subset:
+            subset = tuple(sorted(s for o in orbits if rng.random() < 0.5 for s in o))
+        y = from_word(mat, letters)
+        z = mult(mult(y, delta_element(mat, subset)), rev(y))
+        while z.inf < 0:
+            z = mult(z, inv(shift))
+        assert not is_pure(z) and eq(tau(z), z)
+        got_y, got = group.peel(z, twisted=True)
+        word_y, want = monoid.peel(monoid.word(mat, z.p), twisted=True)
+        assert got == want and eq(got_y, make(mat, 0, word_y)), (letters, subset)
+        assert eq(mult(mult(got_y, delta_element(mat, got)), rev(got_y)), z)
+        assert eq(tau(got_y), got_y)
+
+
 @pytest.mark.parametrize("name", ["A3", "A4"])
 def test_peel_on_every_short_word(name):
     """Every positive word to length 6 that is no palindrome makes `peel`

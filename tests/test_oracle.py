@@ -401,6 +401,89 @@ def test_class_cap_message_unchanged():
         class_of(P_A3, (1, 2, 1, 3, 2, 1), 2, 12)
 
 
+# Letters take 1, 2, 4 or 8 bytes in the packed closure, by the number of
+# generators; each presentation relates letters of the widest byte width.
+P_WIDE = {
+    1: Presentation(255, (((1, 2, 1), (2, 1, 2)), ((1, 255), (255, 1)))),
+    2: Presentation(300, (((1, 2, 1), (2, 1, 2)), ((299, 300), (300, 299)),
+                          ((1, 300), (300, 1)), ((2, 299, 2), (299, 2, 299)))),
+    4: Presentation(70_000, (((65_536, 70_000), (70_000, 65_536)),
+                             ((1, 65_537, 1), (65_537, 1, 65_537)),
+                             ((2, 70_000), (1, 1)))),
+    8: Presentation(2 ** 40, (((1, 2 ** 40), (2 ** 40, 1)),
+                              ((2 ** 32, 2, 2 ** 32), (2, 2 ** 32, 2)))),
+}
+
+
+@pytest.mark.parametrize("width", sorted(P_WIDE))
+def test_wide_letters_and_the_empty_word_match_the_per_relation_scan(width):
+    """class_of, canonical, equals_oracle and divides_left_oracle agree
+    with the per-relation scan on words over the relation letters, the
+    empty word among them, whatever the bytes per letter."""
+    pres = P_WIDE[width]
+    alphabet = sorted({x for rel in pres.relations for side in rel for x in side})
+    rng = random.Random(f"wide letters {width}")
+    words = [()] + [tuple(rng.choice(alphabet) for _ in range(n))
+                    for n in range(1, 8) for _ in range(6)]
+    if width == 2:
+        words.append((1, 2, 1, 299, 300, 1))
+    closures = {w: _old_closure(pres, w) for w in words}
+    assert sum(len(c) > 1 for c in closures.values()) >= 3
+    for w in words:
+        cls = class_of(pres, w)
+        assert cls.width == width
+        assert cls.members == closures[w], w
+        assert cls.canonical == min(closures[w])
+    for u in words:
+        for v in words:
+            assert equals_oracle(pres, u, v) == (v in closures[u]), (u, v)
+            assert divides_left_oracle(pres, u, v) == (len(u) <= len(v) and any(
+                m[:len(u)] == u for m in closures[v])), (u, v)
+    assert class_of(pres, ()).members == {()} and class_of(pres, ()).canonical == ()
+
+
+def test_width_boundaries_and_too_many_generators():
+    assert class_of(Presentation(256, ()), (256, 1)).width == 2
+    assert class_of(Presentation(65_535, ()), (65_535,)).width == 2
+    assert class_of(Presentation(65_536, ()), (65_536,)).width == 4
+    with pytest.raises(PreconditionError, match="at most 8 bytes"):
+        class_of(Presentation(2 ** 64, ()), (1,))
+
+
+def test_equals_and_divides_leave_the_cached_class_packed():
+    """equals_oracle and divides_left_oracle answer from the packed ints,
+    so the cached class decodes its members only when they are read."""
+    class_of.cache_clear()
+    assert equals_oracle(P_A3, (1, 2, 1, 3), (2, 1, 2, 3))
+    assert not equals_oracle(P_A3, (1, 2, 1, 3), (2, 1, 3, 2))
+    assert divides_left_oracle(P_A3, (2, 1), (1, 2, 1, 3))
+    assert not divides_left_oracle(P_A3, (3,), (1, 2, 1, 3))
+    cls = class_of(P_A3, (1, 2, 1, 3))
+    assert class_of.cache_info().misses == 1 and "members" not in vars(cls)
+    assert cls.members == {(1, 2, 1, 3), (2, 1, 2, 3), (1, 2, 3, 1)}
+    assert "members" in vars(cls)
+    class_of.cache_clear()
+
+
+@pytest.mark.parametrize("mat", [A3, MIXED], ids=["A3", "MIXED"])
+def test_class_cap_boundary_on_every_short_word(mat):
+    """A class_cap equal to the class size answers, and one less raises at
+    the first member over it.  A one-member class answers any cap, 0
+    included: the word itself is never counted against the cap."""
+    pres = presentation_from_matrix(mat)
+    for n in range(8):
+        for w in itertools.product(mat.generators, repeat=n):
+            size = len(class_of(pres, w).members)
+            assert class_of(pres, w, size, 12).members == class_of(pres, w).members
+            if size == 1:
+                assert class_of(pres, w, 0, 12).members == {w}
+                continue
+            with pytest.raises(BudgetExceededError,
+                               match=f"^class size exceeds the cap {size - 1}$"):
+                class_of(pres, w, size - 1, 12)
+    class_of.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # The oracle's own Delta_I: nothing of the monoid's reversing or extraction
 

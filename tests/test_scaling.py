@@ -26,6 +26,8 @@ def test_scaling_gives_a_row_per_kernel_and_size():
             assert all(group.is_palindrome(x) and group.eq(group.tau(x), x)
                        for x in inputs)
     assert "palindromes.decompose_rev_tau/A5" in table
+    # the closure runs from a cleared cache, so every input closes its class
+    assert [r["work"] for r in table["oracle.class_of/D4"]] == [70, 390]
     dynnikov = table["orderings.dynnikov_action"]
     assert [r["work"] for r in dynnikov] == [20 * 100, 20 * 200]
     assert dynnikov[1]["work_growth_per_doubling"] == 2.0
