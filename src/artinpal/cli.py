@@ -269,7 +269,9 @@ def _run(matrix: CoxeterMatrix, args) -> tuple[str, int, object]:
             )
         P = oracle.presentation_from_matrix(matrix)
         w = matrix.check_word(parse_word(args.word), positive=True)
-        deltas = oracle.artin_deltas(matrix, max_len=len(w))
+        # no class is closed past the oracle's length cap, so no Delta_I
+        # longer than it is needed
+        deltas = oracle.artin_deltas(matrix, max_len=min(len(w), oracle.DEFAULT_LEN_CAP))
         res = oracle.all_pal_decompositions(P, w, deltas, **_oracle_caps(args))
         records = [{"y": format_word(y), "I": sorted(i)} for y, i in res]
         text = "\n".join(f"y = {r['y']} ; I = {_format_set(r['I'])}" for r in records)

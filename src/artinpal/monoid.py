@@ -194,9 +194,12 @@ def divides_left(u: PositiveWord, v: PositiveWord) -> PositiveWord | None:
 
 
 def equals(u: PositiveWord, v: PositiveWord) -> bool:
-    """Monoid equality: length check, then consume u's letters from v."""
+    """Monoid equality: length check, then consume u's letters from one
+    copy of v, as `divides_left` does, with no quotient built."""
     _check_same_matrix(u, v)
-    return len(u.letters) == len(v.letters) and divides_left(u, v) is not None
+    n = len(v.letters)
+    return len(u.letters) == n and _divides(_rules(u.matrix), list(v.letters),
+                                            u.letters, 0, n)
 
 
 def right_lcm(u: PositiveWord, v: PositiveWord,

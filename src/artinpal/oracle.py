@@ -25,6 +25,8 @@ from .errors import (BudgetExceededError, HandleReductionOverflow, InvalidBudget
 DEFAULT_CLASS_CAP = 1_000_000
 DEFAULT_LEN_CAP = 12
 DEFAULT_HANDLE_CAP = 1_000_000
+# the longest reduced word `coxeter_order_oracle` classes
+_ORDER_LEN_CAP = 64
 
 # bytes per packed letter, narrowest first, with the struct code of each
 _WIDTHS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -120,13 +122,11 @@ def _check_cap(name: str, cap) -> None:
         raise InvalidBudgetError(f"{name} must be an int >= 0, got {cap!r}")
 
 
-def _check_caps(class_cap, len_cap) -> None:
-    """`_check_cap` of both caps; the default caps, which most calls pass
-    on, are known good and pass on an identity test."""
-    if class_cap is DEFAULT_CLASS_CAP and len_cap is DEFAULT_LEN_CAP:
-        return
-    _check_cap("class_cap", class_cap)
-    _check_cap("len_cap", len_cap)
+def _check_class_cap(class_cap) -> None:
+    """`_check_cap` of a class cap; the default, which most calls pass on,
+    is known good and passes on an identity test."""
+    if class_cap is not DEFAULT_CLASS_CAP:
+        _check_cap("class_cap", class_cap)
 
 
 @lru_cache(maxsize=None)
@@ -151,11 +151,12 @@ def _rewrite_table(P: Presentation):
                         for k, flips in table.items())
 
 
-def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
-             len_cap: int = DEFAULT_LEN_CAP) -> RewriteClass:
+def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP) -> RewriteClass:
     """BFS closure of w under single-relation rewrites; deterministic.  A
     closure costs |class| * len(w) * (distinct side lengths) lookups, each
-    a shift, a mask and a dict probe on the packed word.
+    a shift, a mask and a dict probe on the packed word.  A word longer
+    than `DEFAULT_LEN_CAP` letters raises BudgetExceededError, and so does
+    a class of more than class_cap members, unless w is its only member.
 
     Every rewrite keeps the length: `Presentation.__post_init__` rejects a
     relation whose sides differ in length, and `_rewrite_table` pairs a
@@ -168,21 +169,25 @@ def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP,
     read through `P.check_word`, so any iterable word is accepted.
     `class_of.cache_info()` and `class_of.cache_clear()` are the cache's."""
     try:
-        return _class_of(P, w, class_cap, len_cap)
+        return _class_of(P, w, class_cap, DEFAULT_LEN_CAP)
     except TypeError:  # an argument that cannot be a cache key
         pass
     check_kind(Presentation, P)
-    _check_caps(class_cap, len_cap)
-    return _class_of(P, P.check_word(w), class_cap, len_cap)
+    _check_class_cap(class_cap)
+    return _class_of(P, P.check_word(w), class_cap, DEFAULT_LEN_CAP)
 
 
 @lru_cache(maxsize=None)
 def _class_of(P: Presentation, w, class_cap: int, len_cap: int) -> RewriteClass:
-    """`class_of` behind its cache: the closure on packed words.  A window
-    of k letters at `shift` bits from the right is `u >> shift & mask`,
-    and rewriting it to a partner side is `u ^ flip << shift`."""
+    """`class_of` behind its cache, for words of at most len_cap letters:
+    the closure on packed words.  A window of k letters at `shift` bits
+    from the right is `u >> shift & mask`, and rewriting it to a partner
+    side is `u ^ flip << shift`.  len_cap is not checked: its callers pass
+    `DEFAULT_LEN_CAP`, `_ORDER_LEN_CAP` or `artin_deltas`' checked max_len,
+    all four arguments positionally, so that a call with the default caps
+    shares `class_of`'s cache key."""
     check_kind(Presentation, P)
-    _check_caps(class_cap, len_cap)
+    _check_class_cap(class_cap)
     w = P.check_word(w)
     n = len(w)
     if n > len_cap:
@@ -221,7 +226,7 @@ class_of.cache_info = _class_of.cache_info
 class_of.cache_clear = _class_of.cache_clear
 
 
-def _class_lookup(P: Presentation, class_cap: int, len_cap: int):
+def _class_lookup(P: Presentation, class_cap: int):
     """w -> class_of(P, w), closing each class once: a closed class is filed
     under every one of its members, so any member finds it.  `class_of`
     caches per word, and a class has many members."""
@@ -230,28 +235,26 @@ def _class_lookup(P: Presentation, class_cap: int, len_cap: int):
     def lookup(w: tuple[int, ...]) -> RewriteClass:
         cls = by_member.get(w)
         if cls is None:
-            cls = class_of(P, w, class_cap, len_cap)
+            cls = class_of(P, w, class_cap)
             by_member.update(dict.fromkeys(cls.members, cls))
         return cls
 
     return lookup
 
 
-def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP,
-                  len_cap: int = DEFAULT_LEN_CAP) -> bool:
+def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP) -> bool:
     check_kind(Presentation, P)
-    _check_caps(class_cap, len_cap)
+    _check_class_cap(class_cap)
     u = P.check_word(u)
     v = P.check_word(v)
     if len(u) != len(v):
         return False
-    cls = class_of(P, u, class_cap, len_cap)
+    cls = class_of(P, u, class_cap)
     return _pack(v, cls.width) in cls.packed
 
 
 def divides_left_oracle(P: Presentation, u, v,
-                        class_cap: int = DEFAULT_CLASS_CAP,
-                        len_cap: int = DEFAULT_LEN_CAP) -> bool:
+                        class_cap: int = DEFAULT_CLASS_CAP) -> bool:
     """True iff u * w rewrites to v for some positive w: equivalently, some
     member of v's class starts with the letters of u.
 
@@ -259,12 +262,12 @@ def divides_left_oracle(P: Presentation, u, v,
     len(u)-prefix is u.  Conversely, a member m with m[:len(u)] = u gives
     v = u * m[len(u):].  So only v's class is closed; u's never is."""
     check_kind(Presentation, P)
-    _check_caps(class_cap, len_cap)
+    _check_class_cap(class_cap)
     u = P.check_word(u)
     v = P.check_word(v)
     if len(u) > len(v):
         return False
-    cls = class_of(P, v, class_cap, len_cap)
+    cls = class_of(P, v, class_cap)
     prefix = _pack(u, cls.width)
     shift = (len(v) - len(u)) * 8 * cls.width
     for m in cls.packed:  # about twice as fast as any()
@@ -273,17 +276,17 @@ def divides_left_oracle(P: Presentation, u, v,
     return False
 
 
-def square_free_oracle(P: Presentation, w,
-                       class_cap: int = DEFAULT_CLASS_CAP,
-                       len_cap: int = DEFAULT_LEN_CAP) -> bool:
+def _square_free(cls: RewriteClass) -> bool:
+    """True iff no member of cls contains an adjacent repeated letter."""
+    return not any(any(m[i] == m[i + 1] for i in range(len(m) - 1))
+                   for m in cls.members)
+
+
+def square_free_oracle(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP) -> bool:
     """True iff no member of w's class contains an adjacent repeated
     letter."""
     check_kind(Presentation, P)
-    w = P.check_word(w)
-    return not any(
-        any(m[i] == m[i + 1] for i in range(len(m) - 1))
-        for m in class_of(P, w, class_cap, len_cap).members
-    )
+    return _square_free(class_of(P, P.check_word(w), class_cap))
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +299,7 @@ def _greedy_delta(matrix: CoxeterMatrix, subset: tuple[int, ...],
     P = presentation_from_matrix(matrix)
     w: tuple[int, ...] = ()
     while True:
-        ends = {m[-1] for m in class_of(P, w, len_cap=max_len).members if m}
+        ends = {m[-1] for m in _class_of(P, w, DEFAULT_CLASS_CAP, max_len).members if m}
         s = next((s for s in subset if s not in ends), None)
         if s is None:
             return w
@@ -312,6 +315,7 @@ def artin_deltas(matrix: CoxeterMatrix,
     default the longest word the oracle classes).  The words come from the
     oracle's own `_greedy_delta`, memoized, never from the monoid."""
     check_kind(CoxeterMatrix, matrix)
+    _check_cap("max_len", max_len)
     out: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
     subsets: list[tuple[int, ...]] = [()]
     for g in matrix.generators:
@@ -325,8 +329,7 @@ def artin_deltas(matrix: CoxeterMatrix,
 
 
 def all_pal_decompositions(P: Presentation, p, deltas,
-                           class_cap: int = DEFAULT_CLASS_CAP,
-                           len_cap: int = DEFAULT_LEN_CAP):
+                           class_cap: int = DEFAULT_CLASS_CAP):
     """All (y, I) with p = y * Delta_I * rev(y) in the monoid.
 
     deltas maps each admissible I (sorted tuple) to a word for Delta_I.
@@ -347,7 +350,7 @@ def all_pal_decompositions(P: Presentation, p, deltas,
         word = P.check_word(word)
         delta_by_len.setdefault(len(word), []).append((P.check_word(subset), word))
 
-    class_for = _class_lookup(P, class_cap, len_cap)
+    class_for = _class_lookup(P, class_cap)
     memo: dict[tuple[int, ...], tuple] = {}
 
     def search(w: tuple[int, ...]):
@@ -382,34 +385,31 @@ def all_pal_decompositions(P: Presentation, p, deltas,
     return search(p)
 
 
-def enumerate_classes(P: Presentation, length: int,
-                      class_cap: int = DEFAULT_CLASS_CAP,
-                      len_cap: int = DEFAULT_LEN_CAP):
+def enumerate_classes(P: Presentation, length: int):
     """Partition of all length-L words into rewriting classes, as a sorted
-    tuple of sorted member tuples."""
+    tuple of sorted member tuples.  A length over `DEFAULT_LEN_CAP`, or more
+    than `DEFAULT_CLASS_CAP` words of that length, raises
+    BudgetExceededError before any class is closed."""
     check_kind(Presentation, P)
-    _check_caps(class_cap, len_cap)
     if not isinstance(length, int) or length < 0:
         raise PreconditionError(f"length must be an int >= 0, got {length!r}")
-    if length > len_cap:
+    if length > DEFAULT_LEN_CAP:
         raise BudgetExceededError(
-            f"length {length} exceeds the cap {len_cap}"
+            f"length {length} exceeds the cap {DEFAULT_LEN_CAP}"
         )
-    if P.ngens ** length > class_cap:
+    if P.ngens ** length > DEFAULT_CLASS_CAP:
         raise BudgetExceededError(
-            f"{P.ngens}^{length} words exceed the cap {class_cap}"
+            f"{P.ngens}^{length} words exceed the cap {DEFAULT_CLASS_CAP}"
         )
     words: list[tuple[int, ...]] = [()]
     for _ in range(length):
         words = [w + (x,) for w in words for x in range(1, P.ngens + 1)]
-    class_for = _class_lookup(P, class_cap, len_cap)
+    class_for = _class_lookup(P, DEFAULT_CLASS_CAP)
     classes = {cls.canonical: cls for cls in map(class_for, words)}
     return tuple(tuple(sorted(classes[c].members)) for c in sorted(classes))
 
 
-def coxeter_order_oracle(matrix: CoxeterMatrix,
-                         class_cap: int = DEFAULT_CLASS_CAP,
-                         len_cap: int = 64) -> int:
+def coxeter_order_oracle(matrix: CoxeterMatrix) -> int:
     """Order of the Coxeter group, counted without ever multiplying
     matrices: breadth-first over reduced words, one canonical
     representative per element.
@@ -418,26 +418,28 @@ def coxeter_order_oracle(matrix: CoxeterMatrix,
     element iff they are connected by braid relations alone, and that a
     word is reduced iff its braid class contains no square s*s.  The
     quotient relation s^2 = e never has to be written down.
+
+    Each candidate word, a representative times one generator, has its
+    class closed once, with words of up to 64 letters, and that class
+    gives both its square-freeness and its canonical representative.  An
+    order over `DEFAULT_CLASS_CAP` raises BudgetExceededError.
     """
     check_kind(CoxeterMatrix, matrix)
-    _check_caps(class_cap, len_cap)
     if not is_finite_type(matrix):
         raise PreconditionError("order counting needs a finite-type matrix")
     P = presentation_from_matrix(matrix)
     total = 0
-    level = {(): ()}  # canonical -> any member
+    level = {()}  # the canonical words of one length
     while level:
         total += len(level)
-        if total > class_cap:
-            raise BudgetExceededError(f"group order exceeds the cap {class_cap}")
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for rep in level.values():
+        if total > DEFAULT_CLASS_CAP:
+            raise BudgetExceededError(f"group order exceeds the cap {DEFAULT_CLASS_CAP}")
+        nxt = set()
+        for rep in level:
             for s in range(1, matrix.rank + 1):
-                u = rep + (s,)
-                if not square_free_oracle(P, u, class_cap, len_cap):
-                    continue
-                cls = class_of(P, u, class_cap, len_cap)
-                nxt.setdefault(cls.canonical, cls.canonical)
+                cls = _class_of(P, rep + (s,), DEFAULT_CLASS_CAP, _ORDER_LEN_CAP)
+                if _square_free(cls):
+                    nxt.add(cls.canonical)
         level = nxt
     return total
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinpal import coxeter, group, monoid, weyl
+from artinpal import coxeter, group, monoid, oracle, weyl
 from artinpal.cli import build_parser, main
 from artinpal.coxeter import parse_word
 from artinpal.palindromes import PalDecomposition, reconstruct
@@ -331,6 +331,24 @@ def test_oracle_decomps(capsys):
     ]
     code, out, _ = run(capsys, "--type", "A2", "oracle-decomps", "1 2")
     assert (code, out) == (1, "none\n")
+
+
+def test_oracle_decomps_builds_no_delta_past_the_length_cap(capsys, monkeypatch):
+    """A word over the oracle's length cap exits 3 at the cap, having asked
+    for no Delta_I longer than the cap."""
+    asked = []
+    real = oracle.artin_deltas
+
+    def recorded(matrix, max_len):
+        asked.append(max_len)
+        return real(matrix, max_len)
+
+    monkeypatch.setattr(oracle, "artin_deltas", recorded)
+    word = " ".join(["1 2 1 3 2"] * 3)
+    assert run(capsys, "--type", "A3", "oracle-decomps", word) == (
+        3, "", "error: word length 15 exceeds the cap 12\n")
+    assert run(capsys, "--type", "A3", "oracle-decomps", "1 2 1 3 2 1")[0] == 0
+    assert asked == [12, 6]
 
 
 def test_weyl_commands(capsys):

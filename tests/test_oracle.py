@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import itertools
 import random
@@ -100,9 +101,9 @@ def test_class_of_reads_any_iterable_word():
 
 def test_class_budget_errors():
     with pytest.raises(BudgetExceededError):
-        class_of(P_A2, tuple([1] * 20), 1_000_000, 12)
+        class_of(P_A2, tuple([1] * 20), 1_000_000)
     with pytest.raises(BudgetExceededError):
-        class_of(P_A3, tuple(monoid.ambient_delta(A3).letters), 2, 12)
+        class_of(P_A3, tuple(monoid.ambient_delta(A3).letters), 2)
 
 
 def test_equals_oracle():
@@ -262,6 +263,22 @@ def test_coxeter_order_oracle(name, order):
     assert coxeter_order_oracle(coxeter.named_matrix(name)) == order
 
 
+def test_coxeter_order_oracle_closes_each_candidate_once(monkeypatch):
+    """Each candidate word, a representative times one generator, reaches
+    `_class_of` once: its class gives both its square-freeness and its
+    canonical representative."""
+    calls = collections.Counter()
+    real = oracle._class_of
+
+    def counted(P, w, *caps):
+        calls[w] += 1
+        return real(P, w, *caps)
+
+    monkeypatch.setattr(oracle, "_class_of", counted)
+    assert coxeter_order_oracle(A3) == 24
+    assert set(calls.values()) == {1} and len(calls) == 24 * A3.rank
+
+
 AFFINE_A2 = coxeter.CoxeterMatrix(3, ((1, 3, 3), (3, 1, 3), (3, 3, 1)))
 
 
@@ -398,7 +415,7 @@ def test_shared_side_rewrites_to_both_partners():
 
 def test_class_cap_message_unchanged():
     with pytest.raises(BudgetExceededError, match="^class size exceeds the cap 2$"):
-        class_of(P_A3, (1, 2, 1, 3, 2, 1), 2, 12)
+        class_of(P_A3, (1, 2, 1, 3, 2, 1), 2)
 
 
 # Letters take 1, 2, 4 or 8 bytes in the packed closure, by the number of
@@ -474,13 +491,13 @@ def test_class_cap_boundary_on_every_short_word(mat):
     for n in range(8):
         for w in itertools.product(mat.generators, repeat=n):
             size = len(class_of(pres, w).members)
-            assert class_of(pres, w, size, 12).members == class_of(pres, w).members
+            assert class_of(pres, w, size).members == class_of(pres, w).members
             if size == 1:
-                assert class_of(pres, w, 0, 12).members == {w}
+                assert class_of(pres, w, 0).members == {w}
                 continue
             with pytest.raises(BudgetExceededError,
                                match=f"^class size exceeds the cap {size - 1}$"):
-                class_of(pres, w, size - 1, 12)
+                class_of(pres, w, size - 1)
     class_of.cache_clear()
 
 
@@ -533,6 +550,13 @@ def test_artin_deltas_length_bound():
     a4 = coxeter.builtin("A", 4)
     assert (1, 2, 3, 4) in artin_deltas(a4, max_len=10)
     assert (1, 2, 3, 4) not in artin_deltas(a4, max_len=9)
+
+
+def test_artin_deltas_checks_its_bound_first():
+    # a bound that cannot be a cache key is a budget error, not a TypeError
+    for bad in ([], None, -1, 1.5, "x"):
+        with pytest.raises(InvalidBudgetError, match="^max_len must be an int >= 0"):
+            artin_deltas(A3, bad)
 
 
 # ---------------------------------------------------------------------------
