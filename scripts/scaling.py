@@ -196,6 +196,35 @@ def class_of_kernel(name: str) -> Kernel:
                   inputs, run, work)
 
 
+# -- oracle.all_pal_decompositions: positive palindromes u rev(u) over A3,
+# each searched from a cleared cache, members closed
+
+def all_pal_kernel(name: str) -> Kernel:
+    mat = coxeter.named_matrix(name)
+    pres = oracle.presentation_from_matrix(mat)
+    deltas = oracle.artin_deltas(mat)
+
+    def inputs(rng, length):
+        out = []
+        for _ in range(20):
+            u = tuple(rng.randint(1, pres.ngens) for _ in range(length // 2))
+            out.append(u + u[::-1])
+        return out
+
+    def run(p):
+        oracle.class_of.cache_clear()
+        return oracle.all_pal_decompositions(pres, p, deltas)
+
+    def work(p) -> int:
+        oracle.class_of.cache_clear()
+        return counted(oracle, "class_of", HOOKS["oracle.class_of"],
+                       "oracle.class_members",
+                       lambda: oracle.all_pal_decompositions(pres, p, deltas))
+
+    return Kernel(f"oracle.all_pal_decompositions/{name}", "members closed",
+                  (4, 6, 8, 10, 12), inputs, run, work)
+
+
 KERNELS = (
     Kernel("orderings.dynnikov_action", "letters read",
            tuple(100 * 2 ** k for k in range(7)), dynnikov_inputs,
@@ -208,6 +237,7 @@ KERNELS = (
     decompose_kernel("E8"),
     rev_tau_kernel("A5"),
     class_of_kernel("D4"),
+    all_pal_kernel("A3"),
 )
 
 

@@ -139,15 +139,23 @@ def _resolve_matrix(ap: argparse.ArgumentParser, args) -> CoxeterMatrix | None:
         ap.error("exactly one of --type or --matrix is required")
     if args.type_name is not None:
         return named_matrix(args.type_name)
-    with open(args.matrix_file, encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(_read_input(args.matrix_file))
 
 
 def _load_presentation(matrix: CoxeterMatrix, args) -> oracle.Presentation:
     if args.presentation is None:
         return oracle.presentation_from_matrix(matrix)
-    with open(args.presentation, encoding="utf-8") as fh:
-        return oracle.parse_presentation(fh.read())
+    return oracle.parse_presentation(_read_input(args.presentation))
+
+
+def _read_input(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are a domain
+    error that names the file, as an unreadable path is."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ArtinError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
 def _oracle_caps(args) -> dict:

@@ -6,15 +6,14 @@ so the set of words reachable from w is finite and enumerable.  Slow on
 purpose; every answer is exact or a budget error, never a guess.  Braid
 words are refereed apart from the closures, by handle reduction.
 
-The closure runs on words packed into ints, a fixed number of bytes per
-letter with the first letter highest: a window is read with a shift and a
-mask and rewritten with one XOR, and a closed class is cached as a set of
-ints, decoded to tuples only when its members are read.
+The closure runs on words packed into ints, `P.ngens.bit_length()` bits
+per letter with the first letter highest: a window is read with a shift
+and a mask and rewritten with one XOR, and a closed class is cached as a
+set of ints, decoded to tuples only when its members are read.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -28,9 +27,6 @@ DEFAULT_HANDLE_CAP = 1_000_000
 # the longest reduced word `coxeter_order_oracle` classes
 _ORDER_LEN_CAP = 64
 
-# bytes per packed letter, narrowest first, with the struct code of each
-_WIDTHS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -41,8 +37,9 @@ class Presentation:
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __post_init__(self):
-        if self.ngens < 1:
-            raise PreconditionError("presentation needs at least one generator")
+        if not isinstance(self.ngens, int) or self.ngens < 1:
+            raise PreconditionError(
+                f"presentation needs an int ngens >= 1, got {self.ngens!r}")
         for lhs, rhs in self.relations:
             if len(lhs) != len(rhs):
                 raise PreconditionError(
@@ -72,19 +69,13 @@ def presentation_from_matrix(matrix: CoxeterMatrix) -> Presentation:
     return Presentation(matrix.rank, tuple(matrix.relations()))
 
 
-@lru_cache(maxsize=None)
-def _codec(width: int, length: int) -> struct.Struct:
-    """The big-endian layout of a word of `length` letters, `width` bytes
-    each."""
-    return struct.Struct(f">{length}{_WIDTHS[width]}")
-
-
-def _pack(w: tuple[int, ...], width: int) -> int:
-    """w as one int, `width` bytes a letter, the first letter highest; for
+def _pack(w: tuple[int, ...], bits: int) -> int:
+    """w as one int, `bits` bits a letter, the first letter highest; for
     words of one length the int order is the lexicographic order."""
-    if width == 1:
-        return int.from_bytes(bytes(w), "big")
-    return int.from_bytes(_codec(width, len(w)).pack(*w), "big")
+    u = 0
+    for x in w:
+        u = u << bits | x
+    return u
 
 
 @dataclass(frozen=True)
@@ -93,19 +84,20 @@ class RewriteClass:
     member, the canonical representative.
 
     The class is kept packed: `packed` holds each member as one int,
-    `width` bytes a letter with the first letter highest, and every member
+    `bits` bits a letter with the first letter highest, and every member
     has `length` letters.  `canonical` is decoded from the least int, and
     `members`, the frozenset of tuples, is decoded on first read."""
 
     packed: frozenset
-    width: int
+    bits: int
     length: int
 
     def _decoder(self):
-        """packed int -> the member it spells."""
-        unpack = _codec(self.width, self.length).unpack
-        size = self.width * self.length
-        return lambda m: unpack(m.to_bytes(size, "big"))
+        """packed int -> the member it spells: letter i is the `bits` bits
+        at (length - 1 - i) * bits from the right."""
+        mask = (1 << self.bits) - 1
+        shifts = range((self.length - 1) * self.bits, -1, -self.bits)
+        return lambda m: tuple([m >> shift & mask for shift in shifts])
 
     @cached_property
     def canonical(self) -> tuple[int, ...]:
@@ -131,24 +123,19 @@ def _check_class_cap(class_cap) -> None:
 
 @lru_cache(maxsize=None)
 def _rewrite_table(P: Presentation):
-    """(width, ((k, mask, {packed side: XOR flips to its partners}), ...)):
-    the bytes per letter, the narrowest that holds letter P.ngens, and per
-    side length k the mask of a k-letter window and, for each packed side
-    of that length, side ^ partner for each of its partner sides."""
-    width = next((b for b in _WIDTHS if P.ngens < 256 ** b), None)
-    if width is None:
-        raise PreconditionError(
-            f"{P.ngens} generators: the oracle packs a letter in at most 8 bytes"
-        )
+    """(bits, ((k, mask, {packed side: XOR flips to its partners}), ...)):
+    the bits per letter, the fewest that hold letter P.ngens, and per side
+    length k the mask of a k-letter window and, for each packed side of
+    that length, side ^ partner for each of its partner sides."""
+    bits = P.ngens.bit_length()
     table: dict[int, dict[int, list[int]]] = {}
     for lhs, rhs in P.relations:
         for a, b in ((lhs, rhs), (rhs, lhs)):
-            side = _pack(a, width)
+            side = _pack(a, bits)
             table.setdefault(len(a), {}).setdefault(side, []).append(
-                side ^ _pack(b, width))
-    bits = 8 * width
-    return width, tuple((k, (1 << k * bits) - 1, flips)
-                        for k, flips in table.items())
+                side ^ _pack(b, bits))
+    return bits, tuple((k, (1 << k * bits) - 1, flips)
+                       for k, flips in table.items())
 
 
 def class_of(P: Presentation, w, class_cap: int = DEFAULT_CLASS_CAP) -> RewriteClass:
@@ -194,11 +181,10 @@ def _class_of(P: Presentation, w, class_cap: int, len_cap: int) -> RewriteClass:
         raise BudgetExceededError(
             f"word length {n} exceeds the cap {len_cap}"
         )
-    width, table = _rewrite_table(P)
-    bits = 8 * width
+    bits, table = _rewrite_table(P)
     windows = [(mask, sides, range(0, (n - k) * bits + 1, bits))
                for k, mask, sides in table if k <= n]
-    start = _pack(w, width)
+    start = _pack(w, bits)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -219,7 +205,7 @@ def _class_of(P: Presentation, w, class_cap: int, len_cap: int) -> RewriteClass:
                             seen.add(v)
                             nxt.append(v)
         frontier = nxt
-    return RewriteClass(frozenset(seen), width, n)
+    return RewriteClass(frozenset(seen), bits, n)
 
 
 class_of.cache_info = _class_of.cache_info
@@ -250,7 +236,7 @@ def equals_oracle(P: Presentation, u, v, class_cap: int = DEFAULT_CLASS_CAP) -> 
     if len(u) != len(v):
         return False
     cls = class_of(P, u, class_cap)
-    return _pack(v, cls.width) in cls.packed
+    return _pack(v, cls.bits) in cls.packed
 
 
 def divides_left_oracle(P: Presentation, u, v,
@@ -268,8 +254,8 @@ def divides_left_oracle(P: Presentation, u, v,
     if len(u) > len(v):
         return False
     cls = class_of(P, v, class_cap)
-    prefix = _pack(u, cls.width)
-    shift = (len(v) - len(u)) * 8 * cls.width
+    prefix = _pack(u, cls.bits)
+    shift = (len(v) - len(u)) * cls.bits
     for m in cls.packed:  # about twice as fast as any()
         if m >> shift == prefix:
             return True

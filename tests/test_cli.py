@@ -301,6 +301,22 @@ def test_presentation_file(capsys, tmp_path):
     assert code == 3 and "presentation" in err
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--matrix", ("eq", "1", "1")),
+    ("--presentation", ("--type", "A2", "oracle-eq", "1", "1")),
+], ids=["matrix", "presentation"])
+def test_input_file_that_is_not_utf8_exits_3(capsys, tmp_path, option, argv):
+    """Undecodable bytes in an input file are a domain error naming the
+    file, as an unreadable path is, not an internal failure."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"rank 2\nm 1 2 \xff\n")
+    code, out, err = run(capsys, option, str(bad), *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {bad}: not UTF-8: ") and err.count("\n") == 1
+    code, out, err = run(capsys, option, str(tmp_path), *argv)
+    assert (code, out) == (3, "") and err.startswith("error: ")
+
+
 def test_presentation_needs_no_matrix(capsys, tmp_path):
     pfile = tmp_path / "xy.txt"
     pfile.write_text("gens 2\nrel 1 1 = 2 2\n")

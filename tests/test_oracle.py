@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artinpal import coxeter, group, monoid, oracle
@@ -418,8 +418,8 @@ def test_class_cap_message_unchanged():
         class_of(P_A3, (1, 2, 1, 3, 2, 1), 2)
 
 
-# Letters take 1, 2, 4 or 8 bytes in the packed closure, by the number of
-# generators; each presentation relates letters of the widest byte width.
+# Presentations keyed by the bytes that letter ngens spans, 1, 2, 4 or 8;
+# each relates letters that need the most bits of its presentation.
 P_WIDE = {
     1: Presentation(255, (((1, 2, 1), (2, 1, 2)), ((1, 255), (255, 1)))),
     2: Presentation(300, (((1, 2, 1), (2, 1, 2)), ((299, 300), (300, 299)),
@@ -436,7 +436,7 @@ P_WIDE = {
 def test_wide_letters_and_the_empty_word_match_the_per_relation_scan(width):
     """class_of, canonical, equals_oracle and divides_left_oracle agree
     with the per-relation scan on words over the relation letters, the
-    empty word among them, whatever the bytes per letter."""
+    empty word among them, whatever the bits per letter."""
     pres = P_WIDE[width]
     alphabet = sorted({x for rel in pres.relations for side in rel for x in side})
     rng = random.Random(f"wide letters {width}")
@@ -448,7 +448,7 @@ def test_wide_letters_and_the_empty_word_match_the_per_relation_scan(width):
     assert sum(len(c) > 1 for c in closures.values()) >= 3
     for w in words:
         cls = class_of(pres, w)
-        assert cls.width == width
+        assert cls.bits == {1: 8, 2: 9, 4: 17, 8: 41}[width]
         assert cls.members == closures[w], w
         assert cls.canonical == min(closures[w])
     for u in words:
@@ -459,12 +459,69 @@ def test_wide_letters_and_the_empty_word_match_the_per_relation_scan(width):
     assert class_of(pres, ()).members == {()} and class_of(pres, ()).canonical == ()
 
 
-def test_width_boundaries_and_too_many_generators():
-    assert class_of(Presentation(256, ()), (256, 1)).width == 2
-    assert class_of(Presentation(65_535, ()), (65_535,)).width == 2
-    assert class_of(Presentation(65_536, ()), (65_536,)).width == 4
-    with pytest.raises(PreconditionError, match="at most 8 bytes"):
-        class_of(Presentation(2 ** 64, ()), (1,))
+def test_bits_per_letter_at_the_boundaries():
+    """A letter takes ngens.bit_length() bits, so a presentation of any
+    size answers, 2^64 generators and more among them."""
+    for ngens, bits in ((1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (255, 8),
+                        (256, 9), (65_535, 16), (65_536, 17), (2 ** 64 - 1, 64),
+                        (2 ** 64, 65), (2 ** 100, 101)):
+        cls = class_of(Presentation(ngens, ()), (ngens, 1, ngens))
+        assert (cls.bits, cls.members) == (bits, {(ngens, 1, ngens)})
+    top = 2 ** 64
+    pres = Presentation(top, (((1, top), (top, 1)), ((top - 1, 2), (1, 1))))
+    assert class_of(pres, (top - 1, 2, top)).members == {
+        (top - 1, 2, top), (1, 1, top), (1, top, 1), (top, 1, 1), (top, top - 1, 2)}
+    assert class_of(pres, (top, 1, 1)).canonical == (1, 1, top)
+    assert equals_oracle(pres, (top, 1, 1), (top - 1, 2, top))
+    assert not equals_oracle(pres, (top, 1, 1), (1, 1, top - 1))
+    assert divides_left_oracle(pres, (top - 1,), (1, top, 1))
+    assert not divides_left_oracle(pres, (2,), (1, top, 1))
+
+
+# ngens on both sides of each boundary of the bits per letter
+NGENS = (1, 2, 3, 4, 7, 8, 255, 256, 65_535, 65_536, 2 ** 40, 2 ** 64)
+
+
+@st.composite
+def _homogeneous(draw, ngens):
+    """(P, words): 1-4 relations whose sides have equal length, 1-3
+    letters, over an alphabet of at most 3 letters with ngens among them
+    (letter ngens occurs in the first relation), and words of up to 7
+    letters over that alphabet, the empty word first."""
+    alphabet = sorted({ngens, *draw(st.lists(st.integers(1, ngens), max_size=2))})
+    letter = st.sampled_from(alphabet)
+    relations = []
+    for _ in range(draw(st.integers(1, 4), label="relations")):
+        k = draw(st.integers(1, 3), label="side length")
+        side = st.lists(letter, min_size=k, max_size=k).map(tuple)
+        relations.append((draw(side), draw(side)))
+    lhs, rhs = relations[0]
+    relations[0] = ((ngens,) + lhs[1:], rhs)
+    words = [()] + draw(st.lists(st.lists(letter, min_size=1, max_size=7).map(tuple),
+                                 min_size=3, max_size=6), label="words")
+    return Presentation(ngens, tuple(relations)), words
+
+
+@pytest.mark.parametrize("ngens", NGENS, ids=str)
+@settings(max_examples=20, derandomize=True)
+@given(data=st.data())
+def test_packing_at_every_bit_width_matches_the_per_relation_scan(ngens, data):
+    """class_of's members and canonical, equals_oracle and
+    divides_left_oracle agree with the per-relation scan on drawn
+    homogeneous presentations, whatever bits a letter takes."""
+    pres, words = data.draw(_homogeneous(ngens))
+    closures = {w: _old_closure(pres, w) for w in words}
+    for w in words:
+        cls = class_of(pres, w)
+        assert cls.bits == ngens.bit_length()
+        assert cls.members == closures[w], w
+        assert cls.canonical == min(closures[w]), w
+    for u in words:
+        for v in words:
+            assert equals_oracle(pres, u, v) == (v in closures[u]), (u, v)
+            assert divides_left_oracle(pres, u, v) == (len(u) <= len(v) and any(
+                m[:len(u)] == u for m in closures[v])), (u, v)
+    class_of.cache_clear()
 
 
 def test_equals_and_divides_leave_the_cached_class_packed():
